@@ -17,6 +17,7 @@ relative error on every pulse's rotation angle.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -26,8 +27,6 @@ DEFAULT_LARMOR_PERIOD = 40e-12
 
 SEQUENCE_LABELS = ("8H", "CP", "UDD", "BB1", "custom")
 
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-SIGMA_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
 
@@ -131,43 +130,74 @@ class PulseSequence:
         return sum(1 for seg in self.segments if seg.kind == "pulse")
 
 
-def _rotation_matrices(vx, vy, vz) -> np.ndarray:
-    """exp(-i (v . sigma) / 2) for stacked rotation vectors."""
-    vx, vy, vz = np.broadcast_arrays(np.atleast_1d(vx), np.atleast_1d(vy), np.atleast_1d(vz))
+def _rotation_quaternion(vx, vy, vz) -> tuple[np.ndarray, ...]:
+    """(w, x, y, z) of exp(-i (v . sigma) / 2) = w I - i (x X + y Y + z Z)."""
     angle = np.sqrt(vx * vx + vy * vy + vz * vz)
-    cos_half = np.cos(angle / 2)
     # sin(a/2)/a, smooth through a = 0.
     k = 0.5 * np.sinc(angle / (2 * np.pi))
-    out = np.empty(vx.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = cos_half - 1j * k * vz
-    out[..., 0, 1] = (-1j * vx - vy) * k
-    out[..., 1, 0] = (-1j * vx + vy) * k
-    out[..., 1, 1] = cos_half + 1j * k * vz
-    return out
+    return np.cos(angle / 2), k * vx, k * vy, k * vz
 
 
-def _segment_matrices(
+def _identity_quaternion(like: np.ndarray) -> tuple[np.ndarray, ...]:
+    zero = np.zeros_like(like)
+    return np.ones_like(like), zero, zero, zero
+
+
+def _segment_quaternion(
     segment: PulseSegment,
     larmor_period: float,
     detunings: np.ndarray,
     pulse_error: float,
-) -> np.ndarray:
+) -> tuple[np.ndarray, ...]:
     drift = 2 * np.pi / larmor_period + detunings
     if segment.kind == "free_precession":
-        return _rotation_matrices(0.0, 0.0, drift * segment.duration)
+        return _rotation_quaternion(0.0, 0.0, drift * segment.duration)
     if segment.duration == 0:
-        return np.broadcast_to(IDENTITY2, detunings.shape + (2, 2)).copy()
+        return _identity_quaternion(detunings)
     ax, ay, az = segment.axis
     angle = segment.nominal_angle
     # The systematic pulse error scales the whole rotation the pulse enacts
     # (drive plus the precession it rides on), a relative deviation of the
     # segment's net rotation angle.
     scale = 1 + pulse_error
-    return _rotation_matrices(
+    return _rotation_quaternion(
         scale * angle * ax,
         scale * angle * ay,
         scale * (angle * az + drift * segment.duration),
     )
+
+
+def _compose(
+    segments: tuple[PulseSegment, ...],
+    larmor_period: float,
+    detunings: np.ndarray,
+    pulse_error: float,
+) -> tuple[np.ndarray, ...]:
+    """Quaternion of the time-ordered product of segment unitaries, one per detuning.
+
+    Each step is the SU(2) product U2 U1 written on (w, q):
+    w = w2 w1 - q2 . q1 and q = w2 q1 + w1 q2 + q2 x q1.
+    """
+    w, x, y, z = _identity_quaternion(detunings)
+    for segment in segments:
+        w2, x2, y2, z2 = _segment_quaternion(segment, larmor_period, detunings, pulse_error)
+        w, x, y, z = (
+            w2 * w - (x2 * x + y2 * y + z2 * z),
+            w2 * x + w * x2 + (y2 * z - z2 * y),
+            w2 * y + w * y2 + (z2 * x - x2 * z),
+            w2 * z + w * z2 + (x2 * y - y2 * x),
+        )
+    return w, x, y, z
+
+
+def _unitaries(w, x, y, z) -> np.ndarray:
+    """Stacked 2x2 matrices w I - i (x X + y Y + z Z)."""
+    out = np.empty(w.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = w - 1j * z
+    out[..., 0, 1] = -y - 1j * x
+    out[..., 1, 0] = y - 1j * x
+    out[..., 1, 1] = w + 1j * z
+    return out
 
 
 def segment_unitary(
@@ -177,7 +207,8 @@ def segment_unitary(
     pulse_error: float = 0.0,
 ) -> np.ndarray:
     """2x2 unitary of one segment under a given detuning and pulse error."""
-    return _segment_matrices(segment, larmor_period, np.array([detuning]), pulse_error)[0]
+    quaternion = _segment_quaternion(segment, larmor_period, np.array([detuning]), pulse_error)
+    return _unitaries(*quaternion)[0]
 
 
 def sequence_unitary(
@@ -186,10 +217,8 @@ def sequence_unitary(
     pulse_error: float = 0.0,
 ) -> np.ndarray:
     """Net unitary of a sequence (segments compose in time order)."""
-    u = IDENTITY2.copy()
-    for segment in sequence.segments:
-        u = segment_unitary(segment, sequence.larmor_period, detuning, pulse_error) @ u
-    return u
+    quaternion = _compose(sequence.segments, sequence.larmor_period, np.array([detuning]), pulse_error)
+    return _unitaries(*quaternion)[0]
 
 
 def composite_x_gate(
@@ -243,8 +272,8 @@ def build_sequence(
     label = kind.upper()
     if label not in ("8H", "CP", "UDD"):
         raise ValueError(f"unknown sequence kind: {kind!r}")
-    if tau <= 0:
-        raise ValueError("tau must be positive")
+    if not 0 < tau < math.inf:
+        raise ValueError("tau must be positive and finite")
 
     window = 8 * tau
     width = _composite_x_duration(larmor_period)
@@ -354,10 +383,12 @@ class NoiseModel:
     t2: float | None = None
 
     def __post_init__(self) -> None:
-        if self.t2_star is not None and self.t2_star <= 0:
-            raise ValueError("t2_star must be positive (or None to disable dephasing)")
-        if self.t2 is not None and self.t2 <= 0:
-            raise ValueError("t2 must be positive (or None to disable)")
+        if self.t2_star is not None and not 0 < self.t2_star < math.inf:
+            raise ValueError("t2_star must be positive and finite (or None to disable dephasing)")
+        if self.t2 is not None and not 0 < self.t2 < math.inf:
+            raise ValueError("t2 must be positive and finite (or None to disable)")
+        if not math.isfinite(self.pulse_error):
+            raise ValueError("pulse_error must be finite")
         if self.samples < 1:
             raise ValueError("samples must be >= 1")
         if self.seed < 0:
@@ -366,10 +397,24 @@ class NoiseModel:
 
 @dataclass(frozen=True)
 class ProcessResult:
-    """Mean process infidelity 1 - chi_II and the per-sample fidelities."""
+    """Mean process infidelity 1 - chi_II, its Monte-Carlo standard error
+    std(1 - F) / sqrt(samples), and the per-sample fidelities."""
 
     infidelity: float
     fidelities: np.ndarray = field(repr=False)
+    std_error: float
+
+
+@functools.lru_cache(maxsize=8)
+def _standard_normals(seed: int, samples: int) -> np.ndarray:
+    """One standard normal per sample from the stream keyed by (seed, index).
+
+    Cached (read-only) because a sweep redraws the same seed for every grid
+    point, and building one generator per sample is the costly part.
+    """
+    z = np.array([np.random.default_rng((seed, i)).standard_normal() for i in range(samples)])
+    z.flags.writeable = False
+    return z
 
 
 def detuning_samples(noise: NoiseModel) -> np.ndarray:
@@ -380,10 +425,7 @@ def detuning_samples(noise: NoiseModel) -> np.ndarray:
     """
     if noise.t2_star is None:
         return np.zeros(noise.samples)
-    sigma = math.sqrt(2) / noise.t2_star
-    return np.array(
-        [np.random.default_rng((noise.seed, i)).normal(0.0, sigma) for i in range(noise.samples)]
-    )
+    return (math.sqrt(2) / noise.t2_star) * _standard_normals(noise.seed, noise.samples)
 
 
 def process_infidelity(
@@ -401,17 +443,20 @@ def process_infidelity(
     if target.shape != (2, 2):
         raise ValueError("target must be a 2x2 unitary")
     detunings = detuning_samples(noise)
-    u = np.broadcast_to(IDENTITY2, (noise.samples, 2, 2)).copy()
-    for segment in sequence.segments:
-        u = _segment_matrices(segment, sequence.larmor_period, detunings, noise.pulse_error) @ u
+    u = _unitaries(*_compose(sequence.segments, sequence.larmor_period, detunings, noise.pulse_error))
     overlap = np.einsum("sij,ij->s", u, target.conj())
     fidelities = np.abs(overlap) ** 2 / 4
     if noise.t2 is not None:
         gamma = math.exp(-sequence.duration / noise.t2)
-        dephased = np.einsum("sij,ij->s", SIGMA_Z[None, :, :] @ u, target.conj())
+        dephased = np.einsum("sij,ij->s", u, (SIGMA_Z @ target).conj())
         fidelities = 0.5 * (1 + gamma) * fidelities + 0.5 * (1 - gamma) * np.abs(dephased) ** 2 / 4
     fidelities = np.clip(fidelities, 0.0, 1.0)
-    return ProcessResult(infidelity=float(np.mean(1.0 - fidelities)), fidelities=fidelities)
+    errors = 1.0 - fidelities
+    return ProcessResult(
+        infidelity=float(np.mean(errors)),
+        fidelities=fidelities,
+        std_error=float(np.std(errors) / math.sqrt(noise.samples)),
+    )
 
 
 def approx_accuracy(u: np.ndarray, u_approx: np.ndarray) -> float:

@@ -137,6 +137,18 @@ class TestPulseSweep:
             cli.main(["pulse", "sweep", "--sequences", "xy8"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("flags", [
+        ["--tau", "inf"],
+        ["--tau", "nan"],
+        ["--t2-star", "nan"],
+        ["--pulse-errors", "nan"],
+    ])
+    def test_non_finite_input_is_usage_error(self, flags, tmp_path, capsys):
+        code, payload = run_cli(["pulse", "sweep", "--samples", "4", *flags], tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err.startswith("error: ")
+
 
 class TestFrameExec:
     def write_circuit(self, tmp_path, lines):

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from qparch import pulses as P
@@ -35,6 +37,20 @@ def oracle_unitary(segment, larmor_period, detuning=0.0, pulse_error=0.0):
         )
         v = (1 + pulse_error) * v
     return expm(-0.5j * (v[0] * SX + v[1] * SY + v[2] * SZ))
+
+
+def oracle_sequence_unitary(segments, larmor_period, detuning=0.0, pulse_error=0.0):
+    """Dense time-ordered product of the per-segment exponentials."""
+    u = np.eye(2, dtype=complex)
+    for segment in segments:
+        u = oracle_unitary(segment, larmor_period, detuning, pulse_error) @ u
+    return u
+
+
+def oracle_detunings(seed, samples, t2_star):
+    """One fresh generator per sample, drawing N(0, sqrt(2)/T2*) directly."""
+    sigma = math.sqrt(2) / t2_star
+    return np.array([np.random.default_rng((seed, i)).normal(0.0, sigma) for i in range(samples)])
 
 
 class TestSegmentUnitary:
@@ -238,6 +254,122 @@ class TestProcessInfidelity:
             P.NoiseModel(samples=0)
         with pytest.raises(ValueError):
             P.NoiseModel(t2_star=-1.0)
+
+    @pytest.mark.parametrize("field", ["t2_star", "t2", "pulse_error"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_noise_model_rejects_non_finite(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            P.NoiseModel(**{field: value})
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    def test_build_sequence_rejects_non_finite_tau(self, tau):
+        for kind in ("8H", "CP", "UDD"):
+            with pytest.raises(ValueError, match="tau must be positive and finite"):
+                P.build_sequence(kind, tau, LARMOR)
+
+    def test_standard_error(self):
+        noise = P.NoiseModel(t2_star=2e-9, pulse_error=0.01, samples=500, seed=4)
+        result = P.process_infidelity(P.build_sequence("CP", 1e-9, LARMOR), noise)
+        assert result.std_error == pytest.approx(np.std(1 - result.fidelities) / math.sqrt(500))
+        assert 0 < result.std_error < result.infidelity
+
+    def test_standard_error_of_one_sample_is_zero(self):
+        noise = P.NoiseModel(t2_star=2e-9, samples=1, seed=4)
+        result = P.process_infidelity(P.free_evolution(1e-9, LARMOR), noise)
+        assert result.std_error == 0.0
+
+
+class TestDetuningDraws:
+    @pytest.mark.parametrize("seed,samples,t2_star", [
+        (0, 1, 2e-9), (21, 64, 2e-9), (7, 300, 1e-9), (20101022, 33, 5e-8),
+    ])
+    def test_matches_per_sample_generator_draws(self, seed, samples, t2_star):
+        got = P.detuning_samples(P.NoiseModel(t2_star=t2_star, samples=samples, seed=seed))
+        assert np.array_equal(got, oracle_detunings(seed, samples, t2_star))
+
+    def test_cached_normals_are_read_only(self):
+        normals = P._standard_normals(3, 8)
+        assert not normals.flags.writeable
+        with pytest.raises(ValueError):
+            normals[0] = 0.0
+        noise = P.NoiseModel(t2_star=2e-9, samples=8, seed=3)
+        scratch = P.detuning_samples(noise)
+        scratch[:] = 0.0
+        assert np.array_equal(P.detuning_samples(noise), oracle_detunings(3, 8, 2e-9))
+
+    def test_each_t2_star_gets_its_own_scale_on_one_seed(self):
+        short = P.detuning_samples(P.NoiseModel(t2_star=1e-9, samples=40, seed=9))
+        long = P.detuning_samples(P.NoiseModel(t2_star=4e-9, samples=40, seed=9))
+        assert np.array_equal(short, oracle_detunings(9, 40, 1e-9))
+        assert np.array_equal(long, oracle_detunings(9, 40, 4e-9))
+
+
+def _unit_axis(v):
+    v = np.array(v)
+    return tuple(v / np.linalg.norm(v))
+
+
+unit_axes = (
+    st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+    .filter(lambda v: math.hypot(*v) > 0.1)
+    .map(_unit_axis)
+)
+segment_lists = st.lists(
+    st.one_of(
+        st.builds(P.free_precession, st.floats(0.0, 5e-10)),
+        st.builds(P.pulse, unit_axes, st.floats(0.0, 2 * math.pi), st.floats(0.0, 1e-10)),
+    ),
+    max_size=8,
+)
+pulse_errors = st.floats(-0.05, 0.05)
+
+
+def custom_sequence(segments):
+    assume(not segments or sum(seg.duration for seg in segments) > 0)
+    return P.PulseSequence(tuple(segments), "custom", LARMOR)
+
+
+class TestCompositionProperties:
+    """The closed-form SU(2) product against the dense per-segment expm product."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(segment_lists, st.floats(-2e9, 2e9), pulse_errors)
+    def test_sequence_unitary_matches_dense_product(self, segments, detuning, pulse_error):
+        seq = custom_sequence(segments)
+        got = P.sequence_unitary(seq, detuning, pulse_error)
+        want = oracle_sequence_unitary(segments, LARMOR, detuning, pulse_error)
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        segment_lists,
+        pulse_errors,
+        st.integers(0, 2**32),
+        st.integers(1, 4),
+        st.one_of(st.none(), st.floats(5e-10, 1e-7)),
+        st.one_of(st.none(), st.floats(1e-9, 1e-5)),
+        st.tuples(*[st.floats(-4.0, 4.0)] * 3),
+    )
+    def test_process_fidelities_match_dense_product(
+        self, segments, pulse_error, seed, samples, t2_star, t2, target_vector
+    ):
+        seq = custom_sequence(segments)
+        target = expm(-0.5j * sum(c * s for c, s in zip(target_vector, (SX, SY, SZ))))
+        noise = P.NoiseModel(t2_star=t2_star, pulse_error=pulse_error, samples=samples,
+                             seed=seed, t2=t2)
+        result = P.process_infidelity(seq, noise, target)
+
+        detunings = np.zeros(samples) if t2_star is None else oracle_detunings(seed, samples, t2_star)
+        want = []
+        for detuning in detunings:
+            u = oracle_sequence_unitary(segments, LARMOR, detuning, pulse_error)
+            fidelity = abs(np.trace(target.conj().T @ u)) ** 2 / 4
+            if t2 is not None:
+                gamma = math.exp(-seq.duration / t2)
+                dephased = abs(np.trace(target.conj().T @ SZ @ u)) ** 2 / 4
+                fidelity = 0.5 * (1 + gamma) * fidelity + 0.5 * (1 - gamma) * dephased
+            want.append(min(max(fidelity, 0.0), 1.0))
+        assert np.max(np.abs(result.fidelities - np.array(want))) < 1e-12
 
 
 class TestBB1VirtualGate:
