@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from dataclasses import asdict
 
 from . import estimates, pauli_frame, pulses, qec
 from .errors import InfeasibleInputError, UnreachableTargetError
@@ -68,7 +69,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 def _point_dict(profile: qec.HardwareProfile, point: qec.CodePoint) -> dict:
     times = qec.logical_gate_times(profile, point.distance)
-    data = point.to_dict()
+    data = asdict(point)
     data.update(
         cnot_time_s=times["cnot_time"],
         hadamard_time_s=times["hadamard_time"],
@@ -82,7 +83,7 @@ def _cmd_qec_distance(args: argparse.Namespace) -> int:
     if args.error_per_gate is not None:
         overrides["error_per_virtual_gate"] = args.error_per_gate
     base = _load_profile(args.profile)
-    merged = {**base.to_dict(), **overrides}
+    merged = {**asdict(base), **overrides}
     if not merged["error_per_virtual_gate"] < merged["threshold"]:
         raise UnreachableTargetError(
             "unreachable target: error per gate "
@@ -162,9 +163,12 @@ def _cmd_pulse_sweep(args: argparse.Namespace) -> int:
 
 def _cmd_frame_exec(args: argparse.Namespace) -> int:
     circuit = pauli_frame.load_circuit(args.circuit)
-    num_qubits = args.num_qubits
-    if num_qubits is None:
-        num_qubits = pauli_frame.circuit_qubit_count(circuit)
+    needed = pauli_frame.circuit_qubit_count(circuit)
+    num_qubits = needed if args.num_qubits is None else args.num_qubits
+    if num_qubits < needed:
+        raise ValueError(
+            f"--num-qubits {num_qubits} is smaller than the {needed} qubits the circuit uses"
+        )
     frame = pauli_frame.PauliFrame(num_qubits)
     final, outcomes = pauli_frame.run_circuit(frame, circuit)
     result = {"outcomes": outcomes, "frame": final.letters}

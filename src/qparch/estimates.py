@@ -63,11 +63,15 @@ class ShorWorkload:
     def __post_init__(self) -> None:
         if self.bits < 4:
             raise ValueError("bit size must be >= 4")
-        if self.machine_logical_qubits is not None and self.machine_logical_qubits <= self.app_qubits:
+        if (
+            self.machine_logical_qubits is not None
+            and self.machine_logical_qubits - self.app_qubits < distillation.LEVEL1_CROSS_SECTION
+        ):
             raise NoFactoryCapacityError(
                 "no factory capacity: machine has "
                 f"{self.machine_logical_qubits} logical qubits but the algorithm "
-                f"needs {self.app_qubits} application qubits"
+                f"needs {self.app_qubits} application qubits plus "
+                f"{distillation.LEVEL1_CROSS_SECTION} for one distillation circuit"
             )
 
     @property

@@ -1,12 +1,13 @@
 """Classical Pauli-frame engine.
 
-A frame stores one letter from {I, X, Y, Z} per qubit, the Pauli correction
-that *would* have been applied.  Pauli gates fold into the frame instead of
-running on hardware; implemented Clifford gates conjugate it; measurement
-outcomes are reinterpreted against it; non-Clifford gates are transformed by
-it before being handed to hardware.  Phases are discarded throughout: the
-frame is a Pauli-group element modulo phase, and measurement reinterpretation
-only needs (anti)commutation.
+A frame stores the Pauli correction that *would* have been applied to each
+qubit.  Pauli gates fold into the frame instead of running on hardware;
+implemented Clifford gates conjugate it; measurement outcomes are
+reinterpreted against it; non-Clifford gates are transformed by it before
+being handed to hardware.  Phases are discarded throughout, so each qubit's
+Pauli is an (x, z) bit pair, I=(0,0), X=(1,0), Z=(0,1), Y=(1,1), and all frame
+algebra is XOR, as in CHP (Aaronson & Gottesman 2004) and Stim's frame
+simulator (Gidney 2021).  Letters appear only at the I/O boundary.
 """
 
 from __future__ import annotations
@@ -28,50 +29,17 @@ PAULI_MATRICES = {
 }
 
 SINGLE_QUBIT_GATES = ("H", "S", "S_dagger", "X", "Y", "Z")
-MEASUREMENT_GATES = ("MX", "MZ")
-CLIFFORD_GATE_KINDS = SINGLE_QUBIT_GATES + ("CNOT",) + MEASUREMENT_GATES
+CLIFFORD_GATE_KINDS = SINGLE_QUBIT_GATES + ("CNOT",)
 
-# Letter maps for conjugation U P U^dag with phase discarded.  Hardcoded and
-# checked exhaustively against dense-matrix conjugation in the test suite.
-_H_CONJ = {"I": "I", "X": "Z", "Y": "Y", "Z": "X"}
-_S_CONJ = {"I": "I", "X": "Y", "Y": "X", "Z": "Z"}
-_PAULI_CONJ = {"I": "I", "X": "X", "Y": "Y", "Z": "Z"}
-
-_SINGLE_CONJ = {
-    "H": _H_CONJ,
-    "S": _S_CONJ,
-    "S_dagger": _S_CONJ,
-    "X": _PAULI_CONJ,
-    "Y": _PAULI_CONJ,
-    "Z": _PAULI_CONJ,
-}
-
-_CNOT_CONJ = {
-    "II": "II", "IX": "IX", "IY": "ZY", "IZ": "ZZ",
-    "XI": "XX", "XX": "XI", "XY": "YZ", "XZ": "YY",
-    "YI": "YX", "YX": "YI", "YY": "XZ", "YZ": "XY",
-    "ZI": "ZI", "ZX": "ZX", "ZY": "IY", "ZZ": "IZ",
-}
+_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
+_LETTER_OF_BITS = "IXZY"  # indexed by x | z << 1
 
 
-def multiply_letters(a: str, b: str) -> str:
-    """Product of two Pauli letters with the phase discarded."""
-    if a not in PAULI_LETTERS or b not in PAULI_LETTERS:
-        raise ValueError(f"invalid Pauli letter in product: {a!r} * {b!r}")
-    if a == "I":
-        return b
-    if b == "I":
-        return a
-    if a == b:
-        return "I"
-    return ({"X", "Y", "Z"} - {a, b}).pop()
-
-
-def letters_anticommute(a: str, b: str) -> bool:
-    """True when two Pauli letters anticommute (both non-identity and distinct)."""
-    if a not in PAULI_LETTERS or b not in PAULI_LETTERS:
-        raise ValueError(f"invalid Pauli letter: {a!r} or {b!r}")
-    return a != "I" and b != "I" and a != b
+def _pauli_bits(letter: str) -> tuple[int, int]:
+    try:
+        return _BITS[letter]
+    except (KeyError, TypeError):
+        raise ValueError(f"invalid Pauli letter: {letter!r}") from None
 
 
 @dataclass(frozen=True)
@@ -93,7 +61,7 @@ class CliffordGate:
 
 
 class PauliFrame:
-    """Per-qubit Pauli letters tracked in classical memory.
+    """Per-qubit Pauli corrections tracked in classical memory as (x, z) bits.
 
     A frame is a value type: methods mutate the instance in place, and
     ``copy()`` produces an independent frame.  Nothing here touches a quantum
@@ -102,30 +70,36 @@ class PauliFrame:
 
     def __init__(self, num_qubits: int = 0, letters: Sequence[str] | None = None):
         if letters is not None:
-            letters = list(letters)
-            for letter in letters:
-                if letter not in PAULI_LETTERS:
-                    raise ValueError(f"invalid Pauli letter: {letter!r}")
-            if num_qubits and num_qubits != len(letters):
+            bits = [_pauli_bits(letter) for letter in letters]
+            if num_qubits and num_qubits != len(bits):
                 raise ValueError("num_qubits does not match the letter array length")
-            self.letters = letters
+            self.x = [x for x, _ in bits]
+            self.z = [z for _, z in bits]
         else:
             if num_qubits < 0:
                 raise ValueError("num_qubits must be non-negative")
-            self.letters = ["I"] * num_qubits
+            self.x = [0] * num_qubits
+            self.z = [0] * num_qubits
 
     @property
     def num_qubits(self) -> int:
-        return len(self.letters)
+        return len(self.x)
+
+    @property
+    def letters(self) -> list[str]:
+        """The frame as one letter from {I, X, Y, Z} per qubit."""
+        return [_LETTER_OF_BITS[x | z << 1] for x, z in zip(self.x, self.z)]
 
     def copy(self) -> "PauliFrame":
-        return PauliFrame(letters=self.letters)
+        frame = PauliFrame()
+        frame.x, frame.z = self.x.copy(), self.z.copy()
+        return frame
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PauliFrame) and self.letters == other.letters
+        return isinstance(other, PauliFrame) and (self.x, self.z) == (other.x, other.z)
 
     def __repr__(self) -> str:
-        return f"PauliFrame({''.join(self.letters) or ''!r})"
+        return f"PauliFrame({''.join(self.letters)!r})"
 
     def _check_qubit(self, qubit: int) -> None:
         if not 0 <= qubit < self.num_qubits:
@@ -134,40 +108,44 @@ class PauliFrame:
     def fold_pauli(self, pauli: str, qubit: int) -> None:
         """Multiply a circuit Pauli gate into the frame instead of running it."""
         self._check_qubit(qubit)
-        self.letters[qubit] = multiply_letters(self.letters[qubit], pauli)
+        bx, bz = _pauli_bits(pauli)
+        self.x[qubit] ^= bx
+        self.z[qubit] ^= bz
 
     def conjugate(self, gate: CliffordGate) -> None:
         """Update the frame for an implemented Clifford gate: F -> U F U^dag."""
-        if gate.kind in MEASUREMENT_GATES:
-            raise ValueError(
-                f"{gate.kind} updates the frame through interpret_measurement, not conjugate"
-            )
         for qubit in gate.targets:
             self._check_qubit(qubit)
-        if gate.kind == "CNOT":
+        x, z = self.x, self.z
+        kind = gate.kind
+        if kind == "CNOT":
             control, target = gate.targets
-            pair = self.letters[control] + self.letters[target]
-            conjugated = _CNOT_CONJ[pair]
-            self.letters[control] = conjugated[0]
-            self.letters[target] = conjugated[1]
-        else:
+            x[target] ^= x[control]
+            z[control] ^= z[target]
+        elif kind == "H":
             qubit = gate.targets[0]
-            self.letters[qubit] = _SINGLE_CONJ[gate.kind][self.letters[qubit]]
+            x[qubit], z[qubit] = z[qubit], x[qubit]
+        elif kind in ("S", "S_dagger"):
+            qubit = gate.targets[0]
+            z[qubit] ^= x[qubit]
+        # X, Y and Z gates commute with every Pauli up to phase.
 
     def interpret_measurement(self, basis: str, qubit: int, raw_outcome: int) -> int:
         """Reinterpret a raw +/-1 outcome against the frame.
 
-        The outcome flips exactly when the frame letter anticommutes with the
-        measured basis operator.  The measured qubit's letter is then reset to
-        I, treating the projective measurement as establishing a fresh frame.
+        The outcome flips exactly when the frame anticommutes with the
+        measured basis operator, i.e. when their symplectic product
+        ``x*bz + z*bx`` is odd.  The measured qubit is then reset to I,
+        treating the projective measurement as establishing a fresh frame.
         """
         if basis not in ("X", "Y", "Z"):
             raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
         if raw_outcome not in (1, -1):
             raise ValueError(f"raw outcome must be +1 or -1, got {raw_outcome!r}")
         self._check_qubit(qubit)
-        flips = letters_anticommute(self.letters[qubit], basis)
-        self.letters[qubit] = "I"
+        bx, bz = _BITS[basis]
+        flips = self.x[qubit] & bz ^ self.z[qubit] & bx
+        self.x[qubit] = self.z[qubit] = 0
         return -raw_outcome if flips else raw_outcome
 
     def transform_gate(self, matrix: np.ndarray, targets: Sequence[int]) -> np.ndarray:
@@ -185,9 +163,10 @@ class PauliFrame:
             raise ValueError(
                 f"matrix shape {matrix.shape} does not match {len(targets)} target(s)"
             )
-        frame_op = PAULI_MATRICES[self.letters[targets[0]]]
+        letters = self.letters
+        frame_op = PAULI_MATRICES[letters[targets[0]]]
         for qubit in targets[1:]:
-            frame_op = np.kron(frame_op, PAULI_MATRICES[self.letters[qubit]])
+            frame_op = np.kron(frame_op, PAULI_MATRICES[letters[qubit]])
         return frame_op @ matrix @ frame_op.conj().T
 
 
@@ -220,6 +199,13 @@ class CircuitParseError(ValueError):
         self.line_number = line_number
 
 
+def _qubit(value) -> int:
+    # bool is an int subclass, so test the exact type: JSON true is not qubit 1.
+    if type(value) is not int or value < 0:
+        raise ValueError(f"qubit index must be a non-negative integer, got {value!r}")
+    return value
+
+
 def _parse_instruction(obj: dict, line_number: int) -> Instruction:
     if not isinstance(obj, dict) or "op" not in obj:
         raise CircuitParseError(line_number, "instruction must be an object with an 'op' field")
@@ -227,23 +213,19 @@ def _parse_instruction(obj: dict, line_number: int) -> Instruction:
     try:
         if op == "pauli":
             pauli = obj["p"]
-            if pauli not in ("X", "Y", "Z", "I"):
+            if pauli not in PAULI_LETTERS:
                 raise ValueError(f"invalid Pauli {pauli!r}")
-            return PauliInstruction(pauli=pauli, qubit=int(obj["q"]))
+            return PauliInstruction(pauli=pauli, qubit=_qubit(obj["q"]))
         if op == "clifford":
             targets = obj["q"]
-            if isinstance(targets, int):
+            if not isinstance(targets, list):
                 targets = [targets]
-            return CliffordInstruction(gate=CliffordGate(obj["g"], tuple(int(q) for q in targets)))
+            return CliffordInstruction(gate=CliffordGate(obj["g"], tuple(map(_qubit, targets))))
         if op == "measure":
             raw = obj.get("raw")
-            if raw is not None:
-                raw = int(raw)
-                if raw not in (1, -1):
-                    raise ValueError(f"raw outcome must be +1 or -1, got {raw}")
-            return MeasureInstruction(basis=obj["basis"], qubit=int(obj["q"]), raw=raw)
-    except CircuitParseError:
-        raise
+            if raw is not None and (type(raw) is not int or raw not in (1, -1)):
+                raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
+            return MeasureInstruction(basis=obj["basis"], qubit=_qubit(obj["q"]), raw=raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise CircuitParseError(line_number, str(exc)) from exc
     raise CircuitParseError(line_number, f"unknown op {op!r}")
@@ -273,9 +255,7 @@ def circuit_qubit_count(circuit: Sequence[Instruction]) -> int:
     """Smallest frame size that fits every instruction target."""
     highest = -1
     for instr in circuit:
-        if isinstance(instr, PauliInstruction):
-            highest = max(highest, instr.qubit)
-        elif isinstance(instr, CliffordInstruction):
+        if isinstance(instr, CliffordInstruction):
             highest = max(highest, *instr.gate.targets)
         else:
             highest = max(highest, instr.qubit)

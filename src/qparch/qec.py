@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -55,6 +56,13 @@ class HardwareProfile:
     c2: float = 0.61
 
     def __post_init__(self) -> None:
+        for field in fields(self):
+            value = getattr(self, field.name)
+            # bool subclasses int but is not a number here.  The bound also
+            # rejects NaN, infinities and ints too large to become a float.
+            real = isinstance(value, (int, float)) and not isinstance(value, bool)
+            if not (real and abs(value) <= sys.float_info.max):
+                raise ValueError(f"{field.name} must be a finite real number, got {value!r}")
         times = {
             "larmor_period": self.larmor_period,
             "pulse_duration": self.pulse_duration,
@@ -102,9 +110,6 @@ class HardwareProfile:
             raise ValueError("hardware profile JSON must be an object")
         return cls.from_dict(data)
 
-    def to_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
-
 
 @dataclass(frozen=True)
 class CodePoint:
@@ -119,15 +124,6 @@ class CodePoint:
     def __post_init__(self) -> None:
         if self.distance < 1 or self.distance % 2 == 0:
             raise ValueError(f"code distance must be an odd positive integer, got {self.distance}")
-
-    def to_dict(self) -> dict:
-        return {
-            "distance": self.distance,
-            "logical_error_rate": self.logical_error_rate,
-            "virtual_per_logical": self.virtual_per_logical,
-            "cnot_lattice_steps": self.cnot_lattice_steps,
-            "hadamard_lattice_steps": self.hadamard_lattice_steps,
-        }
 
 
 @dataclass(frozen=True)

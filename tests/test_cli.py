@@ -51,6 +51,14 @@ class TestQecDistance:
         code, payload = run_cli(["qec", "distance", "--distance", "31"], tmp_path)
         assert json.loads(payload)["requested"]["logical_error_rate"] > 2.6e-20
 
+    @pytest.mark.parametrize("value", ["0.1", float("nan"), float("inf"), True, None, 10 ** 400],
+                             ids=["string", "nan", "inf", "bool", "null", "huge-int"])
+    def test_non_numeric_profile_field_is_usage_error(self, value, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"c1": value}))
+        assert cli.main(["qec", "distance", "--profile", str(profile)]) == 2
+        assert capsys.readouterr().err.startswith("error: c1 must be a finite real number")
+
     def test_unknown_profile_field_is_usage_error(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"thresold": 9e-3}))
@@ -80,6 +88,10 @@ class TestEstimate:
         code = cli.main(
             ["estimate", "shor", "--bits", "1024", "--machine-logical-qubits", "6144"]
         )
+        assert code == 3
+        assert "no factory capacity" in capsys.readouterr().err
+        # 390 - 6 * 64 = 6 spare qubits cannot hold one 12-qubit distillation circuit.
+        code = cli.main(["estimate", "shor", "--bits", "64", "--machine-logical-qubits", "390"])
         assert code == 3
         assert "no factory capacity" in capsys.readouterr().err
 
@@ -181,6 +193,24 @@ class TestFrameExec:
         )
         assert cli.main(["frame", "exec", circuit]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line, args, expected", [
+        ('{"op":"pauli","p":"X","q":1.9}', [], "line 2"),
+        ('{"op":"pauli","p":"X","q":true}', [], "line 2"),
+        ('{"op":"pauli","p":"X","q":-1}', [], "line 2"),
+        ('{"op":"clifford","g":"CNOT","q":[0,1.0]}', [], "line 2"),
+        ('{"op":"measure","basis":"Z","q":0,"raw":1.0}', [], "line 2"),
+        ('{"op":"clifford","g":"MZ","q":0}', [], "line 2"),
+        ('{"op":"pauli","p":"X","q":2}', ["--num-qubits", "2"], "--num-qubits 2"),
+    ], ids=["float-qubit", "bool-qubit", "negative-qubit", "float-cnot-target", "float-raw",
+            "measurement-gate", "num-qubits-too-small"])
+    def test_invalid_instruction_is_usage_error(self, line, args, expected, tmp_path, capsys):
+        circuit = self.write_circuit(tmp_path, ['{"op":"pauli","p":"X","q":0}', line])
+        code, payload = run_cli(["frame", "exec", circuit, *args], tmp_path)
+        assert code == 2
+        assert payload == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and expected in err
 
     def test_missing_file_is_usage_error(self, capsys):
         assert cli.main(["frame", "exec", "/nonexistent/circuit.jsonl"]) == 2

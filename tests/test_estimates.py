@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from qparch import distillation as dist
 from qparch import estimates as est
 from qparch import qec
 from qparch.errors import NoFactoryCapacityError
@@ -71,6 +72,17 @@ class TestShorEstimate:
             est.shor_estimate(
                 est.ShorWorkload(bits=1024, machine_logical_qubits=6144), PROFILE, CODE
             )
+
+    def test_machine_must_fit_one_distillation_circuit(self):
+        app = est.ShorWorkload(bits=1024).app_qubits
+        spare = dist.LEVEL1_CROSS_SECTION
+        with pytest.raises(NoFactoryCapacityError, match="one distillation circuit"):
+            est.ShorWorkload(bits=1024, machine_logical_qubits=app + spare - 1)
+        report = est.shor_estimate(
+            est.ShorWorkload(bits=1024, machine_logical_qubits=app + spare), PROFILE, CODE
+        )
+        assert report.distillation_qubits == spare
+        assert report.production_rate > 0
 
     def test_depth_doubling_identity(self):
         for bits in (64, 512, 1024):

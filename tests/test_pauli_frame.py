@@ -1,7 +1,11 @@
+import functools
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qparch import pauli_frame as pf
 
@@ -47,6 +51,36 @@ def pair_from_matrix(matrix):
     raise AssertionError("matrix is not a phase times a two-qubit Pauli")
 
 
+def kron_letters(letters):
+    return functools.reduce(np.kron, (PAULI[letter] for letter in letters))
+
+
+@functools.lru_cache(maxsize=None)
+def pauli_strings(n):
+    strings = ["".join(letters) for letters in itertools.product(LETTERS, repeat=n)]
+    return strings, np.array([kron_letters(string) for string in strings])
+
+
+def letters_from_matrix(matrix):
+    """Match a 2^n x 2^n matrix to an n-qubit Pauli string up to global phase."""
+    strings, refs = pauli_strings(matrix.shape[0].bit_length() - 1)
+    # Pauli strings are Hermitian and orthogonal under tr(P Q) / 2^n.
+    overlaps = np.einsum("kij,ji->k", refs, matrix) / len(matrix)
+    best = int(np.argmax(abs(overlaps)))
+    for phase in PHASES:
+        if np.allclose(matrix, phase * refs[best], atol=1e-12):
+            return strings[best]
+    raise AssertionError("matrix is not a phase times an n-qubit Pauli")
+
+
+def embed(gate, qubits, n):
+    """The 2^n x 2^n matrix of ``gate`` acting on ``qubits`` (qubit 0 is the leftmost factor)."""
+    order = list(qubits) + [q for q in range(n) if q not in qubits]
+    full = np.kron(gate, np.eye(2 ** (n - len(qubits)))).reshape((2,) * (2 * n))
+    axes = list(np.argsort(order))
+    return full.transpose(axes + [n + a for a in axes]).reshape(2 ** n, 2 ** n)
+
+
 def matrices_anticommute(a, b):
     return np.allclose(a @ b + b @ a, 0, atol=1e-12)
 
@@ -55,21 +89,38 @@ class TestLetterAlgebra:
     def test_cayley_table_matches_matrix_products(self):
         for a in LETTERS:
             for b in LETTERS:
-                product = pf.multiply_letters(a, b)
-                assert product == letter_from_matrix(PAULI[a] @ PAULI[b])
+                frame = pf.PauliFrame(letters=[a])
+                frame.fold_pauli(b, 0)
+                assert frame.letters == [letter_from_matrix(PAULI[b] @ PAULI[a])]
 
     def test_phase_discarded_group_is_abelian_of_order_four(self):
+        def product(*letters):
+            frame = pf.PauliFrame(1)
+            for letter in letters:
+                frame.fold_pauli(letter, 0)
+            return frame.letters[0]
+
         for a in LETTERS:
-            assert pf.multiply_letters(a, "I") == a
-            assert pf.multiply_letters(a, a) == "I"
+            assert product(a, "I") == a
+            assert product(a, a) == "I"
             for b in LETTERS:
-                assert pf.multiply_letters(a, b) == pf.multiply_letters(b, a)
-                assert pf.multiply_letters(a, b) in LETTERS
+                assert product(a, b) == product(b, a)
+                assert product(a, b) in LETTERS
 
     def test_anticommutation_matches_matrix_oracle(self):
         for a in LETTERS:
-            for b in LETTERS:
-                assert pf.letters_anticommute(a, b) == matrices_anticommute(PAULI[a], PAULI[b])
+            for b in ("X", "Y", "Z"):
+                flipped = pf.PauliFrame(letters=[a]).interpret_measurement(b, 0, +1) == -1
+                assert flipped == matrices_anticommute(PAULI[a], PAULI[b])
+        with pytest.raises(ValueError, match="basis"):
+            pf.PauliFrame(1).interpret_measurement("I", 0, +1)
+
+    def test_invalid_letters_rejected(self):
+        for bad in ("Q", "x", "", None, "XY"):
+            with pytest.raises(ValueError, match="invalid Pauli letter"):
+                pf.PauliFrame(letters=["I", bad])
+            with pytest.raises(ValueError, match="invalid Pauli letter"):
+                pf.PauliFrame(1).fold_pauli(bad, 0)
 
 
 class TestFoldPauli:
@@ -149,13 +200,18 @@ class TestConjugation:
                 assert frame.letters == [a, b]
 
     def test_commutation_preserved_under_conjugation(self):
+        def conjugated(gate, letter):
+            frame = pf.PauliFrame(letters=[letter])
+            frame.conjugate(pf.CliffordGate(gate, (0,)))
+            return frame
+
         for gate in ("H", "S", "S_dagger", "X", "Y", "Z"):
-            table = pf._SINGLE_CONJ[gate]
+            assert conjugated(gate, "I").letters == ["I"]
             for a in LETTERS:
-                for b in LETTERS:
-                    assert pf.letters_anticommute(a, b) == pf.letters_anticommute(
-                        table[a], table[b]
-                    )
+                for b in ("X", "Y", "Z"):
+                    basis = conjugated(gate, b).letters[0]
+                    flipped = conjugated(gate, a).interpret_measurement(basis, 0, +1) == -1
+                    assert flipped == matrices_anticommute(PAULI[a], PAULI[b])
 
     def test_untouched_qubits_stay_put(self):
         frame = pf.PauliFrame(letters=["X", "Y", "Z"])
@@ -163,8 +219,12 @@ class TestConjugation:
         assert frame.letters[0] == "X" and frame.letters[2] == "Z"
 
     def test_measurement_gates_rejected(self):
-        with pytest.raises(ValueError, match="interpret_measurement"):
-            pf.PauliFrame(1).conjugate(pf.CliffordGate("MZ", (0,)))
+        # Measurement is a MeasureInstruction, never a Clifford gate.
+        for kind in ("MX", "MZ"):
+            with pytest.raises(ValueError, match="unknown Clifford gate kind"):
+                pf.CliffordGate(kind, (0,))
+            with pytest.raises(pf.CircuitParseError, match="line 1"):
+                pf.parse_circuit([f'{{"op":"clifford","g":"{kind}","q":0}}'])
 
     def test_gate_validation(self):
         with pytest.raises(ValueError):
@@ -315,3 +375,55 @@ class TestCircuitParsing:
         circuit = pf.load_circuit(path)
         _, outcomes = pf.run_circuit(pf.PauliFrame(1), circuit)
         assert outcomes == [-1]
+
+
+def dense_run(letters, circuit):
+    """Run a circuit on a dense 2^n x 2^n frame operator, the oracle for run_circuit."""
+    n = len(letters)
+    frame = kron_letters(letters)
+    outcomes = []
+    for instr in circuit:
+        if isinstance(instr, pf.PauliInstruction):
+            frame = embed(PAULI[instr.pauli], [instr.qubit], n) @ frame
+        elif isinstance(instr, pf.CliffordInstruction):
+            gate = instr.gate
+            u = CNOT_01 if gate.kind == "CNOT" else GATE_MATRIX[gate.kind]
+            u = embed(u, gate.targets, n)
+            frame = u @ frame @ u.conj().T
+        else:
+            basis = embed(PAULI[instr.basis], [instr.qubit], n)
+            flips = matrices_anticommute(frame, basis)
+            outcomes.append(-instr.raw if flips else instr.raw)
+            reset = list(letters_from_matrix(frame))
+            reset[instr.qubit] = "I"
+            frame = kron_letters(reset)
+    return letters_from_matrix(frame), outcomes
+
+
+def circuits_on(n):
+    """Initial frame letters and a random circuit on n qubits."""
+    qubit = st.integers(0, n - 1)
+    instructions = [
+        st.builds(pf.PauliInstruction, st.sampled_from(LETTERS), qubit),
+        st.builds(
+            lambda kind, q: pf.CliffordInstruction(pf.CliffordGate(kind, (q,))),
+            st.sampled_from(tuple(GATE_MATRIX)), qubit,
+        ),
+        st.builds(pf.MeasureInstruction, st.sampled_from("XYZ"), qubit, st.sampled_from((1, -1))),
+    ]
+    if n > 1:
+        instructions.append(st.permutations(range(n)).map(
+            lambda order: pf.CliffordInstruction(pf.CliffordGate("CNOT", tuple(order[:2])))
+        ))
+    letters = st.lists(st.sampled_from(LETTERS), min_size=n, max_size=n)
+    return st.tuples(letters, st.lists(st.one_of(instructions), max_size=24))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(circuits_on(1), circuits_on(2), circuits_on(3)))
+def test_run_circuit_matches_dense_oracle(case):
+    letters, circuit = case
+    final, outcomes = pf.run_circuit(pf.PauliFrame(letters=letters), circuit)
+    expected_letters, expected_outcomes = dense_run(letters, circuit)
+    assert outcomes == expected_outcomes
+    assert "".join(final.letters) == expected_letters

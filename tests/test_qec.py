@@ -174,10 +174,16 @@ class TestHardwareProfile:
             {"threshold": 1.0},
             {"c1": 0.0},
             {"c2": -1.0},
+            {"c1": "0.1"},
+            {"c1": float("nan")},
+            {"c2": float("inf")},
+            {"threshold": True},
+            {"logical_cycle_time": None},
+            {"c1": 10 ** 400},
         ],
     )
     def test_invariant_violations(self, kwargs):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=next(iter(kwargs))):
             qec.HardwareProfile(**kwargs)
 
     def test_json_round_trip_with_missing_fields(self, tmp_path):
