@@ -22,7 +22,6 @@ from .estimates import (
     ResourceReport,
     ShorWorkload,
     SimWorkload,
-    shor_consumption_rate,
     shor_estimate,
     shor_sweep,
     sim_estimate,
@@ -63,7 +62,6 @@ from .qec import (
     failure_probability,
     footprint,
     logical_error_rate,
-    logical_gate_times,
     min_code_distance,
 )
 
@@ -106,7 +104,6 @@ __all__ = [
     "hadamard_pulse",
     "load_circuit",
     "logical_error_rate",
-    "logical_gate_times",
     "min_code_distance",
     "parse_circuit",
     "process_infidelity",
@@ -114,7 +111,6 @@ __all__ = [
     "run_circuit",
     "segment_unitary",
     "sequence_unitary",
-    "shor_consumption_rate",
     "shor_estimate",
     "shor_sweep",
     "sim_estimate",

@@ -13,10 +13,10 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 from . import estimates, pauli_frame, pulses, qec
-from .errors import InfeasibleInputError, UnreachableTargetError
+from .errors import InfeasibleInputError
 
 PROFILE_ENV_VAR = "QPARCH_PROFILE"
 PULSE_CSV_HEADER = "sequence,pulse_error,tau_s,samples,seed,infidelity"
@@ -67,39 +67,20 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _point_dict(profile: qec.HardwareProfile, point: qec.CodePoint) -> dict:
-    times = qec.logical_gate_times(profile, point.distance)
-    data = asdict(point)
-    data.update(
-        cnot_time_s=times["cnot_time"],
-        hadamard_time_s=times["hadamard_time"],
-        measurement_time_s=times["measurement_time"],
-    )
-    return data
-
-
 def _cmd_qec_distance(args: argparse.Namespace) -> int:
-    overrides = {}
+    profile = _load_profile(args.profile)
     if args.error_per_gate is not None:
-        overrides["error_per_virtual_gate"] = args.error_per_gate
-    base = _load_profile(args.profile)
-    merged = {**asdict(base), **overrides}
-    if not merged["error_per_virtual_gate"] < merged["threshold"]:
-        raise UnreachableTargetError(
-            "unreachable target: error per gate "
-            f"{merged['error_per_virtual_gate']} is at or above the threshold {merged['threshold']}"
-        )
-    profile = qec.HardwareProfile.from_dict(merged)
+        profile = replace(profile, error_per_virtual_gate=args.error_per_gate)
 
     if args.distance is not None:
-        result = {"requested": _point_dict(profile, qec.code_point(profile, args.distance))}
+        result = {"requested": asdict(qec.code_point(profile, args.distance))}
     else:
         minimal = qec.min_code_distance(profile, args.target_logical_error)
         result = {
             "target_logical_error": args.target_logical_error,
-            "minimal": _point_dict(profile, minimal),
+            "minimal": asdict(minimal),
             "report_distance": qec.DEFAULT_REPORT_DISTANCE,
-            "report": _point_dict(profile, qec.code_point(profile, qec.DEFAULT_REPORT_DISTANCE)),
+            "report": asdict(qec.code_point(profile, qec.DEFAULT_REPORT_DISTANCE)),
         }
     _write_output(json.dumps(result, indent=2) + "\n", args.output)
     return EXIT_OK

@@ -90,6 +90,16 @@ class ShorWorkload:
     def adder_depth_toffoli(self) -> float:
         return self.adder_depth_coeff * math.log2(self.bits)
 
+    @property
+    def consumption_rate(self) -> float:
+        """Peak distilled-ancilla consumption per logical cycle.
+
+        Each adder fires 10N Toffolis (7 ancillas each) over its 124*log2(N)
+        cycle depth, giving 70N / (124*log2(N)) with the default coefficients.
+        """
+        adder_cycles = self.adder_depth_toffoli * distillation.TOFFOLI_DEPTH_CYCLES
+        return self.toffolis_per_adder * self.ancillas_per_toffoli / adder_cycles
+
 
 @dataclass(frozen=True)
 class SimWorkload:
@@ -180,22 +190,6 @@ class ResourceReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
 
 
-def shor_consumption_rate(bits: int) -> float:
-    """Peak distilled-ancilla consumption per logical cycle for N-bit factoring.
-
-    Each adder fires 10N Toffolis (7 ancillas each) over its 124*log2(N)
-    cycle depth, giving 70N / (124*log2(N)).
-    """
-    if bits < 4:
-        raise ValueError("bit size must be >= 4")
-    return _consumption_rate(ShorWorkload(bits=bits))
-
-
-def _consumption_rate(workload: ShorWorkload) -> float:
-    adder_cycles = workload.adder_depth_toffoli * distillation.TOFFOLI_DEPTH_CYCLES
-    return workload.toffolis_per_adder * workload.ancillas_per_toffoli / adder_cycles
-
-
 def shor_estimate(
     workload: ShorWorkload,
     profile: qec.HardwareProfile | None = None,
@@ -214,7 +208,7 @@ def shor_estimate(
 
     toffoli_depth = workload.adders_sequential * workload.adder_depth_toffoli
     logical_cycles = toffoli_depth * distillation.TOFFOLI_DEPTH_CYCLES
-    consumption = _consumption_rate(workload)
+    consumption = workload.consumption_rate
 
     if workload.machine_logical_qubits is None:
         factory_area = distillation.required_factory_area(consumption, level)
@@ -332,14 +326,14 @@ def shor_sweep(
 
 
 def sweep_to_csv(reports: list[ResourceReport]) -> str:
-    """Serialize sweep reports to CSV with the fixed sweep header."""
+    """Serialize factoring sweep reports to CSV with the fixed sweep header."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(SWEEP_CSV_HEADER.split(","))
     for report in reports:
         writer.writerow(
             [
-                report.details.get("bits", report.details.get("particles")),
+                report.details["bits"],
                 report.app_qubits,
                 report.distillation_qubits,
                 repr(report.production_rate),

@@ -20,6 +20,7 @@ from typing import Iterable, Sequence, Union
 import numpy as np
 
 PAULI_LETTERS = ("I", "X", "Y", "Z")
+MEASUREMENT_BASES = ("X", "Y", "Z")
 
 PAULI_MATRICES = {
     "I": np.eye(2, dtype=complex),
@@ -138,7 +139,7 @@ class PauliFrame:
         ``x*bz + z*bx`` is odd.  The measured qubit is then reset to I,
         treating the projective measurement as establishing a fresh frame.
         """
-        if basis not in ("X", "Y", "Z"):
+        if basis not in MEASUREMENT_BASES:
             raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
         if raw_outcome not in (1, -1):
             raise ValueError(f"raw outcome must be +1 or -1, got {raw_outcome!r}")
@@ -225,7 +226,10 @@ def _parse_instruction(obj: dict, line_number: int) -> Instruction:
             raw = obj.get("raw")
             if raw is not None and (type(raw) is not int or raw not in (1, -1)):
                 raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
-            return MeasureInstruction(basis=obj["basis"], qubit=_qubit(obj["q"]), raw=raw)
+            basis = obj["basis"]
+            if basis not in MEASUREMENT_BASES:
+                raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
+            return MeasureInstruction(basis=basis, qubit=_qubit(obj["q"]), raw=raw)
     except (KeyError, TypeError, ValueError) as exc:
         raise CircuitParseError(line_number, str(exc)) from exc
     raise CircuitParseError(line_number, f"unknown op {op!r}")

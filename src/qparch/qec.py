@@ -61,28 +61,15 @@ class HardwareProfile:
             # bool subclasses int but is not a number here.  The bound also
             # rejects NaN, infinities and ints too large to become a float.
             real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (real and abs(value) <= sys.float_info.max):
-                raise ValueError(f"{field.name} must be a finite real number, got {value!r}")
-        times = {
-            "larmor_period": self.larmor_period,
-            "pulse_duration": self.pulse_duration,
-            "entangling_gate_time": self.entangling_gate_time,
-            "qnd_readout_time": self.qnd_readout_time,
-            "virtual_gate_time": self.virtual_gate_time,
-            "lattice_cycle_time": self.lattice_cycle_time,
-            "logical_cycle_time": self.logical_cycle_time,
-        }
-        for name, value in times.items():
-            if not value > 0:
-                raise ValueError(f"{name} must be strictly positive, got {value}")
-        if not 0 < self.error_per_virtual_gate < self.threshold < 1:
-            raise ValueError(
-                "profile requires 0 < error_per_virtual_gate < threshold < 1, got "
-                f"error_per_virtual_gate={self.error_per_virtual_gate}, "
-                f"threshold={self.threshold}"
+            if not (real and 0 < value <= sys.float_info.max):
+                raise ValueError(f"{field.name} must be a finite real number > 0, got {value!r}")
+        if not self.threshold < 1:
+            raise ValueError(f"threshold must be below 1, got {self.threshold}")
+        if not self.error_per_virtual_gate < self.threshold:
+            raise UnreachableTargetError(
+                f"unreachable target: error_per_virtual_gate {self.error_per_virtual_gate} "
+                f"is at or above the threshold {self.threshold}"
             )
-        if self.c1 <= 0 or self.c2 <= 0:
-            raise ValueError("c1 and c2 must be positive")
 
     @property
     def suppression_base(self) -> float:
@@ -120,6 +107,9 @@ class CodePoint:
     virtual_per_logical: int
     cnot_lattice_steps: int
     hadamard_lattice_steps: int
+    cnot_time_s: float
+    hadamard_time_s: float
+    measurement_time_s: float
 
     def __post_init__(self) -> None:
         if self.distance < 1 or self.distance % 2 == 0:
@@ -180,12 +170,10 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
     """Error per logical gate at code distance d.
 
     c1 * (c2 * eps_V / eps_thresh)^floor((d+1)/2), valid only below
-    threshold.
+    threshold, which every HardwareProfile guarantees.
     """
     if distance < 1 or distance % 2 == 0:
         raise ValueError(f"code distance must be an odd positive integer, got {distance}")
-    if profile.error_per_virtual_gate >= profile.threshold:
-        raise ValueError("scaling law requires error_per_virtual_gate < threshold")
     exponent = (distance + 1) // 2
     return profile.c1 * profile.suppression_base ** exponent
 
@@ -198,13 +186,22 @@ def footprint(distance: int) -> int:
 
 
 def code_point(profile: HardwareProfile, distance: int) -> CodePoint:
-    """Assemble the CodePoint for an explicitly chosen distance."""
+    """Assemble the CodePoint for an explicitly chosen distance.
+
+    A logical gate lasts its lattice steps times the lattice refresh time; a
+    measurement takes one refresh.
+    """
+    cnot_steps = CNOT_STEP_COEFF * math.ceil(distance / CNOT_DIVISOR)
+    hadamard_steps = CNOT_STEP_COEFF * math.ceil(distance / HADAMARD_DIVISOR)
     return CodePoint(
         distance=distance,
         logical_error_rate=logical_error_rate(profile, distance),
         virtual_per_logical=footprint(distance),
-        cnot_lattice_steps=CNOT_STEP_COEFF * math.ceil(distance / CNOT_DIVISOR),
-        hadamard_lattice_steps=CNOT_STEP_COEFF * math.ceil(distance / HADAMARD_DIVISOR),
+        cnot_lattice_steps=cnot_steps,
+        hadamard_lattice_steps=hadamard_steps,
+        cnot_time_s=cnot_steps * profile.lattice_cycle_time,
+        hadamard_time_s=hadamard_steps * profile.lattice_cycle_time,
+        measurement_time_s=profile.lattice_cycle_time,
     )
 
 
@@ -232,14 +229,3 @@ def min_code_distance(profile: HardwareProfile, target_logical_error: float) -> 
     while profile.c1 * base ** exponent > target_logical_error:
         exponent += 1
     return code_point(profile, 2 * exponent - 1)
-
-
-def logical_gate_times(profile: HardwareProfile, distance: int) -> dict:
-    """Wall-clock durations of the fundamental logical gates at distance d."""
-    if distance < 1:
-        raise ValueError("distance must be >= 1")
-    return {
-        "cnot_time": CNOT_STEP_COEFF * math.ceil(distance / CNOT_DIVISOR) * profile.lattice_cycle_time,
-        "hadamard_time": CNOT_STEP_COEFF * math.ceil(distance / HADAMARD_DIVISOR) * profile.lattice_cycle_time,
-        "measurement_time": profile.lattice_cycle_time,
-    }

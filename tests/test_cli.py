@@ -34,6 +34,42 @@ class TestQecDistance:
         assert cli.main(["qec", "distance", "--error-per-gate", "9e-3"]) == 3
         assert "unreachable target" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_error_per_gate_is_usage_error(self, value, tmp_path, capsys):
+        code, payload = run_cli(["qec", "distance", "--error-per-gate", value], tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err.startswith("error: error_per_virtual_gate must be")
+
+    @pytest.mark.parametrize("command", [
+        ["qec", "distance"],
+        ["estimate", "shor", "--bits", "1024"],
+    ], ids=["qec-distance", "estimate-shor"])
+    @pytest.mark.parametrize("error", [9e-3, 0.01])
+    def test_profile_at_or_above_threshold_is_infeasible(self, command, error, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"error_per_virtual_gate": error}))
+        code, payload = run_cli([*command, "--profile", str(profile)], tmp_path)
+        assert code == 3
+        assert payload == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: unreachable target") and "error_per_virtual_gate" in err
+
+    def test_json_key_order(self, tmp_path):
+        point_keys = [
+            "distance", "logical_error_rate", "virtual_per_logical", "cnot_lattice_steps",
+            "hadamard_lattice_steps", "cnot_time_s", "hadamard_time_s", "measurement_time_s",
+        ]
+        _, payload = run_cli(["qec", "distance", "--target-logical-error", "8.6e-19"], tmp_path)
+        result = json.loads(payload)
+        assert list(result) == ["target_logical_error", "minimal", "report_distance", "report"]
+        assert list(result["minimal"]) == point_keys
+        assert list(result["report"]) == point_keys
+        _, payload = run_cli(["qec", "distance", "--distance", "31"], tmp_path)
+        result = json.loads(payload)
+        assert list(result) == ["requested"]
+        assert list(result["requested"]) == point_keys
+
     def test_profile_override_from_file(self, tmp_path):
         profile = tmp_path / "profile.json"
         profile.write_text(json.dumps({"error_per_virtual_gate": 2e-3}))
@@ -202,8 +238,9 @@ class TestFrameExec:
         ('{"op":"measure","basis":"Z","q":0,"raw":1.0}', [], "line 2"),
         ('{"op":"clifford","g":"MZ","q":0}', [], "line 2"),
         ('{"op":"pauli","p":"X","q":2}', ["--num-qubits", "2"], "--num-qubits 2"),
+        ('{"op":"measure","basis":"Q","q":0,"raw":1}', [], "line 2"),
     ], ids=["float-qubit", "bool-qubit", "negative-qubit", "float-cnot-target", "float-raw",
-            "measurement-gate", "num-qubits-too-small"])
+            "measurement-gate", "num-qubits-too-small", "measurement-basis"])
     def test_invalid_instruction_is_usage_error(self, line, args, expected, tmp_path, capsys):
         circuit = self.write_circuit(tmp_path, ['{"op":"pauli","p":"X","q":0}', line])
         code, payload = run_cli(["frame", "exec", circuit, *args], tmp_path)

@@ -26,16 +26,16 @@ REFERENCE_FACTORY_TABLE = {
 class TestShorConsumptionRate:
     @pytest.mark.parametrize("bits,expected", [(512, 32.1), (1024, 57.8), (2048, 105.1)])
     def test_reference_rows(self, bits, expected):
-        assert est.shor_consumption_rate(bits) == pytest.approx(expected, abs=0.1)
+        assert est.ShorWorkload(bits=bits).consumption_rate == pytest.approx(expected, abs=0.1)
 
     def test_algebraic_identity(self):
         for bits in (16, 100, 512, 1024, 5000):
-            rate = est.shor_consumption_rate(bits)
+            rate = est.ShorWorkload(bits=bits).consumption_rate
             assert rate * 124 * math.log2(bits) == pytest.approx(70 * bits, rel=1e-12)
 
     def test_rejects_tiny_keys(self):
         with pytest.raises(ValueError):
-            est.shor_consumption_rate(2)
+            est.ShorWorkload(bits=2).consumption_rate
 
 
 class TestShorEstimate:

@@ -3,11 +3,25 @@ import math
 
 import mpmath
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qparch import qec
 from qparch.errors import UnreachableTargetError
 
 DEFAULTS = qec.HardwareProfile()
+
+# Below-threshold profiles with a suppression base of at most 0.89, so the
+# minimal distance stays small enough to check by its neighbours.
+profiles = st.builds(
+    qec.HardwareProfile,
+    error_per_virtual_gate=st.floats(1e-6, 8e-3),
+    c1=st.floats(1e-3, 1.0),
+    c2=st.floats(1e-2, 1.0),
+)
+# Targets and per-gate rates spread over many decades.
+targets = st.floats(-30.0, 0.0).map(lambda e: 10.0 ** e)
+counts = st.floats(0.0, 12.0).map(lambda e: 10.0 ** e)
 
 
 def brute_force_min_distance(profile, target, max_distance=401):
@@ -57,6 +71,35 @@ class TestFailureProbability:
     def test_rejects_small_depth(self):
         with pytest.raises(ValueError):
             qec.failure_probability(0.5, 0, 1)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(st.one_of(targets, st.floats(0.0, 1.0)), min_size=2, max_size=2),
+        st.lists(counts, min_size=2, max_size=2),
+        st.lists(counts, min_size=2, max_size=2),
+    )
+    def test_monotone_in_each_argument(self, rates, depths, widths):
+        rates, depths, widths = sorted(rates), sorted(depths), sorted(widths)
+        base = (rates[0], depths[0], widths[0])
+        p = qec.failure_probability(*base)
+        assert 0.0 <= p <= 1.0
+        for index, larger in enumerate((rates[1], depths[1], widths[1])):
+            args = list(base)
+            args[index] = larger
+            # log1p and expm1 are faithfully rounded, not promised monotone
+            # to the last bit, so a few ulps of slack are allowed.
+            assert p <= qec.failure_probability(*args) + 4 * math.ulp(p)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(-280.0, -6.0), counts, counts)
+    def test_never_underflows(self, log_union, depth, qubits):
+        # Choose eps so that K*Q*eps = 10**log_union <= 1e-6.
+        eps = 10.0 ** log_union / (depth * qubits)
+        union = depth * qubits * eps
+        p = qec.failure_probability(eps, depth, qubits)
+        assert p > 0.0
+        # 1 - (1 - eps)^(KQ) = KQ*eps * (1 - (KQ - 1)*eps/2 + ...), relative gap < KQ*eps.
+        assert p == pytest.approx(union, rel=union + 1e-12)
 
 
 class TestLogicalErrorRate:
@@ -121,6 +164,22 @@ class TestMinCodeDistance:
         with pytest.raises(ValueError):
             qec.min_code_distance(DEFAULTS, 0.0)
 
+    @settings(max_examples=200, deadline=None)
+    @given(profiles, targets)
+    def test_minimal(self, profile, target):
+        distance = qec.min_code_distance(profile, target).distance
+        assert qec.logical_error_rate(profile, distance) <= target
+        assert distance == 1 or qec.logical_error_rate(profile, distance - 2) > target
+
+    @settings(max_examples=200, deadline=None)
+    @given(profiles, targets, targets)
+    def test_monotone_non_increasing_in_target(self, profile, first, second):
+        loose, tight = max(first, second), min(first, second)
+        assert (
+            qec.min_code_distance(profile, tight).distance
+            >= qec.min_code_distance(profile, loose).distance
+        )
+
 
 class TestFootprint:
     def test_reference_point(self):
@@ -140,16 +199,17 @@ class TestFootprint:
 
 class TestLogicalGateTimes:
     def test_distance_31(self):
-        times = qec.logical_gate_times(DEFAULTS, 31)
-        assert times["cnot_time"] == pytest.approx(104 * 256e-9)
-        assert times["cnot_time"] == pytest.approx(26.6e-6, rel=1e-2)
-        assert times["hadamard_time"] == pytest.approx(52 * 256e-9)
-        assert times["hadamard_time"] == pytest.approx(13.3e-6, rel=1e-2)
-        assert times["measurement_time"] == pytest.approx(256e-9)
+        point = qec.code_point(DEFAULTS, 31)
+        assert point.cnot_time_s == pytest.approx(104 * 256e-9)
+        assert point.cnot_time_s == pytest.approx(26.6e-6, rel=1e-2)
+        assert point.hadamard_time_s == pytest.approx(52 * 256e-9)
+        assert point.hadamard_time_s == pytest.approx(13.3e-6, rel=1e-2)
+        assert point.measurement_time_s == pytest.approx(256e-9)
 
-    def test_distance_4_step_count(self):
-        times = qec.logical_gate_times(DEFAULTS, 4)
-        assert times["cnot_time"] == pytest.approx(13 * 256e-9)
+    def test_distance_3_step_count(self):
+        # code_point takes only odd distances; d = 3 is one ceil(d/4) step.
+        point = qec.code_point(DEFAULTS, 3)
+        assert point.cnot_time_s == pytest.approx(13 * 256e-9)
 
     def test_code_point_step_counts(self):
         point = qec.code_point(DEFAULTS, 31)
