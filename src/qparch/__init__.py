@@ -39,21 +39,6 @@ from .pauli_frame import (
     parse_circuit,
     run_circuit,
 )
-from .pulses import (
-    NoiseModel,
-    ProcessResult,
-    PulseSegment,
-    PulseSequence,
-    approx_accuracy,
-    bb1_virtual_gate,
-    build_sequence,
-    composite_x_gate,
-    free_evolution,
-    hadamard_pulse,
-    process_infidelity,
-    segment_unitary,
-    sequence_unitary,
-)
 from .qec import (
     AlgorithmDemand,
     CodePoint,
@@ -66,6 +51,33 @@ from .qec import (
 )
 
 __version__ = "0.1.0"
+
+# The pulse layer needs numpy, so its names resolve on first use (PEP 562)
+# and the other layers start without importing numpy.
+_PULSES_EXPORTS = frozenset({
+    "NoiseModel",
+    "ProcessResult",
+    "PulseSegment",
+    "PulseSequence",
+    "approx_accuracy",
+    "bb1_virtual_gate",
+    "build_sequence",
+    "composite_x_gate",
+    "free_evolution",
+    "hadamard_pulse",
+    "process_infidelity",
+    "segment_unitary",
+    "sequence_unitary",
+})
+
+
+def __getattr__(name: str):
+    if name in _PULSES_EXPORTS:
+        from . import pulses
+
+        return getattr(pulses, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AlgorithmDemand",

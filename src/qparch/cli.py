@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from . import estimates, pauli_frame, pulses, qec
+from . import estimates, pauli_frame, qec
 from .errors import InfeasibleInputError
 
 PROFILE_ENV_VAR = "QPARCH_PROFILE"
@@ -117,6 +117,8 @@ def _cmd_estimate_sim(args: argparse.Namespace) -> int:
 
 
 def _cmd_pulse_sweep(args: argparse.Namespace) -> int:
+    from . import pulses  # numpy is loaded only by the commands that simulate pulses
+
     profile = _load_profile(args.profile)
     t2_star = None if args.t2_star == 0 else args.t2_star
     rows = [PULSE_CSV_HEADER]

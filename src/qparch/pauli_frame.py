@@ -8,39 +8,70 @@ being handed to hardware.  Phases are discarded throughout, so each qubit's
 Pauli is an (x, z) bit pair, I=(0,0), X=(1,0), Z=(0,1), Y=(1,1), and all frame
 algebra is XOR, as in CHP (Aaronson & Gottesman 2004) and Stim's frame
 simulator (Gidney 2021).  Letters appear only at the I/O boundary.
+
+Circuits are packed into parallel ``array`` columns (``Circuit``) and run by
+one loop of XORs over them (``_execute``), which every frame update goes
+through.  numpy is imported only by ``PauliFrame.transform_gate``.
 """
 
 from __future__ import annotations
 
 import json
+from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Sequence, Union
 
-import numpy as np
-
 PAULI_LETTERS = ("I", "X", "Y", "Z")
 MEASUREMENT_BASES = ("X", "Y", "Z")
-
-PAULI_MATRICES = {
-    "I": np.eye(2, dtype=complex),
-    "X": np.array([[0, 1], [1, 0]], dtype=complex),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-    "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-}
 
 SINGLE_QUBIT_GATES = ("H", "S", "S_dagger", "X", "Y", "Z")
 CLIFFORD_GATE_KINDS = SINGLE_QUBIT_GATES + ("CNOT",)
 
-_BITS = {"I": (0, 0), "X": (1, 0), "Z": (0, 1), "Y": (1, 1)}
-_LETTER_OF_BITS = "IXZY"  # indexed by x | z << 1
+_LETTER_OF_CODE = "IXZY"  # a Pauli's code is x | z << 1
+_CODE = {letter: code for code, letter in enumerate(_LETTER_OF_CODE)}
+
+# Op codes of a packed circuit, and what each keeps in the ``args`` column.
+_PAULI = 0  # fold a Pauli into the frame; arg: its code
+_CNOT = 1  # the qubit column holds the control; arg: the target
+_H = 2  # arg: 0
+_S = 3  # arg: 0 for S, 1 for S_dagger, which act alike on the frame
+_MEASURE = 4  # arg: basis code | raw code << 2
+_PAULI_GATE = 5  # an implemented X, Y or Z gate, which leaves the frame alone; arg: its code
+
+# (op, arg) of each single-qubit Clifford gate kind, and back.
+_GATE_OPS = {"H": (_H, 0), "S": (_S, 0), "S_dagger": (_S, 1),
+             "X": (_PAULI_GATE, 1), "Z": (_PAULI_GATE, 2), "Y": (_PAULI_GATE, 3)}
+_GATE_KIND = {op_arg: kind for kind, op_arg in _GATE_OPS.items()}
+# A measurement's raw outcome by raw code: none (taken from the stream), +1, -1.
+_RAW = (None, 1, -1)
+_RAW_CODE = {raw: code for code, raw in enumerate(_RAW)}
+# The qubit and args columns hold signed 64-bit integers.
+_QUBIT_LIMIT = 2 ** 63
 
 
-def _pauli_bits(letter: str) -> tuple[int, int]:
+def _pauli_code(letter: str) -> int:
     try:
-        return _BITS[letter]
+        return _CODE[letter]
     except (KeyError, TypeError):
         raise ValueError(f"invalid Pauli letter: {letter!r}") from None
+
+
+def _gate_op(kind: str, targets: Sequence[int]) -> tuple[int, int, int]:
+    """Check a Clifford gate and return its packed (op, qubit, arg)."""
+    if kind == "CNOT":
+        if len(targets) != 2:
+            raise ValueError("CNOT takes exactly two targets")
+        if targets[0] == targets[1]:
+            raise ValueError("CNOT control and target must be distinct")
+        return _CNOT, targets[0], targets[1]
+    try:
+        op, arg = _GATE_OPS[kind]
+    except (KeyError, TypeError):
+        raise ValueError(f"unknown Clifford gate kind: {kind!r}") from None
+    if len(targets) != 1:
+        raise ValueError(f"{kind} takes exactly one target")
+    return op, targets[0], arg
 
 
 @dataclass(frozen=True)
@@ -49,126 +80,8 @@ class CliffordGate:
     targets: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if self.kind not in CLIFFORD_GATE_KINDS:
-            raise ValueError(f"unknown Clifford gate kind: {self.kind!r}")
         object.__setattr__(self, "targets", tuple(self.targets))
-        if self.kind == "CNOT":
-            if len(self.targets) != 2:
-                raise ValueError("CNOT takes exactly two targets")
-            if self.targets[0] == self.targets[1]:
-                raise ValueError("CNOT control and target must be distinct")
-        elif len(self.targets) != 1:
-            raise ValueError(f"{self.kind} takes exactly one target")
-
-
-class PauliFrame:
-    """Per-qubit Pauli corrections tracked in classical memory as (x, z) bits.
-
-    A frame is a value type: methods mutate the instance in place, and
-    ``copy()`` produces an independent frame.  Nothing here touches a quantum
-    state; the engine only rewrites bookkeeping.
-    """
-
-    def __init__(self, num_qubits: int = 0, letters: Sequence[str] | None = None):
-        if letters is not None:
-            bits = [_pauli_bits(letter) for letter in letters]
-            if num_qubits and num_qubits != len(bits):
-                raise ValueError("num_qubits does not match the letter array length")
-            self.x = [x for x, _ in bits]
-            self.z = [z for _, z in bits]
-        else:
-            if num_qubits < 0:
-                raise ValueError("num_qubits must be non-negative")
-            self.x = [0] * num_qubits
-            self.z = [0] * num_qubits
-
-    @property
-    def num_qubits(self) -> int:
-        return len(self.x)
-
-    @property
-    def letters(self) -> list[str]:
-        """The frame as one letter from {I, X, Y, Z} per qubit."""
-        return [_LETTER_OF_BITS[x | z << 1] for x, z in zip(self.x, self.z)]
-
-    def copy(self) -> "PauliFrame":
-        frame = PauliFrame()
-        frame.x, frame.z = self.x.copy(), self.z.copy()
-        return frame
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PauliFrame) and (self.x, self.z) == (other.x, other.z)
-
-    def __repr__(self) -> str:
-        return f"PauliFrame({''.join(self.letters)!r})"
-
-    def _check_qubit(self, qubit: int) -> None:
-        if not 0 <= qubit < self.num_qubits:
-            raise IndexError(f"qubit {qubit} out of range for {self.num_qubits}-qubit frame")
-
-    def fold_pauli(self, pauli: str, qubit: int) -> None:
-        """Multiply a circuit Pauli gate into the frame instead of running it."""
-        self._check_qubit(qubit)
-        bx, bz = _pauli_bits(pauli)
-        self.x[qubit] ^= bx
-        self.z[qubit] ^= bz
-
-    def conjugate(self, gate: CliffordGate) -> None:
-        """Update the frame for an implemented Clifford gate: F -> U F U^dag."""
-        for qubit in gate.targets:
-            self._check_qubit(qubit)
-        x, z = self.x, self.z
-        kind = gate.kind
-        if kind == "CNOT":
-            control, target = gate.targets
-            x[target] ^= x[control]
-            z[control] ^= z[target]
-        elif kind == "H":
-            qubit = gate.targets[0]
-            x[qubit], z[qubit] = z[qubit], x[qubit]
-        elif kind in ("S", "S_dagger"):
-            qubit = gate.targets[0]
-            z[qubit] ^= x[qubit]
-        # X, Y and Z gates commute with every Pauli up to phase.
-
-    def interpret_measurement(self, basis: str, qubit: int, raw_outcome: int) -> int:
-        """Reinterpret a raw +/-1 outcome against the frame.
-
-        The outcome flips exactly when the frame anticommutes with the
-        measured basis operator, i.e. when their symplectic product
-        ``x*bz + z*bx`` is odd.  The measured qubit is then reset to I,
-        treating the projective measurement as establishing a fresh frame.
-        """
-        if basis not in MEASUREMENT_BASES:
-            raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
-        if raw_outcome not in (1, -1):
-            raise ValueError(f"raw outcome must be +1 or -1, got {raw_outcome!r}")
-        self._check_qubit(qubit)
-        bx, bz = _BITS[basis]
-        flips = self.x[qubit] & bz ^ self.z[qubit] & bx
-        self.x[qubit] = self.z[qubit] = 0
-        return -raw_outcome if flips else raw_outcome
-
-    def transform_gate(self, matrix: np.ndarray, targets: Sequence[int]) -> np.ndarray:
-        """Frame-transform a non-Clifford gate: return F U F^dag.
-
-        ``matrix`` is the 2x2 or 4x4 unitary the circuit requests; the result
-        is the gate hardware must actually implement under the current frame.
-        """
-        matrix = np.asarray(matrix, dtype=complex)
-        targets = tuple(targets)
-        for qubit in targets:
-            self._check_qubit(qubit)
-        expected = 2 ** len(targets)
-        if matrix.shape != (expected, expected):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match {len(targets)} target(s)"
-            )
-        letters = self.letters
-        frame_op = PAULI_MATRICES[letters[targets[0]]]
-        for qubit in targets[1:]:
-            frame_op = np.kron(frame_op, PAULI_MATRICES[letters[qubit]])
-        return frame_op @ matrix @ frame_op.conj().T
+        _gate_op(self.kind, self.targets)
 
 
 @dataclass(frozen=True)
@@ -192,6 +105,221 @@ class MeasureInstruction:
 Instruction = Union[PauliInstruction, CliffordInstruction, MeasureInstruction]
 
 
+def _measure_arg(basis: str, raw: int | None) -> int:
+    if basis not in MEASUREMENT_BASES:
+        raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
+    if raw is not None and raw not in (1, -1):
+        raise ValueError(f"raw outcome must be +1 or -1, got {raw!r}")
+    return _CODE[basis] | _RAW_CODE[raw] << 2
+
+
+def _instruction_row(instr: Instruction) -> tuple[int, int, int]:
+    """Check an ``Instruction`` as the frame does; return its packed (op, qubit, arg)."""
+    if isinstance(instr, PauliInstruction):
+        targets, row = (instr.qubit,), (_PAULI, instr.qubit, _pauli_code(instr.pauli))
+    elif isinstance(instr, CliffordInstruction):
+        targets = instr.gate.targets
+        row = _gate_op(instr.gate.kind, targets)
+    elif isinstance(instr, MeasureInstruction):
+        targets = (instr.qubit,)
+        row = (_MEASURE, instr.qubit, _measure_arg(instr.basis, instr.raw))
+    else:
+        raise TypeError(f"not a circuit instruction: {instr!r}")
+    for qubit in targets:
+        if qubit < 0:
+            raise IndexError(f"qubit {qubit} out of range: qubit indices are non-negative")
+    return row
+
+
+class Circuit:
+    """A circuit packed into parallel columns, one entry per instruction.
+
+    ``ops`` holds the op code, ``qubits`` the qubit acted on (a CNOT's
+    control) and ``args`` the op's argument (see the op codes above).
+    ``num_qubits`` is one more than the highest qubit used: the smallest
+    frame the circuit fits.  Indexing returns the ``Instruction`` types.
+
+    ``Circuit(instructions)`` packs instructions built by hand, checking
+    them as the frame does: a negative qubit raises ``IndexError``.
+    """
+
+    def __init__(self, instructions: Iterable[Instruction] = ()):
+        self.ops = array("B")
+        self.qubits = array("q")
+        self.args = array("q")
+        self.num_qubits = 0
+        self._extend(map(_instruction_row, instructions))
+
+    def _extend(self, rows: Iterable[tuple[int, int, int]]) -> None:
+        """Append packed (op, qubit, arg) rows, tracking the highest qubit."""
+        ops, qubits, args = self.ops.append, self.qubits.append, self.args.append
+        highest = self.num_qubits - 1
+        for op, qubit, arg in rows:
+            ops(op)
+            qubits(qubit)
+            args(arg)
+            if qubit > highest:
+                highest = qubit
+            if op == _CNOT and arg > highest:
+                highest = arg
+        self.num_qubits = highest + 1
+
+    def __len__(self) -> int:
+        return len(self.ops)
+
+    def __getitem__(self, index: int) -> Instruction:
+        op, qubit, arg = self.ops[index], self.qubits[index], self.args[index]
+        if op == _PAULI:
+            return PauliInstruction(_LETTER_OF_CODE[arg], qubit)
+        if op == _MEASURE:
+            return MeasureInstruction(_LETTER_OF_CODE[arg & 3], qubit, _RAW[arg >> 2])
+        if op == _CNOT:
+            return CliffordInstruction(CliffordGate("CNOT", (qubit, arg)))
+        return CliffordInstruction(CliffordGate(_GATE_KIND[op, arg], (qubit,)))
+
+
+def _execute(x: list[int], z: list[int], circuit: Circuit, stream: Sequence[int]) -> list[int]:
+    """Run a packed circuit on the frame bits ``x`` and ``z`` in place.
+
+    The circuit must fit the frame.  A measurement without an in-line raw
+    outcome takes the next one from ``stream``, which must be used up
+    exactly.  Returns the reinterpreted outcomes.
+    """
+    outcomes = []
+    cursor = 0
+    for op, q, arg in zip(circuit.ops, circuit.qubits, circuit.args):
+        if op == _PAULI:
+            x[q] ^= arg & 1
+            z[q] ^= arg >> 1
+        elif op == _CNOT:
+            x[arg] ^= x[q]
+            z[q] ^= z[arg]
+        elif op == _H:
+            x[q], z[q] = z[q], x[q]
+        elif op == _S:
+            z[q] ^= x[q]
+        elif op == _MEASURE:
+            raw = _RAW[arg >> 2]
+            if raw is None:
+                if cursor == len(stream):
+                    raise ValueError("measurement outcome stream underrun")
+                raw = stream[cursor]
+                cursor += 1
+                if raw not in (1, -1):
+                    raise ValueError(f"raw outcome must be +1 or -1, got {raw!r}")
+            # The outcome flips when the frame anticommutes with the basis,
+            # i.e. on an odd symplectic product x*bz + z*bx; then reset to I.
+            bx, bz = arg & 1, arg >> 1 & 1
+            outcomes.append(-raw if x[q] & bz ^ z[q] & bx else raw)
+            x[q] = z[q] = 0
+        # _PAULI_GATE: X, Y and Z gates commute with every Pauli up to phase.
+    if cursor != len(stream):
+        raise ValueError(
+            f"measurement outcome stream overrun: {len(stream) - cursor} unused outcome(s)"
+        )
+    return outcomes
+
+
+class PauliFrame:
+    """Per-qubit Pauli corrections tracked in classical memory as (x, z) bits.
+
+    A frame is a value type: methods mutate the instance in place, and
+    ``copy()`` produces an independent frame.  Nothing here touches a quantum
+    state; the engine only rewrites bookkeeping.
+    """
+
+    def __init__(self, num_qubits: int = 0, letters: Sequence[str] | None = None):
+        if letters is not None:
+            codes = [_pauli_code(letter) for letter in letters]
+            if num_qubits and num_qubits != len(codes):
+                raise ValueError("num_qubits does not match the letter array length")
+            self.x = [code & 1 for code in codes]
+            self.z = [code >> 1 for code in codes]
+        else:
+            if num_qubits < 0:
+                raise ValueError("num_qubits must be non-negative")
+            self.x = [0] * num_qubits
+            self.z = [0] * num_qubits
+
+    @property
+    def num_qubits(self) -> int:
+        return len(self.x)
+
+    @property
+    def letters(self) -> list[str]:
+        """The frame as one letter from {I, X, Y, Z} per qubit."""
+        return [_LETTER_OF_CODE[x | z << 1] for x, z in zip(self.x, self.z)]
+
+    def copy(self) -> "PauliFrame":
+        frame = PauliFrame()
+        frame.x, frame.z = self.x.copy(), self.z.copy()
+        return frame
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, PauliFrame) and (self.x, self.z) == (other.x, other.z)
+
+    def __repr__(self) -> str:
+        return f"PauliFrame({''.join(self.letters)!r})"
+
+    def _check_fits(self, circuit: Circuit) -> None:
+        if circuit.num_qubits > self.num_qubits:
+            raise IndexError(
+                f"qubit {circuit.num_qubits - 1} out of range for {self.num_qubits}-qubit frame"
+            )
+
+    def _apply(self, instruction: Instruction, stream: Sequence[int] = ()) -> list[int]:
+        circuit = Circuit([instruction])
+        self._check_fits(circuit)
+        return _execute(self.x, self.z, circuit, stream)
+
+    def fold_pauli(self, pauli: str, qubit: int) -> None:
+        """Multiply a circuit Pauli gate into the frame instead of running it."""
+        self._apply(PauliInstruction(pauli, qubit))
+
+    def conjugate(self, gate: CliffordGate) -> None:
+        """Update the frame for an implemented Clifford gate: F -> U F U^dag."""
+        self._apply(CliffordInstruction(gate))
+
+    def interpret_measurement(self, basis: str, qubit: int, raw_outcome: int) -> int:
+        """Reinterpret a raw +/-1 outcome against the frame.
+
+        The outcome flips exactly when the frame anticommutes with the
+        measured basis operator.  The measured qubit is then reset to I,
+        treating the projective measurement as establishing a fresh frame.
+        """
+        return self._apply(MeasureInstruction(basis, qubit), [raw_outcome])[0]
+
+    def transform_gate(self, matrix, targets: Sequence[int]):
+        """Frame-transform a non-Clifford gate: return F U F^dag.
+
+        ``matrix`` is the 2x2 or 4x4 unitary the circuit requests; the result
+        is the gate hardware must actually implement under the current frame.
+        """
+        import numpy as np
+
+        pauli_matrices = {
+            "I": np.eye(2, dtype=complex),
+            "X": np.array([[0, 1], [1, 0]], dtype=complex),
+            "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
+            "Z": np.array([[1, 0], [0, -1]], dtype=complex),
+        }
+        matrix = np.asarray(matrix, dtype=complex)
+        targets = tuple(targets)
+        for qubit in targets:
+            if not 0 <= qubit < self.num_qubits:
+                raise IndexError(f"qubit {qubit} out of range for {self.num_qubits}-qubit frame")
+        expected = 2 ** len(targets)
+        if matrix.shape != (expected, expected):
+            raise ValueError(
+                f"matrix shape {matrix.shape} does not match {len(targets)} target(s)"
+            )
+        letters = self.letters
+        frame_op = pauli_matrices[letters[targets[0]]]
+        for qubit in targets[1:]:
+            frame_op = np.kron(frame_op, pauli_matrices[letters[qubit]])
+        return frame_op @ matrix @ frame_op.conj().T
+
+
 class CircuitParseError(ValueError):
     """A malformed circuit line, carrying its 1-based line number."""
 
@@ -204,98 +332,98 @@ def _qubit(value) -> int:
     # bool is an int subclass, so test the exact type: JSON true is not qubit 1.
     if type(value) is not int or value < 0:
         raise ValueError(f"qubit index must be a non-negative integer, got {value!r}")
+    if value >= _QUBIT_LIMIT:
+        raise ValueError(f"qubit index must be below 2**63, got {value!r}")
     return value
 
 
-def _parse_instruction(obj: dict, line_number: int) -> Instruction:
+def _line_row(obj) -> tuple[int, int, int]:
+    """Check one decoded circuit line; return its packed (op, qubit, arg)."""
     if not isinstance(obj, dict) or "op" not in obj:
-        raise CircuitParseError(line_number, "instruction must be an object with an 'op' field")
+        raise ValueError("instruction must be an object with an 'op' field")
     op = obj["op"]
-    try:
-        if op == "pauli":
-            pauli = obj["p"]
-            if pauli not in PAULI_LETTERS:
-                raise ValueError(f"invalid Pauli {pauli!r}")
-            return PauliInstruction(pauli=pauli, qubit=_qubit(obj["q"]))
-        if op == "clifford":
-            targets = obj["q"]
-            if not isinstance(targets, list):
-                targets = [targets]
-            return CliffordInstruction(gate=CliffordGate(obj["g"], tuple(map(_qubit, targets))))
-        if op == "measure":
-            raw = obj.get("raw")
-            if raw is not None and (type(raw) is not int or raw not in (1, -1)):
-                raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
-            basis = obj["basis"]
-            if basis not in MEASUREMENT_BASES:
-                raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
-            return MeasureInstruction(basis=basis, qubit=_qubit(obj["q"]), raw=raw)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise CircuitParseError(line_number, str(exc)) from exc
-    raise CircuitParseError(line_number, f"unknown op {op!r}")
+    if op == "pauli":
+        pauli = obj["p"]
+        if pauli not in PAULI_LETTERS:
+            raise ValueError(f"invalid Pauli {pauli!r}")
+        return _PAULI, _qubit(obj["q"]), _CODE[pauli]
+    if op == "clifford":
+        targets = obj["q"]
+        kind = obj["g"]
+        targets = list(map(_qubit, targets)) if isinstance(targets, list) else [_qubit(targets)]
+        return _gate_op(kind, targets)
+    if op == "measure":
+        raw = obj.get("raw")
+        if raw is not None and (type(raw) is not int or raw not in (1, -1)):
+            raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
+        basis = obj["basis"]
+        if basis not in MEASUREMENT_BASES:
+            raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
+        return _MEASURE, _qubit(obj["q"]), _CODE[basis] | _RAW_CODE[raw] << 2
+    raise ValueError(f"unknown op {op!r}")
 
 
-def parse_circuit(lines: Iterable[str]) -> list[Instruction]:
-    """Parse JSON-lines circuit text, one instruction per non-blank line."""
-    instructions = []
+def _line_rows(lines: Iterable[str]) -> Iterable[tuple[int, int, int]]:
+    """The packed row of each non-blank JSON line; a bad line raises ``CircuitParseError``.
+
+    A line is read as ``json.loads(line.strip())`` would read it, and
+    accepted or rejected alike, but decoded by ``raw_decode``, which skips
+    ``json.loads``'s whitespace scans.
+    """
+    decode = json.JSONDecoder().raw_decode
     for line_number, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
             continue
         try:
-            obj = json.loads(text)
+            obj, end = decode(text)
+            if end != len(text):
+                raise json.JSONDecodeError("Extra data", text, end)
         except json.JSONDecodeError as exc:
             raise CircuitParseError(line_number, f"invalid JSON ({exc.msg})") from exc
-        instructions.append(_parse_instruction(obj, line_number))
-    return instructions
+        try:
+            row = _line_row(obj)
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CircuitParseError(line_number, str(exc)) from exc
+        yield row
 
 
-def load_circuit(path: str | Path) -> list[Instruction]:
+def parse_circuit(lines: Iterable[str]) -> Circuit:
+    """Parse JSON-lines circuit text, one instruction per non-blank line."""
+    circuit = Circuit()
+    circuit._extend(_line_rows(lines))
+    return circuit
+
+
+def load_circuit(path: str | Path) -> Circuit:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_circuit(handle)
 
 
-def circuit_qubit_count(circuit: Sequence[Instruction]) -> int:
+def _packed(circuit: Circuit | Iterable[Instruction]) -> Circuit:
+    return circuit if isinstance(circuit, Circuit) else Circuit(circuit)
+
+
+def circuit_qubit_count(circuit: Circuit | Iterable[Instruction]) -> int:
     """Smallest frame size that fits every instruction target."""
-    highest = -1
-    for instr in circuit:
-        if isinstance(instr, CliffordInstruction):
-            highest = max(highest, *instr.gate.targets)
-        else:
-            highest = max(highest, instr.qubit)
-    return highest + 1
+    return _packed(circuit).num_qubits
 
 
 def run_circuit(
     frame: PauliFrame,
-    circuit: Sequence[Instruction],
+    circuit: Circuit | Iterable[Instruction],
     raw_outcomes: Sequence[int] | None = None,
 ) -> tuple[PauliFrame, list[int]]:
     """Execute a circuit against a frame, returning (final frame, outcomes).
 
-    The input frame is not mutated.  Measurement instructions take their raw
-    outcome from the instruction itself when present, otherwise from the
-    ``raw_outcomes`` stream in order; the stream must be consumed exactly.
+    The input frame is not mutated.  A circuit of ``Instruction``s is packed
+    first; one that does not fit the frame raises ``IndexError`` before
+    anything runs.  Measurement instructions take their raw outcome from the
+    instruction itself when present, otherwise from the ``raw_outcomes``
+    stream in order; the stream must be consumed exactly.
     """
+    circuit = _packed(circuit)
+    frame._check_fits(circuit)
     result = frame.copy()
     stream = list(raw_outcomes) if raw_outcomes is not None else []
-    cursor = 0
-    outcomes = []
-    for instr in circuit:
-        if isinstance(instr, PauliInstruction):
-            result.fold_pauli(instr.pauli, instr.qubit)
-        elif isinstance(instr, CliffordInstruction):
-            result.conjugate(instr.gate)
-        else:
-            raw = instr.raw
-            if raw is None:
-                if cursor >= len(stream):
-                    raise ValueError("measurement outcome stream underrun")
-                raw = stream[cursor]
-                cursor += 1
-            outcomes.append(result.interpret_measurement(instr.basis, instr.qubit, raw))
-    if cursor != len(stream):
-        raise ValueError(
-            f"measurement outcome stream overrun: {len(stream) - cursor} unused outcome(s)"
-        )
-    return result, outcomes
+    return result, _execute(result.x, result.z, circuit, stream)

@@ -211,8 +211,11 @@ def min_code_distance(profile: HardwareProfile, target_logical_error: float) -> 
     Raises UnreachableTargetError when the suppression base is >= 1, in which
     case increasing the distance never helps.
     """
-    if target_logical_error <= 0:
-        raise ValueError("target logical error rate must be positive")
+    # Also rejects NaN and infinity, which no distance search can answer.
+    if not 0 < target_logical_error < math.inf:
+        raise ValueError(
+            f"target_logical_error must be a finite number > 0, got {target_logical_error!r}"
+        )
     base = profile.suppression_base
     if base >= 1.0:
         raise UnreachableTargetError(

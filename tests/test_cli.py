@@ -41,6 +41,14 @@ class TestQecDistance:
         assert payload == b""
         assert capsys.readouterr().err.startswith("error: error_per_virtual_gate must be")
 
+    @pytest.mark.parametrize("value", ["inf", "nan"])
+    def test_non_finite_target_is_usage_error(self, value, tmp_path, capsys):
+        code, payload = run_cli(["qec", "distance", "--target-logical-error", value], tmp_path)
+        assert code == 2
+        assert payload == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: target_logical_error must be a finite number") and value in err
+
     @pytest.mark.parametrize("command", [
         ["qec", "distance"],
         ["estimate", "shor", "--bits", "1024"],
@@ -287,3 +295,22 @@ class TestDeterminism:
         second = subprocess.run(command, capture_output=True, check=True)
         assert first.stdout == second.stdout
         assert first.stdout.startswith(b"sequence,pulse_error,")
+
+
+class TestStartup:
+    def test_only_pulse_commands_import_numpy(self, tmp_path):
+        circuit = tmp_path / "circuit.jsonl"
+        circuit.write_text('{"op":"pauli","p":"X","q":0}\n{"op":"measure","basis":"Z","q":0,"raw":1}\n')
+        script = f"""
+import contextlib, io, sys
+from qparch import cli
+for argv in (["qec", "distance"], ["estimate", "shor", "--bits", "1024"],
+             ["estimate", "sim", "--particles", "61"], ["frame", "exec", {str(circuit)!r}]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+assert "numpy" not in sys.modules, "a non-pulse command imported numpy"
+from qparch import process_infidelity
+assert "numpy" in sys.modules and callable(process_infidelity)
+"""
+        result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr

@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qparch import pauli_frame as pf
@@ -319,6 +319,20 @@ class TestRunCircuit:
         frame = pf.PauliFrame(1)
         pf.run_circuit(frame, [pf.PauliInstruction("X", 0)])
         assert frame.letters == ["I"]
+        # Nor is a packed circuit, which can be run again.
+        lines = [
+            '{"op":"clifford","g":"CNOT","q":[0,1]}',
+            '{"op":"clifford","g":"H","q":1}',
+            '{"op":"measure","basis":"X","q":0,"raw":-1}',
+            '{"op":"pauli","p":"Y","q":1}',
+        ]
+        circuit = pf.parse_circuit(lines)
+        frame = pf.PauliFrame(letters=["X", "Z", "Y"])
+        first = pf.run_circuit(frame, circuit)
+        assert frame.letters == ["X", "Z", "Y"]
+        assert list(circuit) == list(pf.parse_circuit(lines))
+        assert pf.run_circuit(frame, circuit) == first
+        assert first[0].letters == ["I", "I", "Y"] and first[1] == [+1]
 
     def test_outcome_stream(self):
         circuit = [
@@ -335,6 +349,45 @@ class TestRunCircuit:
             pf.run_circuit(pf.PauliFrame(1), circuit, raw_outcomes=[])
         with pytest.raises(ValueError, match="overrun"):
             pf.run_circuit(pf.PauliFrame(1), circuit, raw_outcomes=[+1, -1])
+
+    def test_qubit_outside_frame_raises_before_anything_runs(self):
+        # The measurement would underrun the empty stream if it ran first.
+        circuit = [pf.MeasureInstruction("Z", 0), pf.PauliInstruction("X", 3)]
+        for form in (circuit, pf.Circuit(circuit)):
+            with pytest.raises(IndexError, match="qubit 3 out of range for 2-qubit frame"):
+                pf.run_circuit(pf.PauliFrame(2), form, raw_outcomes=[])
+        cnot = pf.CliffordInstruction(pf.CliffordGate("CNOT", (0, 2)))
+        with pytest.raises(IndexError):
+            pf.run_circuit(pf.PauliFrame(2), [cnot])
+
+    @pytest.mark.parametrize("instr", [
+        pf.PauliInstruction("X", -1),
+        pf.MeasureInstruction("Z", -1, raw=1),
+        pf.CliffordInstruction(pf.CliffordGate("H", (-1,))),
+        pf.CliffordInstruction(pf.CliffordGate("CNOT", (0, -2))),
+        pf.CliffordInstruction(pf.CliffordGate("CNOT", (-1, 1))),
+    ], ids=["pauli", "measure", "h", "cnot-target", "cnot-control"])
+    def test_negative_qubit_raises_and_never_wraps(self, instr):
+        frame = pf.PauliFrame(letters=["X", "Z"])
+        with pytest.raises(IndexError, match="non-negative"):
+            pf.run_circuit(frame, [instr])
+        with pytest.raises(IndexError, match="non-negative"):
+            pf.Circuit([pf.PauliInstruction("Y", 0), instr])
+        assert frame.letters == ["X", "Z"]
+
+    def test_frame_methods_reject_negative_qubits(self):
+        frame = pf.PauliFrame(2)
+        with pytest.raises(IndexError):
+            frame.fold_pauli("X", -1)
+        with pytest.raises(IndexError):
+            frame.conjugate(pf.CliffordGate("S", (-1,)))
+        with pytest.raises(IndexError):
+            frame.interpret_measurement("Z", -2, +1)
+        assert frame.letters == ["I", "I"]
+
+    def test_rejects_what_is_not_an_instruction(self):
+        with pytest.raises(TypeError, match="not a circuit instruction"):
+            pf.run_circuit(pf.PauliFrame(1), ['{"op":"pauli","p":"X","q":0}'])
 
 
 class TestCircuitParsing:
@@ -376,6 +429,33 @@ class TestCircuitParsing:
         _, outcomes = pf.run_circuit(pf.PauliFrame(1), circuit)
         assert outcomes == [-1]
 
+    def test_circuit_packs_and_indexes_instructions(self):
+        instructions = [
+            pf.PauliInstruction("I", 4),
+            pf.CliffordInstruction(pf.CliffordGate("S_dagger", (2,))),
+            pf.CliffordInstruction(pf.CliffordGate("Y", (0,))),
+            pf.CliffordInstruction(pf.CliffordGate("CNOT", (1, 6))),
+            pf.MeasureInstruction("Y", 3),
+            pf.MeasureInstruction("X", 5, raw=-1),
+        ]
+        circuit = pf.Circuit(instructions)
+        assert len(circuit) == 6
+        assert list(circuit) == instructions
+        assert circuit[-1] == instructions[-1]
+        assert circuit.num_qubits == pf.circuit_qubit_count(instructions) == 7
+        with pytest.raises(IndexError):
+            circuit[6]
+        assert pf.circuit_qubit_count([]) == 0
+
+    def test_qubit_beyond_the_column_width_is_a_parse_error(self):
+        largest = 2 ** 63 - 1
+        circuit = pf.parse_circuit([f'{{"op":"pauli","p":"X","q":{largest}}}'])
+        assert circuit.num_qubits == 2 ** 63
+        for line in (f'{{"op":"pauli","p":"X","q":{largest + 1}}}',
+                     f'{{"op":"clifford","g":"CNOT","q":[0,{largest + 1}]}}'):
+            with pytest.raises(pf.CircuitParseError, match="line 2: qubit index must be below 2"):
+                pf.parse_circuit(['{"op":"pauli","p":"X","q":0}', line])
+
 
 def dense_run(letters, circuit):
     """Run a circuit on a dense 2^n x 2^n frame operator, the oracle for run_circuit."""
@@ -400,30 +480,209 @@ def dense_run(letters, circuit):
     return letters_from_matrix(frame), outcomes
 
 
-def circuits_on(n):
-    """Initial frame letters and a random circuit on n qubits."""
+def instruction_kinds(n):
+    """Strategies for random instructions on n qubits, by kind."""
     qubit = st.integers(0, n - 1)
-    instructions = [
-        st.builds(pf.PauliInstruction, st.sampled_from(LETTERS), qubit),
-        st.builds(
+    kinds = {
+        "pauli": st.builds(pf.PauliInstruction, st.sampled_from(LETTERS), qubit),
+        "clifford": st.builds(
             lambda kind, q: pf.CliffordInstruction(pf.CliffordGate(kind, (q,))),
             st.sampled_from(tuple(GATE_MATRIX)), qubit,
         ),
-        st.builds(pf.MeasureInstruction, st.sampled_from("XYZ"), qubit, st.sampled_from((1, -1))),
-    ]
+        "measure": st.builds(
+            pf.MeasureInstruction, st.sampled_from("XYZ"), qubit, st.sampled_from((1, -1))
+        ),
+    }
     if n > 1:
-        instructions.append(st.permutations(range(n)).map(
+        kinds["cnot"] = st.permutations(range(n)).map(
             lambda order: pf.CliffordInstruction(pf.CliffordGate("CNOT", tuple(order[:2])))
-        ))
+        )
+    return kinds
+
+
+def instructions_on(n):
+    """A random instruction on n qubits."""
+    return st.one_of(list(instruction_kinds(n).values()))
+
+
+def circuits_on(n):
+    """Initial frame letters and a random circuit on n qubits."""
     letters = st.lists(st.sampled_from(LETTERS), min_size=n, max_size=n)
-    return st.tuples(letters, st.lists(st.one_of(instructions), max_size=24))
+    return st.tuples(letters, st.lists(instructions_on(n), max_size=24))
+
+
+def instruction_line(instr, listed=False):
+    """The JSON line of an instruction; ``listed`` writes a lone target as a one-element list."""
+    if isinstance(instr, pf.PauliInstruction):
+        return json.dumps({"op": "pauli", "p": instr.pauli, "q": instr.qubit})
+    if isinstance(instr, pf.CliffordInstruction):
+        targets = list(instr.gate.targets)
+        q = targets if listed or len(targets) > 1 else targets[0]
+        return json.dumps({"op": "clifford", "g": instr.gate.kind, "q": q})
+    return json.dumps({"op": "measure", "basis": instr.basis, "q": instr.qubit, "raw": instr.raw})
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(circuits_on(1), circuits_on(2), circuits_on(3)))
 def test_run_circuit_matches_dense_oracle(case):
     letters, circuit = case
-    final, outcomes = pf.run_circuit(pf.PauliFrame(letters=letters), circuit)
     expected_letters, expected_outcomes = dense_run(letters, circuit)
-    assert outcomes == expected_outcomes
-    assert "".join(final.letters) == expected_letters
+    # As built by hand, and as parsed from its JSON-lines form into packed columns.
+    for given_circuit in (circuit, pf.parse_circuit(map(instruction_line, circuit))):
+        final, outcomes = pf.run_circuit(pf.PauliFrame(letters=letters), given_circuit)
+        assert outcomes == expected_outcomes
+        assert "".join(final.letters) == expected_letters
+
+
+def oracle_parse(lines):
+    """The parser before circuits were packed: ``json.loads(line.strip())`` into dataclasses."""
+    instructions = []
+    for line_number, line in enumerate(lines, start=1):
+        text = line.strip()
+        if not text:
+            continue
+        try:
+            obj = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise pf.CircuitParseError(line_number, f"invalid JSON ({exc.msg})") from exc
+        instructions.append(oracle_instruction(obj, line_number))
+    return instructions
+
+
+def oracle_instruction(obj, line_number):
+    def qubit(value):
+        if type(value) is not int or value < 0:
+            raise ValueError(f"qubit index must be a non-negative integer, got {value!r}")
+        return value
+
+    def gate(kind, targets):
+        if kind not in pf.CLIFFORD_GATE_KINDS:
+            raise ValueError(f"unknown Clifford gate kind: {kind!r}")
+        if kind == "CNOT":
+            if len(targets) != 2:
+                raise ValueError("CNOT takes exactly two targets")
+            if targets[0] == targets[1]:
+                raise ValueError("CNOT control and target must be distinct")
+        elif len(targets) != 1:
+            raise ValueError(f"{kind} takes exactly one target")
+        return pf.CliffordGate(kind, targets)
+
+    if not isinstance(obj, dict) or "op" not in obj:
+        raise pf.CircuitParseError(line_number, "instruction must be an object with an 'op' field")
+    op = obj["op"]
+    try:
+        if op == "pauli":
+            pauli = obj["p"]
+            if pauli not in LETTERS:
+                raise ValueError(f"invalid Pauli {pauli!r}")
+            return pf.PauliInstruction(pauli=pauli, qubit=qubit(obj["q"]))
+        if op == "clifford":
+            targets = obj["q"]
+            if not isinstance(targets, list):
+                targets = [targets]
+            return pf.CliffordInstruction(gate=gate(obj["g"], tuple(map(qubit, targets))))
+        if op == "measure":
+            raw = obj.get("raw")
+            if raw is not None and (type(raw) is not int or raw not in (1, -1)):
+                raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
+            basis = obj["basis"]
+            if basis not in ("X", "Y", "Z"):
+                raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
+            return pf.MeasureInstruction(basis=basis, qubit=qubit(obj["q"]), raw=raw)
+    except (KeyError, TypeError, ValueError) as exc:
+        raise pf.CircuitParseError(line_number, str(exc)) from exc
+    raise pf.CircuitParseError(line_number, f"unknown op {op!r}")
+
+
+# str.strip() removes Unicode whitespace; JSON itself allows only the first four.
+WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
+# Qubits of 2**63 and more are rejected on purpose (packed columns hold 64 bits),
+# so generated integers stay below that.
+json_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-2, 5), st.integers(-2 ** 63, 2 ** 63 - 1), st.floats(),
+    st.text(max_size=3), st.sampled_from(("X", "Y", "Z", "I", "H", "S", "CNOT", "pauli")),
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=2), children, max_size=3),
+    max_leaves=6,
+)
+
+
+def altered_object(instr, key, value):
+    """A valid instruction's JSON object with one field changed or dropped."""
+    obj = json.loads(instruction_line(instr))
+    if value is MISSING:
+        obj.pop(key, None)
+    else:
+        obj[key] = value
+    return obj
+
+
+# (field, instructions that read it, tricky values); MISSING drops the field.
+MISSING = object()
+KINDS = instruction_kinds(5)
+FIELD_CHANGES = (
+    ("op", instructions_on(5), ("reset", "Pauli", "MZ", 1, None, MISSING)),
+    ("q", instructions_on(5), (True, False, -1, 1.0, 2 ** 63 - 1, "0", [0], [True], MISSING)),
+    ("q", KINDS["cnot"], ([], [0], [1, 1], [0, 1, 2], [0, True], [0, -1], [0, 1.0], 3)),
+    ("p", KINDS["pauli"], ("I", "x", "Q", "XY", "", 1, None, MISSING)),
+    ("g", KINDS["clifford"] | KINDS["cnot"], ("MZ", "T", "h", "CNOT", "H", None, ["H"], MISSING)),
+    ("basis", KINDS["measure"], ("I", "x", "", 1, None, MISSING)),
+    ("raw", KINDS["measure"], (True, False, 0, 2, 1.0, -1.0, "1", None, MISSING)),
+)
+# Listing a strategy twice in one_of doubles its weight.
+instruction_objects = st.sampled_from(FIELD_CHANGES).flatmap(
+    lambda change: st.builds(
+        altered_object, change[1], st.just(change[0]),
+        st.one_of(st.sampled_from(change[2]), st.sampled_from(change[2]), json_values),
+    )
+)
+padding = st.text(alphabet=WHITESPACE, max_size=3)
+valid_lines = st.builds(
+    lambda pre, instr, listed, post: pre + instruction_line(instr, listed) + post,
+    padding, instructions_on(5), st.booleans(), padding,
+)
+bodies = st.one_of(
+    st.builds(instruction_line, instructions_on(5), st.booleans()),
+    instruction_objects.map(json.dumps),
+    json_values.map(json.dumps),
+    st.text(max_size=6),
+)
+altered_lines = instruction_objects.map(json.dumps)
+any_lines = st.one_of(
+    altered_lines,
+    altered_lines,
+    altered_lines,
+    valid_lines,
+    padding,
+    st.builds(lambda pre, body, post: pre + body + post,
+              st.sampled_from(("", "\ufeff")) | padding, bodies, padding),
+    st.builds(lambda a, gap, b: a + gap + b, bodies, padding, bodies),
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(valid_lines, max_size=4), any_lines, st.lists(valid_lines, max_size=3))
+@example([], '\xa0{"op":"pauli","p":"X","q":0}\x85\n', [])
+@example(['{"op":"pauli","p":"X","q":0}'], '\ufeff{"op":"pauli","p":"X","q":0}', [])
+@example([], '{"op":"pauli","p":"X","q":0} {"op":"pauli","p":"Z","q":1}', [])
+@example([], '{"op":"clifford","g":"CNOT","q":[0,1,2]}', [])
+@example([], '{"op":"measure","basis":"Z","q":true,"raw":1.0}', [])
+def test_parse_circuit_matches_json_loads_oracle(before, line, after):
+    lines = [*before, line, *after]
+    try:
+        expected = oracle_parse(lines)
+    except pf.CircuitParseError as exc:
+        with pytest.raises(pf.CircuitParseError) as got:
+            pf.parse_circuit(lines)
+        assert got.value.line_number == exc.line_number
+        # json.loads names a leading byte-order mark; raw_decode calls it a missing value.
+        if not lines[exc.line_number - 1].strip().startswith("\ufeff"):
+            assert str(got.value) == str(exc)
+        return
+    circuit = pf.parse_circuit(lines)
+    assert [circuit[i] for i in range(len(circuit))] == expected
+    targets = [q for i in expected for q in (i.gate.targets if hasattr(i, "gate") else (i.qubit,))]
+    assert circuit.num_qubits == max(targets, default=-1) + 1

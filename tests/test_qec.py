@@ -164,6 +164,11 @@ class TestMinCodeDistance:
         with pytest.raises(ValueError):
             qec.min_code_distance(DEFAULTS, 0.0)
 
+    @pytest.mark.parametrize("target", [math.inf, math.nan], ids=["inf", "nan"])
+    def test_rejects_non_finite_target(self, target):
+        with pytest.raises(ValueError, match="target_logical_error must be a finite number"):
+            qec.min_code_distance(DEFAULTS, target)
+
     @settings(max_examples=200, deadline=None)
     @given(profiles, targets)
     def test_minimal(self, profile, target):
