@@ -26,30 +26,37 @@ EXIT_USAGE = 2
 EXIT_INFEASIBLE = 3
 
 
-def _comma_ints(text: str) -> list[int]:
+def _comma_list(text: str, convert, what: str) -> list:
+    """The comma-separated tokens of ``text``, each converted.
+
+    Empty tokens are skipped; a list with none left is a usage error.
+    """
+    tokens = [tok for tok in text.split(",") if tok != ""]
+    if not tokens:
+        raise argparse.ArgumentTypeError(f"expected at least one {what}, got {text!r}")
     try:
-        return [int(tok) for tok in text.split(",") if tok != ""]
+        return [convert(tok) for tok in tokens]
     except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from exc
+        raise argparse.ArgumentTypeError(f"expected comma-separated {what}s, got {text!r}") from exc
+
+
+def _comma_ints(text: str) -> list[int]:
+    return _comma_list(text, int, "integer")
 
 
 def _comma_floats(text: str) -> list[float]:
-    try:
-        return [float(tok) for tok in text.split(",") if tok != ""]
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"expected comma-separated numbers, got {text!r}") from exc
+    return _comma_list(text, float, "number")
+
+
+def _sequence_name(token: str) -> str:
+    name = token.strip().upper()
+    if name not in ("8H", "CP", "UDD"):
+        raise argparse.ArgumentTypeError(f"unknown sequence {name!r} (choose from 8h, cp, udd)")
+    return name
 
 
 def _comma_sequences(text: str) -> list[str]:
-    names = []
-    for tok in text.split(","):
-        tok = tok.strip().upper()
-        if tok not in ("8H", "CP", "UDD"):
-            raise argparse.ArgumentTypeError(f"unknown sequence {tok!r} (choose from 8h, cp, udd)")
-        names.append(tok)
-    if not names:
-        raise argparse.ArgumentTypeError("at least one sequence is required")
-    return names
+    return _comma_list(text, _sequence_name, "sequence")
 
 
 def _load_profile(path: str | None) -> qec.HardwareProfile:

@@ -15,6 +15,11 @@ LEVEL1_DEPTH = 6           # logical cycles per distillation round
 LEVEL1_VOLUME = LEVEL1_CROSS_SECTION * LEVEL1_DEPTH  # 72 qubit*cycles
 CIRCUITS_PER_LEVEL = 16    # 15 feeder circuits plus 1 consumer per extra level
 INPUTS_PER_CIRCUIT = 15    # lower-level ancillas consumed by one circuit
+# Deepest level modelled.  Each level cubes the ancilla error (p -> 35 p**3),
+# so a few levels reach any useful fidelity, while the volume grows 16-fold
+# per level.  The bound keeps volumes, factory sizes and rates far inside the
+# float range, which they leave near level 256.
+MAX_DISTILLATION_LEVEL = 10
 
 
 @dataclass(frozen=True)
@@ -78,8 +83,10 @@ TOFFOLI_ANCILLAS = GATE_COSTS["Toffoli"].a_states_consumed
 
 def distillation_volume(level: int) -> int:
     """Circuit volume (qubit*cycles) to distill one ancilla at the given level."""
-    if level < 1:
-        raise ValueError(f"distillation level must be >= 1, got {level}")
+    if not 1 <= level <= MAX_DISTILLATION_LEVEL:
+        raise ValueError(
+            f"distillation level must be between 1 and {MAX_DISTILLATION_LEVEL}, got {level}"
+        )
     return LEVEL1_VOLUME * CIRCUITS_PER_LEVEL ** (level - 1)
 
 

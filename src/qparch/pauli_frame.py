@@ -46,8 +46,11 @@ _GATE_KIND = {op_arg: kind for kind, op_arg in _GATE_OPS.items()}
 # A measurement's raw outcome by raw code: none (taken from the stream), +1, -1.
 _RAW = (None, 1, -1)
 _RAW_CODE = {raw: code for code, raw in enumerate(_RAW)}
-# The qubit and args columns hold signed 64-bit integers.
-_QUBIT_LIMIT = 2 ** 63
+# A frame holds at most this many qubits, so a circuit line names a qubit
+# below it.  A frame at the limit takes about 17 MB (two lists of bits) and
+# its JSON report about 10 MB; the paper's largest machines have 1e5 logical
+# qubits.  A larger qubit or --num-qubits is an input error, not a MemoryError.
+MAX_FRAME_QUBITS = 2 ** 20
 
 
 def _pauli_code(letter: str) -> int:
@@ -148,6 +151,9 @@ class Circuit:
         self.qubits = array("q")
         self.args = array("q")
         self.num_qubits = 0
+        # Numbers of the blank lines skipped by ``parse_circuit``; None when
+        # the circuit was not parsed from text.
+        self._blank_lines: list[int] | None = None
         self._extend(map(_instruction_row, instructions))
 
     def _extend(self, rows: Iterable[tuple[int, int, int]]) -> None:
@@ -166,6 +172,21 @@ class Circuit:
 
     def __len__(self) -> int:
         return len(self.ops)
+
+    def _location(self, index: int) -> str:
+        """Where instruction ``index`` came from.
+
+        ``line N`` of the parsed text, or ``instruction N`` for a circuit
+        built by hand.
+        """
+        if self._blank_lines is None:
+            return f"instruction {index + 1}"
+        line = index + 1
+        for blank in self._blank_lines:  # ascending
+            if blank > line:
+                break
+            line += 1
+        return f"line {line}"
 
     def __getitem__(self, index: int) -> Instruction:
         op, qubit, arg = self.ops[index], self.qubits[index], self.args[index]
@@ -202,7 +223,11 @@ def _execute(x: list[int], z: list[int], circuit: Circuit, stream: Sequence[int]
             raw = _RAW[arg >> 2]
             if raw is None:
                 if cursor == len(stream):
-                    raise ValueError("measurement outcome stream underrun")
+                    raise ValueError(
+                        f"{circuit._location(_stream_measurement(circuit, cursor))}: measurement "
+                        "has no raw outcome and the outcome stream is used up "
+                        "(measurement outcome stream underrun)"
+                    )
                 raw = stream[cursor]
                 cursor += 1
                 if raw not in (1, -1):
@@ -220,6 +245,15 @@ def _execute(x: list[int], z: list[int], circuit: Circuit, stream: Sequence[int]
     return outcomes
 
 
+def _stream_measurement(circuit: Circuit, n: int) -> int | None:
+    """Index of the measurement that takes the ``n``-th (0-based) outcome of the stream."""
+    for index, (op, arg) in enumerate(zip(circuit.ops, circuit.args)):
+        if op == _MEASURE and _RAW[arg >> 2] is None:
+            if n == 0:
+                return index
+            n -= 1
+
+
 class PauliFrame:
     """Per-qubit Pauli corrections tracked in classical memory as (x, z) bits.
 
@@ -230,14 +264,19 @@ class PauliFrame:
 
     def __init__(self, num_qubits: int = 0, letters: Sequence[str] | None = None):
         if letters is not None:
-            codes = [_pauli_code(letter) for letter in letters]
-            if num_qubits and num_qubits != len(codes):
+            if num_qubits and num_qubits != len(letters):
                 raise ValueError("num_qubits does not match the letter array length")
+            num_qubits = len(letters)
+        if not 0 <= num_qubits <= MAX_FRAME_QUBITS:
+            raise ValueError(
+                f"num_qubits must be between 0 and {MAX_FRAME_QUBITS} (the frame-size limit), "
+                f"got {num_qubits}"
+            )
+        if letters is not None:
+            codes = [_pauli_code(letter) for letter in letters]
             self.x = [code & 1 for code in codes]
             self.z = [code >> 1 for code in codes]
         else:
-            if num_qubits < 0:
-                raise ValueError("num_qubits must be non-negative")
             self.x = [0] * num_qubits
             self.z = [0] * num_qubits
 
@@ -332,8 +371,10 @@ def _qubit(value) -> int:
     # bool is an int subclass, so test the exact type: JSON true is not qubit 1.
     if type(value) is not int or value < 0:
         raise ValueError(f"qubit index must be a non-negative integer, got {value!r}")
-    if value >= _QUBIT_LIMIT:
-        raise ValueError(f"qubit index must be below 2**63, got {value!r}")
+    if value >= MAX_FRAME_QUBITS:
+        raise ValueError(
+            f"qubit index must be below {MAX_FRAME_QUBITS} (the frame-size limit), got {value!r}"
+        )
     return value
 
 
@@ -363,8 +404,10 @@ def _line_row(obj) -> tuple[int, int, int]:
     raise ValueError(f"unknown op {op!r}")
 
 
-def _line_rows(lines: Iterable[str]) -> Iterable[tuple[int, int, int]]:
+def _line_rows(lines: Iterable[str], blank_lines: list[int]) -> Iterable[tuple[int, int, int]]:
     """The packed row of each non-blank JSON line; a bad line raises ``CircuitParseError``.
+
+    Appends the number of each blank line to ``blank_lines``.
 
     A line is read as ``json.loads(line.strip())`` would read it, and
     accepted or rejected alike, but decoded by ``raw_decode``, which skips
@@ -374,6 +417,7 @@ def _line_rows(lines: Iterable[str]) -> Iterable[tuple[int, int, int]]:
     for line_number, line in enumerate(lines, start=1):
         text = line.strip()
         if not text:
+            blank_lines.append(line_number)
             continue
         try:
             obj, end = decode(text)
@@ -391,7 +435,8 @@ def _line_rows(lines: Iterable[str]) -> Iterable[tuple[int, int, int]]:
 def parse_circuit(lines: Iterable[str]) -> Circuit:
     """Parse JSON-lines circuit text, one instruction per non-blank line."""
     circuit = Circuit()
-    circuit._extend(_line_rows(lines))
+    circuit._blank_lines = []
+    circuit._extend(_line_rows(lines, circuit._blank_lines))
     return circuit
 
 

@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _keyed_normals
+
 DEFAULT_LARMOR_PERIOD = 40e-12
 
 SEQUENCE_LABELS = ("8H", "CP", "UDD", "BB1", "custom")
@@ -409,10 +411,11 @@ class ProcessResult:
 def _standard_normals(seed: int, samples: int) -> np.ndarray:
     """One standard normal per sample from the stream keyed by (seed, index).
 
-    Cached (read-only) because a sweep redraws the same seed for every grid
-    point, and building one generator per sample is the costly part.
+    The numbers are those of ``np.random.default_rng((seed, i)).standard_normal()``,
+    bit for bit, drawn for all i at once (see ``_keyed_normals``).  Cached
+    (read-only) because a sweep redraws the same seed for every grid point.
     """
-    z = np.array([np.random.default_rng((seed, i)).standard_normal() for i in range(samples)])
+    z = _keyed_normals.standard_normals(seed, samples)
     z.flags.writeable = False
     return z
 
@@ -437,19 +440,27 @@ def process_infidelity(
 
     Each sample composes the segment unitaries under one detuning draw; the
     per-sample fidelity is |tr(target^dag U)|^2 / 4 and the result is the
-    mean of 1 - F.  Deterministic for a fixed seed and sample count.
+    mean of 1 - F.  Deterministic for a fixed seed and sample count.  Raises
+    ``ValueError`` when a segment's rotation overflows a float (a detuning
+    or pulse error so large that the phase or the fidelity is not finite).
     """
     target = IDENTITY2 if target is None else np.asarray(target, dtype=complex)
     if target.shape != (2, 2):
         raise ValueError("target must be a 2x2 unitary")
     detunings = detuning_samples(noise)
-    u = _unitaries(*_compose(sequence.segments, sequence.larmor_period, detunings, noise.pulse_error))
-    overlap = np.einsum("sij,ij->s", u, target.conj())
-    fidelities = np.abs(overlap) ** 2 / 4
-    if noise.t2 is not None:
-        gamma = math.exp(-sequence.duration / noise.t2)
-        dephased = np.einsum("sij,ij->s", u, (SIGMA_Z @ target).conj())
-        fidelities = 0.5 * (1 + gamma) * fidelities + 0.5 * (1 - gamma) * np.abs(dephased) ** 2 / 4
+    with np.errstate(over="ignore", invalid="ignore"):
+        u = _unitaries(*_compose(sequence.segments, sequence.larmor_period, detunings, noise.pulse_error))
+        overlap = np.einsum("sij,ij->s", u, target.conj())
+        fidelities = np.abs(overlap) ** 2 / 4
+        if noise.t2 is not None:
+            gamma = math.exp(-sequence.duration / noise.t2)
+            dephased = np.einsum("sij,ij->s", u, (SIGMA_Z @ target).conj())
+            fidelities = 0.5 * (1 + gamma) * fidelities + 0.5 * (1 - gamma) * np.abs(dephased) ** 2 / 4
+    if not np.all(np.isfinite(fidelities)):
+        raise ValueError(
+            "a segment's rotation overflows: the detuning (t2_star) or the pulse error "
+            "is too large for a finite phase"
+        )
     fidelities = np.clip(fidelities, 0.0, 1.0)
     errors = 1.0 - fidelities
     return ProcessResult(

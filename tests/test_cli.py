@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -156,6 +157,34 @@ class TestEstimate:
             cli.main(["estimate", "shor", "--bits", "1024,two"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["shor", "--bits", "1024", "--level", "100000"],
+        ["shor", "--bits", "1024", "--machine-logical-qubits", "100000", "--level", "100000"],
+        ["sim", "--particles", "10", "--level", "100000"],
+        ["shor", "--bits", "1024", "--level", "11"],
+        ["shor", "--bits", "1024", "--level", "0"],
+    ], ids=["shor-sized", "shor-fixed-machine", "sim", "one-past-limit", "zero"])
+    def test_level_out_of_range_is_usage_error(self, args, tmp_path, capsys):
+        code, payload = run_cli(["estimate", *args], tmp_path)
+        assert code == 2
+        assert payload == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: distillation level must be between 1 and 10")
+        assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "shor", "--bits", ","],
+    ["estimate", "shor", "--bits", ""],
+    ["pulse", "sweep", "--pulse-errors", ",,"],
+    ["pulse", "sweep", "--sequences", ","],
+], ids=["bits-comma", "bits-empty", "pulse-errors", "sequences"])
+def test_empty_comma_list_is_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    assert "expected at least one" in capsys.readouterr().err
+
 
 class TestPulseSweep:
     def test_grid_shape(self, tmp_path):
@@ -205,6 +234,19 @@ class TestPulseSweep:
         assert payload == b""
         assert capsys.readouterr().err.startswith("error: ")
 
+    @pytest.mark.parametrize("flags", [["--t2-star", "1e-300"], ["--pulse-errors", "1e308"]])
+    def test_overflowing_rotation_is_usage_error(self, flags, tmp_path, capsys):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            code, payload = run_cli(
+                ["pulse", "sweep", "--samples", "4", "--sequences", "8h", *flags], tmp_path
+            )
+        assert code == 2
+        assert payload == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: a segment's rotation overflows")
+        assert err.count("\n") == 1
+
 
 class TestFrameExec:
     def write_circuit(self, tmp_path, lines):
@@ -247,8 +289,13 @@ class TestFrameExec:
         ('{"op":"clifford","g":"MZ","q":0}', [], "line 2"),
         ('{"op":"pauli","p":"X","q":2}', ["--num-qubits", "2"], "--num-qubits 2"),
         ('{"op":"measure","basis":"Q","q":0,"raw":1}', [], "line 2"),
+        ('{"op":"pauli","p":"X","q":100000000000000}', [],
+         "line 2: qubit index must be below 1048576 (the frame-size limit)"),
+        ('{"op":"pauli","p":"X","q":1}', ["--num-qubits", "1000000000000000"],
+         "num_qubits must be between 0 and 1048576 (the frame-size limit)"),
     ], ids=["float-qubit", "bool-qubit", "negative-qubit", "float-cnot-target", "float-raw",
-            "measurement-gate", "num-qubits-too-small", "measurement-basis"])
+            "measurement-gate", "num-qubits-too-small", "measurement-basis",
+            "qubit-beyond-frame-limit", "num-qubits-beyond-frame-limit"])
     def test_invalid_instruction_is_usage_error(self, line, args, expected, tmp_path, capsys):
         circuit = self.write_circuit(tmp_path, ['{"op":"pauli","p":"X","q":0}', line])
         code, payload = run_cli(["frame", "exec", circuit, *args], tmp_path)
@@ -256,6 +303,16 @@ class TestFrameExec:
         assert payload == b""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
+
+    def test_measure_without_raw_names_its_line(self, tmp_path, capsys):
+        circuit = self.write_circuit(tmp_path, ['{"op":"measure","basis":"Z","q":0}'])
+        code, payload = run_cli(["frame", "exec", circuit], tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            "error: line 1: measurement has no raw outcome and the outcome stream is used up "
+            "(measurement outcome stream underrun)\n"
+        )
 
     def test_missing_file_is_usage_error(self, capsys):
         assert cli.main(["frame", "exec", "/nonexistent/circuit.jsonl"]) == 2

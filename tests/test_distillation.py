@@ -28,6 +28,12 @@ class TestDistillationVolume:
         with pytest.raises(ValueError):
             dist.distillation_volume(0)
 
+    def test_rejects_levels_beyond_the_limit(self):
+        assert dist.distillation_volume(dist.MAX_DISTILLATION_LEVEL) == 72 * 16 ** 9
+        for level in (dist.MAX_DISTILLATION_LEVEL + 1, 100000):
+            with pytest.raises(ValueError, match="between 1 and 10"):
+                dist.distillation_volume(level)
+
 
 class TestFactoryRate:
     def test_reference_machine_rows(self):

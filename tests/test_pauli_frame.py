@@ -447,14 +447,43 @@ class TestCircuitParsing:
             circuit[6]
         assert pf.circuit_qubit_count([]) == 0
 
-    def test_qubit_beyond_the_column_width_is_a_parse_error(self):
-        largest = 2 ** 63 - 1
+    def test_qubit_beyond_the_frame_limit_is_a_parse_error(self):
+        largest = pf.MAX_FRAME_QUBITS - 1
         circuit = pf.parse_circuit([f'{{"op":"pauli","p":"X","q":{largest}}}'])
-        assert circuit.num_qubits == 2 ** 63
-        for line in (f'{{"op":"pauli","p":"X","q":{largest + 1}}}',
-                     f'{{"op":"clifford","g":"CNOT","q":[0,{largest + 1}]}}'):
-            with pytest.raises(pf.CircuitParseError, match="line 2: qubit index must be below 2"):
-                pf.parse_circuit(['{"op":"pauli","p":"X","q":0}', line])
+        assert circuit.num_qubits == pf.MAX_FRAME_QUBITS
+        message = r"line 2: qubit index must be below 1048576 \(the frame-size limit\)"
+        for q in (largest + 1, 2 ** 63, 10 ** 30):
+            for line in (f'{{"op":"pauli","p":"X","q":{q}}}',
+                         f'{{"op":"clifford","g":"CNOT","q":[0,{q}]}}'):
+                with pytest.raises(pf.CircuitParseError, match=message):
+                    pf.parse_circuit(['{"op":"pauli","p":"X","q":0}', line])
+
+    @pytest.mark.parametrize("size", [-1, pf.MAX_FRAME_QUBITS + 1, 10 ** 15])
+    def test_frame_size_is_bounded(self, size):
+        with pytest.raises(ValueError, match="frame-size limit"):
+            pf.PauliFrame(size)
+
+    def test_letter_frame_size_is_bounded(self):
+        class Letters:  # as long as a frame beyond the limit, without its memory
+            def __len__(self):
+                return pf.MAX_FRAME_QUBITS + 1
+
+        with pytest.raises(ValueError, match="frame-size limit"):
+            pf.PauliFrame(letters=Letters())
+
+    @pytest.mark.parametrize("lines, line, instruction", [
+        (['{"op":"measure","basis":"Z","q":0}'], 1, 1),
+        (["", '{"op":"pauli","p":"X","q":0}', " ", "\t",
+          '{"op":"measure","basis":"Z","q":0,"raw":1}', "",
+          '{"op":"measure","basis":"X","q":1}', '{"op":"measure","basis":"Z","q":1}'], 7, 3),
+    ], ids=["one-line", "after-blank-lines"])
+    def test_stream_underrun_names_the_line(self, lines, line, instruction):
+        circuit = pf.parse_circuit(lines)
+        with pytest.raises(ValueError, match=f"^line {line}: measurement has no raw outcome.*underrun"):
+            pf.run_circuit(pf.PauliFrame(2), circuit)
+        hand_built = [circuit[i] for i in range(len(circuit))]
+        with pytest.raises(ValueError, match=f"^instruction {instruction}: .*underrun"):
+            pf.run_circuit(pf.PauliFrame(2), hand_built)
 
 
 def dense_run(letters, circuit):
@@ -553,6 +582,11 @@ def oracle_instruction(obj, line_number):
     def qubit(value):
         if type(value) is not int or value < 0:
             raise ValueError(f"qubit index must be a non-negative integer, got {value!r}")
+        if value >= pf.MAX_FRAME_QUBITS:
+            raise ValueError(
+                f"qubit index must be below {pf.MAX_FRAME_QUBITS} (the frame-size limit), "
+                f"got {value!r}"
+            )
         return value
 
     def gate(kind, targets):
@@ -596,8 +630,6 @@ def oracle_instruction(obj, line_number):
 
 # str.strip() removes Unicode whitespace; JSON itself allows only the first four.
 WHITESPACE = " \t\n\r\x0b\x0c\x1c\x1d\x1e\x1f\x85\xa0\u1680\u2000\u2028\u2029\u3000"
-# Qubits of 2**63 and more are rejected on purpose (packed columns hold 64 bits),
-# so generated integers stay below that.
 json_scalars = st.one_of(
     st.none(), st.booleans(), st.integers(-2, 5), st.integers(-2 ** 63, 2 ** 63 - 1), st.floats(),
     st.text(max_size=3), st.sampled_from(("X", "Y", "Z", "I", "H", "S", "CNOT", "pauli")),
@@ -625,7 +657,8 @@ MISSING = object()
 KINDS = instruction_kinds(5)
 FIELD_CHANGES = (
     ("op", instructions_on(5), ("reset", "Pauli", "MZ", 1, None, MISSING)),
-    ("q", instructions_on(5), (True, False, -1, 1.0, 2 ** 63 - 1, "0", [0], [True], MISSING)),
+    ("q", instructions_on(5), (True, False, -1, 1.0, pf.MAX_FRAME_QUBITS - 1, pf.MAX_FRAME_QUBITS,
+                               2 ** 63 - 1, "0", [0], [True], MISSING)),
     ("q", KINDS["cnot"], ([], [0], [1, 1], [0, 1, 2], [0, True], [0, -1], [0, 1.0], 3)),
     ("p", KINDS["pauli"], ("I", "x", "Q", "XY", "", 1, None, MISSING)),
     ("g", KINDS["clifford"] | KINDS["cnot"], ("MZ", "T", "h", "CNOT", "H", None, ["H"], MISSING)),
