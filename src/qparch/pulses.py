@@ -132,17 +132,18 @@ class PulseSequence:
         return sum(1 for seg in self.segments if seg.kind == "pulse")
 
 
-def _rotation_quaternion(vx, vy, vz) -> tuple[np.ndarray, ...]:
-    """(w, x, y, z) of exp(-i (v . sigma) / 2) = w I - i (x X + y Y + z Z)."""
+def _rotation_quaternion(vx: float, vy: float, vz: np.ndarray) -> tuple:
+    """(w, x, y, z) of exp(-i (v . sigma) / 2) = w I - i (x X + y Y + z Z).
+
+    Only ``vz`` varies with the detuning.  A rotation about Z alone
+    (vx = vy = 0) has None for x and y: their products are exact zeros.
+    """
     angle = np.sqrt(vx * vx + vy * vy + vz * vz)
     # sin(a/2)/a, smooth through a = 0.
     k = 0.5 * np.sinc(angle / (2 * np.pi))
+    if vx == 0 and vy == 0:
+        return np.cos(angle / 2), None, None, k * vz
     return np.cos(angle / 2), k * vx, k * vy, k * vz
-
-
-def _identity_quaternion(like: np.ndarray) -> tuple[np.ndarray, ...]:
-    zero = np.zeros_like(like)
-    return np.ones_like(like), zero, zero, zero
 
 
 def _segment_quaternion(
@@ -150,12 +151,12 @@ def _segment_quaternion(
     larmor_period: float,
     detunings: np.ndarray,
     pulse_error: float,
-) -> tuple[np.ndarray, ...]:
+) -> tuple:
     drift = 2 * np.pi / larmor_period + detunings
     if segment.kind == "free_precession":
         return _rotation_quaternion(0.0, 0.0, drift * segment.duration)
     if segment.duration == 0:
-        return _identity_quaternion(detunings)
+        return 1.0, None, None, 0.0
     ax, ay, az = segment.axis
     angle = segment.nominal_angle
     # The systematic pulse error scales the whole rotation the pulse enacts
@@ -169,27 +170,90 @@ def _segment_quaternion(
     )
 
 
+# Samples composed at a time, so that each elementwise operation works on
+# arrays that stay in cache instead of full-length temporaries.
+_BLOCK = 4096
+
+
+def _step(q, q2, out, t, u) -> None:
+    """Write the SU(2) product U2 U1 of q2 = U2 and q = U1 into ``out``.
+
+    On (w, v): w = w2 w1 - v2 . v1 and v = w2 v1 + w1 v2 + v2 x v1.  For a
+    rotation about Z the terms with x2 = y2 = 0 are dropped; they are exact
+    zeros, so every rounding is that of the full product (only the sign of
+    a zero result can differ).  ``t`` and ``u`` are scratch rows.
+    """
+    w, x, y, z = q
+    w2, x2, y2, z2 = q2
+    nw, nx, ny, nz = out
+    if x2 is None:
+        for new, a, b, combine in (
+            (nw, w, z, np.subtract), (nx, x, y, np.subtract), (ny, y, x, np.add), (nz, z, w, np.add),
+        ):
+            np.multiply(w2, a, out=new)
+            np.multiply(z2, b, out=t)
+            combine(new, t, out=new)
+        return
+    # w2 w - ((x2 x + y2 y) + z2 z), in the order that sets the rounding
+    np.multiply(x2, x, out=nw)
+    np.multiply(y2, y, out=t)
+    np.add(nw, t, out=nw)
+    np.multiply(z2, z, out=t)
+    np.add(nw, t, out=nw)
+    np.multiply(w2, w, out=t)
+    np.subtract(t, nw, out=nw)
+    # (w2 a + w a2) + (b2 c - c2 b) for each cyclic (a, b, c) of (x, y, z)
+    for new, a, a2, b, b2, c, c2 in (
+        (nx, x, x2, y, y2, z, z2), (ny, y, y2, z, z2, x, x2), (nz, z, z2, x, x2, y, y2),
+    ):
+        np.multiply(w2, a, out=new)
+        np.multiply(w, a2, out=t)
+        np.add(new, t, out=new)
+        np.multiply(b2, c, out=t)
+        np.multiply(c2, b, out=u)
+        np.subtract(t, u, out=t)
+        np.add(new, t, out=new)
+
+
 def _compose(
     segments: tuple[PulseSegment, ...],
     larmor_period: float,
     detunings: np.ndarray,
     pulse_error: float,
-) -> tuple[np.ndarray, ...]:
-    """Quaternion of the time-ordered product of segment unitaries, one per detuning.
+) -> np.ndarray:
+    """Quaternion rows (w, x, y, z) of the time-ordered product of segment
+    unitaries, one column per detuning.
 
-    Each step is the SU(2) product U2 U1 written on (w, q):
-    w = w2 w1 - q2 . q1 and q = w2 q1 + w1 q2 + q2 x q1.
+    Each distinct segment's quaternion is computed once per block of
+    samples, however often the segment repeats.  Raises ``ValueError`` when
+    a segment's rotation overflows a float (a detuning or pulse error so
+    large that the phase is not finite).
     """
-    w, x, y, z = _identity_quaternion(detunings)
-    for segment in segments:
-        w2, x2, y2, z2 = _segment_quaternion(segment, larmor_period, detunings, pulse_error)
-        w, x, y, z = (
-            w2 * w - (x2 * x + y2 * y + z2 * z),
-            w2 * x + w * x2 + (y2 * z - z2 * y),
-            w2 * y + w * y2 + (z2 * x - x2 * z),
-            w2 * z + w * z2 + (x2 * y - y2 * x),
+    samples = len(detunings)
+    result = np.empty((4, samples))
+    distinct = dict.fromkeys(segments)
+    width = min(samples, _BLOCK)
+    state, new, scratch = np.empty((4, width)), np.empty((4, width)), np.empty((2, width))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, samples, _BLOCK):
+            block = detunings[start:start + _BLOCK]
+            m = len(block)
+            for segment in distinct:
+                distinct[segment] = _segment_quaternion(segment, larmor_period, block, pulse_error)
+            q, out, (t, u) = state[:, :m], new[:, :m], scratch[:, :m]
+            q[0], q[1:] = 1.0, 0.0
+            for segment in segments:
+                _step(q, distinct[segment], out, t, u)
+                q, out = out, q
+            result[:, start:start + m] = q
+    # A non-finite rotation turns its cos and sinc into NaN, which every
+    # later product carries to the result.
+    if not np.isfinite(result).all():
+        raise ValueError(
+            "a segment's rotation overflows: the detuning (t2_star) or the pulse error "
+            "is too large for a finite phase"
         )
-    return w, x, y, z
+    return result
 
 
 def _unitaries(w, x, y, z) -> np.ndarray:
@@ -208,9 +272,11 @@ def segment_unitary(
     detuning: float = 0.0,
     pulse_error: float = 0.0,
 ) -> np.ndarray:
-    """2x2 unitary of one segment under a given detuning and pulse error."""
-    quaternion = _segment_quaternion(segment, larmor_period, np.array([detuning]), pulse_error)
-    return _unitaries(*quaternion)[0]
+    """2x2 unitary of one segment under a given detuning and pulse error.
+
+    Raises ``ValueError`` when the rotation overflows a float.
+    """
+    return _unitaries(*_compose((segment,), larmor_period, np.array([detuning]), pulse_error))[0]
 
 
 def sequence_unitary(
@@ -218,7 +284,10 @@ def sequence_unitary(
     detuning: float = 0.0,
     pulse_error: float = 0.0,
 ) -> np.ndarray:
-    """Net unitary of a sequence (segments compose in time order)."""
+    """Net unitary of a sequence (segments compose in time order).
+
+    Raises ``ValueError`` when a segment's rotation overflows a float.
+    """
     quaternion = _compose(sequence.segments, sequence.larmor_period, np.array([detuning]), pulse_error)
     return _unitaries(*quaternion)[0]
 
@@ -442,25 +511,19 @@ def process_infidelity(
     per-sample fidelity is |tr(target^dag U)|^2 / 4 and the result is the
     mean of 1 - F.  Deterministic for a fixed seed and sample count.  Raises
     ``ValueError`` when a segment's rotation overflows a float (a detuning
-    or pulse error so large that the phase or the fidelity is not finite).
+    or pulse error so large that the phase is not finite).
     """
     target = IDENTITY2 if target is None else np.asarray(target, dtype=complex)
-    if target.shape != (2, 2):
+    if target.shape != (2, 2) or not _is_unitary(target):
         raise ValueError("target must be a 2x2 unitary")
     detunings = detuning_samples(noise)
-    with np.errstate(over="ignore", invalid="ignore"):
-        u = _unitaries(*_compose(sequence.segments, sequence.larmor_period, detunings, noise.pulse_error))
-        overlap = np.einsum("sij,ij->s", u, target.conj())
-        fidelities = np.abs(overlap) ** 2 / 4
-        if noise.t2 is not None:
-            gamma = math.exp(-sequence.duration / noise.t2)
-            dephased = np.einsum("sij,ij->s", u, (SIGMA_Z @ target).conj())
-            fidelities = 0.5 * (1 + gamma) * fidelities + 0.5 * (1 - gamma) * np.abs(dephased) ** 2 / 4
-    if not np.all(np.isfinite(fidelities)):
-        raise ValueError(
-            "a segment's rotation overflows: the detuning (t2_star) or the pulse error "
-            "is too large for a finite phase"
-        )
+    u = _unitaries(*_compose(sequence.segments, sequence.larmor_period, detunings, noise.pulse_error))
+    overlap = np.einsum("sij,ij->s", u, target.conj())
+    fidelities = np.abs(overlap) ** 2 / 4
+    if noise.t2 is not None:
+        gamma = math.exp(-sequence.duration / noise.t2)
+        dephased = np.einsum("sij,ij->s", u, (SIGMA_Z @ target).conj())
+        fidelities = 0.5 * (1 + gamma) * fidelities + 0.5 * (1 - gamma) * np.abs(dephased) ** 2 / 4
     fidelities = np.clip(fidelities, 0.0, 1.0)
     errors = 1.0 - fidelities
     return ProcessResult(
@@ -479,9 +542,19 @@ def approx_accuracy(u: np.ndarray, u_approx: np.ndarray) -> float:
     if u.shape != u_approx.shape:
         raise ValueError(f"dimension mismatch: {u.shape} vs {u_approx.shape}")
     dim = u.shape[0]
-    eye = np.eye(dim)
     for name, matrix in (("u", u), ("u_approx", u_approx)):
-        if np.max(np.abs(matrix.conj().T @ matrix - eye)) > 1e-9:
+        if not _is_unitary(matrix):
             raise ValueError(f"{name} is not unitary within 1e-9")
     value = (dim - abs(np.trace(u.conj().T @ u_approx))) / dim
     return math.sqrt(max(value, 0.0))
+
+
+def _is_unitary(matrix: np.ndarray) -> bool:
+    """U^dag U equals the identity within 1e-9.
+
+    Entries of a unitary have modulus at most 1, so a NaN, infinite or large
+    entry fails before the product could overflow.
+    """
+    if not np.max(np.abs(matrix)) <= 2:
+        return False
+    return bool(np.max(np.abs(matrix.conj().T @ matrix - np.eye(matrix.shape[0]))) <= 1e-9)

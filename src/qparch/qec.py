@@ -170,12 +170,20 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
     """Error per logical gate at code distance d.
 
     c1 * (c2 * eps_V / eps_thresh)^floor((d+1)/2), valid only below
-    threshold, which every HardwareProfile guarantees.
+    threshold, which every HardwareProfile guarantees.  Raises
+    ``ValueError`` when the rate underflows to 0.0 or overflows a float.
     """
     if distance < 1 or distance % 2 == 0:
         raise ValueError(f"code distance must be an odd positive integer, got {distance}")
     exponent = (distance + 1) // 2
-    return profile.c1 * profile.suppression_base ** exponent
+    try:
+        rate = profile.c1 * profile.suppression_base ** exponent
+    except OverflowError:  # a base above 1 raised to a huge power
+        rate = math.inf
+    if rate == 0.0 or rate == math.inf:
+        what = "underflows to 0.0" if rate == 0.0 else "overflows a float"
+        raise ValueError(f"the logical error rate at code distance {distance} {what}")
+    return rate
 
 
 def footprint(distance: int) -> int:

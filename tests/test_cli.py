@@ -31,6 +31,20 @@ class TestQecDistance:
         result = json.loads(payload)
         assert result["requested"]["logical_error_rate"] == pytest.approx(2.6e-20, rel=0.05)
 
+    @pytest.mark.parametrize("command", [
+        ["qec", "distance"],
+        ["estimate", "shor", "--bits", "1024"],
+        ["estimate", "sim", "--particles", "61"],
+    ], ids=["qec-distance", "estimate-shor", "estimate-sim"])
+    def test_distance_whose_rate_underflows_is_usage_error(self, command, tmp_path, capsys):
+        code, payload = run_cli([*command, "--distance", "99999999999"], tmp_path)
+        assert code == 2
+        assert payload == b""
+        err = capsys.readouterr().err
+        assert err == (
+            "error: the logical error rate at code distance 99999999999 underflows to 0.0\n"
+        )
+
     def test_error_per_gate_at_threshold_is_infeasible(self, capsys):
         assert cli.main(["qec", "distance", "--error-per-gate", "9e-3"]) == 3
         assert "unreachable target" in capsys.readouterr().err

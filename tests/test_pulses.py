@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +23,10 @@ def rot_x(theta):
 def phase_distance(a, b):
     """0 when a equals b up to a global phase."""
     return abs(abs(np.trace(a.conj().T @ b)) / a.shape[0] - 1.0)
+
+
+NON_UNITARY = [np.eye(2) * 1.5, np.full((2, 2), math.nan), np.diag([math.inf, 1.0]), np.eye(2) * 1e200]
+NON_UNITARY_IDS = ["scaled", "nan", "inf", "huge"]
 
 
 def oracle_unitary(segment, larmor_period, detuning=0.0, pulse_error=0.0):
@@ -249,6 +254,14 @@ class TestProcessInfidelity:
         gamma = math.exp(-seq.duration / 3e-6)
         assert damped.infidelity == pytest.approx((1 - gamma) / 2, rel=1e-6)
 
+    @pytest.mark.parametrize("target", NON_UNITARY + [np.eye(3)], ids=NON_UNITARY_IDS + ["3x3"])
+    def test_target_must_be_a_2x2_unitary(self, target):
+        noise = P.NoiseModel(samples=4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="target must be a 2x2 unitary"):
+                P.process_infidelity(P.free_evolution(1e-9, LARMOR), noise, target)
+
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             P.NoiseModel(samples=0)
@@ -372,6 +385,113 @@ class TestCompositionProperties:
         assert np.max(np.abs(result.fidelities - np.array(want))) < 1e-12
 
 
+def oracle_compose(segments, larmor_period, detunings, pulse_error):
+    """The plain per-segment loop: every segment's quaternion over all samples,
+    however often it repeats, and the full product on fresh arrays each step."""
+
+    def rotation(vx, vy, vz):
+        angle = np.sqrt(vx * vx + vy * vy + vz * vz)
+        k = 0.5 * np.sinc(angle / (2 * np.pi))
+        return np.cos(angle / 2), k * vx, k * vy, k * vz
+
+    zero = np.zeros_like(detunings)
+    w, x, y, z = np.ones_like(detunings), zero, zero, zero
+    for segment in segments:
+        drift = 2 * np.pi / larmor_period + detunings
+        if segment.kind == "free_precession":
+            w2, x2, y2, z2 = rotation(0.0, 0.0, drift * segment.duration)
+        elif segment.duration == 0:
+            w2, x2, y2, z2 = np.ones_like(detunings), zero, zero, zero
+        else:
+            (ax, ay, az), angle, scale = segment.axis, segment.nominal_angle, 1 + pulse_error
+            w2, x2, y2, z2 = rotation(
+                scale * angle * ax,
+                scale * angle * ay,
+                scale * (angle * az + drift * segment.duration),
+            )
+        w, x, y, z = (
+            w2 * w - (x2 * x + y2 * y + z2 * z),
+            w2 * x + w * x2 + (y2 * z - z2 * y),
+            w2 * y + w * y2 + (z2 * x - x2 * z),
+            w2 * z + w * z2 + (x2 * y - y2 * x),
+        )
+    return np.array([w, x, y, z])
+
+
+def oracle_fidelities(sequence, noise, target):
+    """process_infidelity's reduction applied to the oracle's quaternions."""
+    quaternion = oracle_compose(
+        sequence.segments, sequence.larmor_period, P.detuning_samples(noise), noise.pulse_error
+    )
+    overlap = np.einsum("sij,ij->s", P._unitaries(*quaternion), target.conj())
+    return np.clip(np.abs(overlap) ** 2 / 4, 0.0, 1.0)
+
+
+BLOCK = P._BLOCK
+# Segments a composition can meet: free precession, driven rotations about
+# +Z and -Z, zero-length pulses, and tilted axes with a y component.
+distinct_segments = st.one_of(
+    st.builds(P.free_precession, st.floats(0.0, 5e-10)),
+    st.builds(P.z_axis_pulse, st.floats(0.0, 4 * math.pi, exclude_max=True)),
+    st.builds(P.pulse, st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]),
+              st.floats(0.0, 2 * math.pi), st.floats(0.0, 1e-10)),
+    st.builds(P.pulse, unit_axes, st.floats(0.0, 2 * math.pi), st.just(0.0)),
+    st.builds(P.pulse, unit_axes.filter(lambda a: abs(a[1]) > 0.1),
+              st.floats(0.0, 2 * math.pi), st.floats(1e-12, 1e-10)),
+)
+
+
+@st.composite
+def repeating_segment_lists(draw):
+    """Up to 12 segments drawn, with repeats, from a pool of up to 4."""
+    pool = draw(st.lists(distinct_segments, min_size=1, max_size=4))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=1, max_size=12))
+    return [pool[i] for i in picks]
+
+
+class TestBlockedComposition:
+    """_compose (distinct segments once, sample blocks, Z steps without their
+    zero terms) against the plain per-segment loop, bit for bit."""
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        repeating_segment_lists(),
+        st.sampled_from([1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3]),
+        st.integers(0, 2**31),
+        pulse_errors,
+        st.floats(0.0, 2 * math.pi),
+    )
+    def test_matches_per_segment_loop_exactly(self, segments, samples, seed, pulse_error, theta):
+        sequence = custom_sequence(segments)
+        noise = P.NoiseModel(t2_star=2e-9, pulse_error=pulse_error, samples=samples, seed=seed)
+        detunings = P.detuning_samples(noise)
+        got = P._compose(sequence.segments, LARMOR, detunings, pulse_error)
+        # == treats 0.0 and -0.0 as equal: only the sign of a zero may differ
+        assert np.array_equal(got, oracle_compose(segments, LARMOR, detunings, pulse_error))
+        target = rot_x(theta)
+        fidelities = P.process_infidelity(sequence, noise, target).fidelities
+        assert fidelities.tobytes() == oracle_fidelities(sequence, noise, target).tobytes()
+
+    def test_bb1_full_size_matches_per_segment_loop(self):
+        sequence = P.bb1_virtual_gate(math.pi, 1e-9, LARMOR)
+        noise = P.NoiseModel(t2_star=2e-9, pulse_error=0.01, samples=20000, seed=7)
+        detunings = P.detuning_samples(noise)
+        got = P._compose(sequence.segments, LARMOR, detunings, noise.pulse_error)
+        assert np.array_equal(got, oracle_compose(sequence.segments, LARMOR, detunings, 0.01))
+        target = rot_x(math.pi)
+        fidelities = P.process_infidelity(sequence, noise, target).fidelities
+        assert fidelities.tobytes() == oracle_fidelities(sequence, noise, target).tobytes()
+
+    @pytest.mark.parametrize("flags", [{"detuning": 1e300}, {"pulse_error": 1e308}])
+    def test_overflowing_rotation_raises_without_warnings(self, flags):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning fails the test
+            with pytest.raises(ValueError, match="a segment's rotation overflows"):
+                P.sequence_unitary(P.build_sequence("8H", 1e-9, LARMOR), **flags)
+            with pytest.raises(ValueError, match="a segment's rotation overflows"):
+                P.segment_unitary(P.hadamard_pulse(LARMOR), LARMOR, **flags)
+
+
 class TestBB1VirtualGate:
     def test_zero_angle_nets_identity(self):
         seq = P.bb1_virtual_gate(0.0, 1e-9, LARMOR)
@@ -447,3 +567,10 @@ class TestApproxAccuracy:
     def test_non_unitary_rejected(self):
         with pytest.raises(ValueError, match="unitary"):
             P.approx_accuracy(np.eye(2) * 1.5, np.eye(2))
+
+    @pytest.mark.parametrize("matrix", NON_UNITARY[1:], ids=NON_UNITARY_IDS[1:])
+    def test_non_finite_or_huge_rejected_without_warnings(self, matrix):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="u is not unitary"):
+                P.approx_accuracy(matrix, np.eye(2))

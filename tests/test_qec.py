@@ -122,6 +122,18 @@ class TestLogicalErrorRate:
         with pytest.raises(ValueError):
             qec.logical_error_rate(DEFAULTS, 30)
 
+    def test_rate_that_underflows_names_the_distance(self):
+        assert qec.logical_error_rate(DEFAULTS, 551) > 0.0  # the last distance still a float
+        for distance in (553, 99999999999):
+            with pytest.raises(ValueError, match=f"code distance {distance} underflows to 0.0"):
+                qec.logical_error_rate(DEFAULTS, distance)
+
+    def test_rate_that_overflows_names_the_distance(self):
+        # a suppression base above 1: c2 * eps_V / eps_thresh = 5 * 4e-3 / 9e-3
+        profile = qec.HardwareProfile(error_per_virtual_gate=4e-3, c2=5.0)
+        with pytest.raises(ValueError, match="code distance 99999999999 overflows a float"):
+            qec.logical_error_rate(profile, 99999999999)
+
     def test_strictly_decreasing_and_exact_step_ratio(self):
         base = DEFAULTS.suppression_base
         previous = qec.logical_error_rate(DEFAULTS, 1)
