@@ -15,7 +15,7 @@ import os
 import sys
 from dataclasses import asdict, replace
 
-from . import estimates, pauli_frame, qec
+from . import distillation, qec
 from .errors import InfeasibleInputError
 
 PROFILE_ENV_VAR = "QPARCH_PROFILE"
@@ -94,6 +94,8 @@ def _cmd_qec_distance(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate_shor(args: argparse.Namespace) -> int:
+    from . import estimates
+
     profile = _load_profile(args.profile)
     code = qec.code_point(profile, args.distance)
     if len(args.bits) == 1:
@@ -111,6 +113,8 @@ def _cmd_estimate_shor(args: argparse.Namespace) -> int:
 
 
 def _cmd_estimate_sim(args: argparse.Namespace) -> int:
+    from . import estimates
+
     profile = _load_profile(args.profile)
     code = qec.code_point(profile, args.distance)
     workload = estimates.SimWorkload(
@@ -152,6 +156,8 @@ def _cmd_pulse_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_frame_exec(args: argparse.Namespace) -> int:
+    from . import pauli_frame
+
     circuit = pauli_frame.load_circuit(args.circuit)
     needed = pauli_frame.circuit_qubit_count(circuit)
     num_qubits = needed if args.num_qubits is None else args.num_qubits
@@ -201,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     shor.add_argument("--machine-logical-qubits", type=int,
                       help="fixed machine size; omitted = factory sized to demand")
     shor.add_argument("--distance", type=int, default=qec.DEFAULT_REPORT_DISTANCE)
-    shor.add_argument("--level", type=int, default=estimates.DEFAULT_DISTILLATION_LEVEL,
+    shor.add_argument("--level", type=int, default=distillation.DEFAULT_DISTILLATION_LEVEL,
                       help="distillation level (default 2)")
     shor.set_defaults(handler=_cmd_estimate_shor)
 
@@ -211,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--bits-precision", type=int, default=12)
     sim.add_argument("--timesteps", type=int, default=2 ** 10)
     sim.add_argument("--distance", type=int, default=qec.DEFAULT_REPORT_DISTANCE)
-    sim.add_argument("--level", type=int, default=estimates.DEFAULT_DISTILLATION_LEVEL)
+    sim.add_argument("--level", type=int, default=distillation.DEFAULT_DISTILLATION_LEVEL)
     sim.set_defaults(handler=_cmd_estimate_sim)
 
     pulse = subparsers.add_parser("pulse", help="pulse-level simulation")
@@ -247,9 +253,6 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except pauli_frame.CircuitParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except InfeasibleInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INFEASIBLE

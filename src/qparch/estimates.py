@@ -21,12 +21,9 @@ SECONDS_PER_DAY = 86400.0
 # Qubits sit on a 1 um pitch, so one virtual qubit occupies 1 um^2 = 1e-8 cm^2.
 CM2_PER_VIRTUAL_QUBIT = 1e-8
 
-DEFAULT_DISTILLATION_LEVEL = 2
-
 # Factoring model constants (carry-lookahead adders, one modular
 # exponentiation).  The sequential adder count 4*N^2 is calibrated so the
-# total Toffoli depth matches the reference 1.68e8 at N = 1024; it can be
-# overridden per workload.
+# total Toffoli depth matches the reference 1.68e8 at N = 1024.
 SHOR_APP_QUBITS_PER_BIT = 6
 SHOR_ADDER_ROUNDS_COEFF = 4.0      # sequential adders = coeff * N^2
 SHOR_TOFFOLIS_PER_ADDER_COEFF = 10.0   # Toffolis per adder = coeff * N
@@ -55,10 +52,6 @@ class ShorWorkload:
 
     bits: int
     machine_logical_qubits: int | None = None
-    adder_rounds_coeff: float = SHOR_ADDER_ROUNDS_COEFF
-    toffolis_per_adder_coeff: float = SHOR_TOFFOLIS_PER_ADDER_COEFF
-    adder_depth_coeff: float = SHOR_ADDER_DEPTH_COEFF
-    ancillas_per_toffoli: int = distillation.TOFFOLI_ANCILLAS
 
     def __post_init__(self) -> None:
         if self.bits < 4:
@@ -80,25 +73,25 @@ class ShorWorkload:
 
     @property
     def adders_sequential(self) -> float:
-        return self.adder_rounds_coeff * self.bits ** 2
+        return SHOR_ADDER_ROUNDS_COEFF * self.bits ** 2
 
     @property
     def toffolis_per_adder(self) -> float:
-        return self.toffolis_per_adder_coeff * self.bits
+        return SHOR_TOFFOLIS_PER_ADDER_COEFF * self.bits
 
     @property
     def adder_depth_toffoli(self) -> float:
-        return self.adder_depth_coeff * math.log2(self.bits)
+        return SHOR_ADDER_DEPTH_COEFF * math.log2(self.bits)
 
     @property
     def consumption_rate(self) -> float:
         """Peak distilled-ancilla consumption per logical cycle.
 
         Each adder fires 10N Toffolis (7 ancillas each) over its 124*log2(N)
-        cycle depth, giving 70N / (124*log2(N)) with the default coefficients.
+        cycle depth, giving 70N / (124*log2(N)).
         """
         adder_cycles = self.adder_depth_toffoli * distillation.TOFFOLI_DEPTH_CYCLES
-        return self.toffolis_per_adder * self.ancillas_per_toffoli / adder_cycles
+        return self.toffolis_per_adder * distillation.TOFFOLI_ANCILLAS / adder_cycles
 
 
 @dataclass(frozen=True)
@@ -194,7 +187,7 @@ def shor_estimate(
     workload: ShorWorkload,
     profile: qec.HardwareProfile | None = None,
     code: qec.CodePoint | None = None,
-    level: int = DEFAULT_DISTILLATION_LEVEL,
+    level: int = distillation.DEFAULT_DISTILLATION_LEVEL,
 ) -> ResourceReport:
     """Full resource budget for one run of the factoring algorithm.
 
@@ -259,7 +252,7 @@ def sim_estimate(
     workload: SimWorkload,
     profile: qec.HardwareProfile | None = None,
     code: qec.CodePoint | None = None,
-    level: int = DEFAULT_DISTILLATION_LEVEL,
+    level: int = distillation.DEFAULT_DISTILLATION_LEVEL,
 ) -> ResourceReport:
     """Resource budget for a first-quantized simulation run.
 
@@ -311,7 +304,7 @@ def shor_sweep(
     machine_logical_qubits: int | None = None,
     profile: qec.HardwareProfile | None = None,
     code: qec.CodePoint | None = None,
-    level: int = DEFAULT_DISTILLATION_LEVEL,
+    level: int = distillation.DEFAULT_DISTILLATION_LEVEL,
 ) -> list[ResourceReport]:
     """One factoring report per bit size, in input order."""
     return [

@@ -54,16 +54,22 @@ class PulseSegment:
     def __post_init__(self) -> None:
         if self.kind not in ("free_precession", "pulse"):
             raise ValueError(f"unknown segment kind: {self.kind!r}")
-        if self.duration < 0:
-            raise ValueError("segment duration must be non-negative")
+        if not 0 <= self.duration < math.inf:
+            raise ValueError(
+                f"segment duration must be finite and non-negative, got {self.duration!r}"
+            )
         if self.kind == "pulse":
             if self.axis is None or self.nominal_angle is None:
                 raise ValueError("pulse segments need an axis and a nominal angle")
             axis = tuple(float(c) for c in self.axis)
-            if abs(math.sqrt(sum(c * c for c in axis)) - 1.0) > 1e-12:
+            # Written so that a NaN component fails the check too.
+            if not abs(math.sqrt(sum(c * c for c in axis)) - 1.0) <= 1e-12:
                 raise ValueError(f"pulse axis must be a unit vector, got {axis}")
-            if self.nominal_angle < 0:
-                raise ValueError("nominal angle must be non-negative (flip the axis instead)")
+            if not 0 <= self.nominal_angle < math.inf:
+                raise ValueError(
+                    "nominal_angle must be finite and non-negative (flip the axis instead), "
+                    f"got {self.nominal_angle!r}"
+                )
             object.__setattr__(self, "axis", axis)
         else:
             if self.axis is not None or self.nominal_angle is not None:
@@ -118,8 +124,8 @@ class PulseSequence:
         object.__setattr__(self, "segments", tuple(self.segments))
         if self.label not in SEQUENCE_LABELS:
             raise ValueError(f"unknown sequence label: {self.label!r}")
-        if self.larmor_period <= 0:
-            raise ValueError("larmor_period must be positive")
+        if not 0 < self.larmor_period < math.inf:
+            raise ValueError(f"larmor_period must be positive and finite, got {self.larmor_period!r}")
         if self.segments and not self.duration > 0:
             raise ValueError("non-empty sequences must have positive total duration")
 

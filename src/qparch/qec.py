@@ -116,40 +116,6 @@ class CodePoint:
             raise ValueError(f"code distance must be an odd positive integer, got {self.distance}")
 
 
-@dataclass(frozen=True)
-class AlgorithmDemand:
-    """Circuit depth and width of an algorithm, with a failure budget.
-
-    ``circuit_depth`` counts lattice refresh cycles by default; set
-    ``depth_units="logical_cycles"`` when the depth is quoted in logical
-    (CNOT-time) cycles instead.
-    """
-
-    circuit_depth: float
-    logical_qubits: int
-    target_failure: float = 1e-2
-    depth_units: str = "lattice_cycles"
-
-    def __post_init__(self) -> None:
-        if self.circuit_depth < 1:
-            raise ValueError("circuit_depth must be >= 1")
-        if self.logical_qubits < 1:
-            raise ValueError("logical_qubits must be >= 1")
-        if not 0 < self.target_failure < 1:
-            raise ValueError("target_failure must be in (0, 1)")
-        if self.depth_units not in ("lattice_cycles", "logical_cycles"):
-            raise ValueError(f"unknown depth_units: {self.depth_units!r}")
-
-    def logical_error_budget(self) -> float:
-        """Per-gate logical error rate at which the whole run meets the budget.
-
-        Exact inversion of the failure-probability law; reduces to
-        target / (K*Q) for small targets.
-        """
-        kq = self.circuit_depth * self.logical_qubits
-        return -math.expm1(math.log1p(-self.target_failure) / kq)
-
-
 def failure_probability(logical_error_rate: float, depth: float, qubits: float) -> float:
     """Worst-case algorithm failure probability 1 - (1 - eps)^(K*Q).
 
@@ -171,7 +137,8 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
 
     c1 * (c2 * eps_V / eps_thresh)^floor((d+1)/2), valid only below
     threshold, which every HardwareProfile guarantees.  Raises
-    ``ValueError`` when the rate underflows to 0.0 or overflows a float.
+    ``ValueError`` when the rate underflows to 0.0, overflows a float, or is
+    above 1, which no error rate can be.
     """
     if distance < 1 or distance % 2 == 0:
         raise ValueError(f"code distance must be an odd positive integer, got {distance}")
@@ -183,6 +150,12 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
     if rate == 0.0 or rate == math.inf:
         what = "underflows to 0.0" if rate == 0.0 else "overflows a float"
         raise ValueError(f"the logical error rate at code distance {distance} {what}")
+    if rate > 1.0:
+        raise ValueError(
+            f"the logical error rate at code distance {distance} is {rate:.6g}, above 1 "
+            f"(c1 = {profile.c1:.4g}, suppression base c2 * error_per_virtual_gate / threshold = "
+            f"{profile.suppression_base:.4g})"
+        )
     return rate
 
 

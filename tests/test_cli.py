@@ -45,6 +45,22 @@ class TestQecDistance:
             "error: the logical error rate at code distance 99999999999 underflows to 0.0\n"
         )
 
+    @pytest.mark.parametrize("command", [
+        ["qec", "distance"],
+        ["estimate", "shor", "--bits", "1024"],
+    ], ids=["qec-distance", "estimate-shor"])
+    def test_profile_whose_rate_exceeds_one_is_usage_error(self, command, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text(json.dumps({"c2": 5.0, "error_per_virtual_gate": 4e-3}))
+        code, payload = run_cli(
+            [*command, "--distance", "31", "--profile", str(profile)], tmp_path
+        )
+        assert code == 2
+        assert payload == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: the logical error rate at code distance 31 is 45977.3, above 1")
+        assert err.count("\n") == 1
+
     def test_error_per_gate_at_threshold_is_infeasible(self, capsys):
         assert cli.main(["qec", "distance", "--error-per-gate", "9e-3"]) == 3
         assert "unreachable target" in capsys.readouterr().err
@@ -385,3 +401,28 @@ assert "numpy" in sys.modules and callable(process_infidelity)
 """
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+    @pytest.mark.parametrize("argv, absent", [
+        (["qec", "distance"], {"pauli_frame", "pulses"}),
+        (["estimate", "shor", "--bits", "1024"], {"pauli_frame", "pulses"}),
+        (["estimate", "sim", "--particles", "61"], {"pauli_frame", "pulses"}),
+        (["frame", "exec", "CIRCUIT"], {"estimates", "pulses"}),
+        ([], {"cli", "distillation", "errors", "estimates", "pauli_frame", "pulses", "qec"}),
+    ], ids=["qec-distance", "estimate-shor", "estimate-sim", "frame-exec", "bare-import"])
+    def test_each_command_imports_only_the_layers_it_runs(self, argv, absent, tmp_path):
+        circuit = tmp_path / "circuit.jsonl"
+        circuit.write_text('{"op":"pauli","p":"X","q":0}\n{"op":"measure","basis":"Z","q":0,"raw":1}\n')
+        argv = [str(circuit) if arg == "CIRCUIT" else arg for arg in argv]
+        script = """
+import contextlib, io, sys
+import qparch
+if sys.argv[1:]:
+    from qparch import cli
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(sys.argv[1:]) == 0, sys.argv
+print(" ".join(name for name in sys.modules if name.startswith("qparch.")))
+"""
+        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        loaded = {name.removeprefix("qparch.") for name in result.stdout.split()}
+        assert loaded & absent == set()

@@ -9,6 +9,10 @@ class TestDistillationVolume:
     def test_level_one(self):
         assert dist.distillation_volume(1) == 72
 
+    def test_level_one_is_the_circuit_shape(self):
+        volume = dist.LEVEL1_CROSS_SECTION * dist.LEVEL1_DEPTH
+        assert volume == dist.distillation_volume(1) == 72
+
     def test_level_two(self):
         assert dist.distillation_volume(2) == 1152
 
@@ -84,31 +88,6 @@ class TestToffoliTime:
         profile = HardwareProfile(logical_cycle_time=104 * 256e-9)
         assert dist.toffoli_time(profile) == pytest.approx(825e-6, rel=1e-2)
 
-
-class TestGateCosts:
-    def test_toffoli_cost(self):
-        cost = dist.GATE_COSTS["Toffoli"]
-        assert cost.depth_cycles == 31
-        assert cost.a_states_consumed == 7
-
-    def test_s_gate_reuses_y_state(self):
-        cost = dist.GATE_COSTS["S"]
-        assert cost.depth_cycles == 4
-        assert cost.a_states_consumed == 0
-        assert cost.y_states_used_not_consumed == 1
-
-    def test_t_gate_consumes_one_ancilla(self):
-        assert dist.GATE_COSTS["T"].a_states_consumed == 1
-
-
-class TestSpecs:
-    def test_distillation_spec_for_level(self):
-        spec = dist.DistillationSpec.for_level(2)
-        assert spec.volume_per_ancilla == 1152
-        assert spec.cross_section == 12
-        assert spec.depth == 6
-
-    def test_factory_spec_requires_one_circuit(self):
-        assert dist.FactorySpec(area=1152, level=2).rate == 1.0
-        with pytest.raises(ValueError):
-            dist.FactorySpec(area=11, level=2)
+    def test_toffoli_depth_and_ancillas(self):
+        assert dist.TOFFOLI_DEPTH_CYCLES == 31
+        assert dist.TOFFOLI_ANCILLAS == 7

@@ -105,6 +105,18 @@ class TestSegmentUnitary:
         with pytest.raises(ValueError):
             P.free_precession(-1e-12)
 
+    @pytest.mark.parametrize("field, build", [
+        ("duration", P.free_precession),
+        ("duration", lambda v: P.pulse((1.0, 0.0, 0.0), math.pi, v)),
+        ("nominal_angle", lambda v: P.pulse((1.0, 0.0, 0.0), v, 1e-11)),
+        ("axis", lambda v: P.pulse((v, 0.0, 0.0), math.pi, 1e-11)),
+        ("larmor_period", lambda v: P.PulseSequence((P.free_precession(1e-9),), larmor_period=v)),
+    ], ids=["free-duration", "pulse-duration", "nominal-angle", "axis", "larmor-period"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_field_is_rejected_at_construction(self, field, build, value):
+        with pytest.raises(ValueError, match=f"{field} must be"):
+            build(value)
+
 
 class TestCompositeX:
     @pytest.mark.parametrize("theta", [0.0, math.pi / 2, math.pi, 2.0])

@@ -3,7 +3,7 @@ import math
 
 import mpmath
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qparch import qec
@@ -91,6 +91,16 @@ class TestFailureProbability:
             assert p <= qec.failure_probability(*args) + 4 * math.ulp(p)
 
     @settings(max_examples=300, deadline=None)
+    @given(st.floats(1e-12, 0.5), counts, st.floats(1.0, 1e5))
+    @example(1e-2, 1.6e11, 72708)
+    def test_round_trip_from_the_per_gate_budget(self, p, depth, qubits):
+        # The per-gate rate at which a run of K*Q gates fails with probability p.
+        eps = -math.expm1(math.log1p(-p) / (depth * qubits))
+        if (p, depth, qubits) == (1e-2, 1.6e11, 72708):  # the reference factoring run
+            assert eps == pytest.approx(8.6e-19, rel=1e-2)
+        assert qec.failure_probability(eps, depth, qubits) == pytest.approx(p, rel=1e-9)
+
+    @settings(max_examples=300, deadline=None)
     @given(st.floats(-280.0, -6.0), counts, counts)
     def test_never_underflows(self, log_union, depth, qubits):
         # Choose eps so that K*Q*eps = 10**log_union <= 1e-6.
@@ -133,6 +143,15 @@ class TestLogicalErrorRate:
         profile = qec.HardwareProfile(error_per_virtual_gate=4e-3, c2=5.0)
         with pytest.raises(ValueError, match="code distance 99999999999 overflows a float"):
             qec.logical_error_rate(profile, 99999999999)
+
+    def test_rate_above_one_names_the_distance_and_base(self):
+        # the same suppression base above 1, at a distance whose rate is still a float
+        profile = qec.HardwareProfile(error_per_virtual_gate=4e-3, c2=5.0)
+        with pytest.raises(
+            ValueError,
+            match=r"code distance 31 is 45977\.3, above 1 \(c1 = 0\.13, suppression base .* = 2\.222\)",
+        ):
+            qec.logical_error_rate(profile, 31)
 
     def test_strictly_decreasing_and_exact_step_ratio(self):
         base = DEFAULTS.suppression_base
@@ -275,17 +294,3 @@ class TestHardwareProfile:
         path.write_text(json.dumps({"logical_cycle_tme": 40e-6}))
         with pytest.raises(ValueError, match="logical_cycle_tme"):
             qec.HardwareProfile.from_json(path)
-
-
-class TestAlgorithmDemand:
-    def test_error_budget_inverts_failure_probability(self):
-        demand = qec.AlgorithmDemand(circuit_depth=1.6e11, logical_qubits=72708)
-        budget = demand.logical_error_budget()
-        assert budget == pytest.approx(8.6e-19, rel=1e-2)
-        assert qec.failure_probability(budget, 1.6e11, 72708) == pytest.approx(1e-2, rel=1e-9)
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            qec.AlgorithmDemand(circuit_depth=0, logical_qubits=1)
-        with pytest.raises(ValueError):
-            qec.AlgorithmDemand(circuit_depth=1, logical_qubits=1, depth_units="hours")
