@@ -21,14 +21,11 @@ _EXPORTS = {
         "ResourceReport ShorWorkload SimWorkload shor_estimate shor_sweep sim_estimate "
         "sim_per_step_cycles sweep_to_csv"
     ),
-    "pauli_frame": (
-        "CliffordGate CliffordInstruction CircuitParseError MeasureInstruction PauliFrame "
-        "PauliInstruction load_circuit parse_circuit run_circuit"
-    ),
+    "pauli_frame": "CliffordGate CircuitParseError PauliFrame load_circuit parse_circuit run_circuit",
     "pulses": (
         "NoiseModel ProcessResult PulseSegment PulseSequence approx_accuracy bb1_virtual_gate "
         "build_sequence composite_x_gate free_evolution hadamard_pulse process_infidelity "
-        "segment_unitary sequence_unitary"
+        "sequence_unitary"
     ),
     "qec": (
         "CodePoint HardwareProfile code_point failure_probability footprint logical_error_rate "

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from . import distillation, qec
 from .errors import NoFactoryCapacityError
@@ -40,10 +40,26 @@ SIM_APP_QUBITS_PER_PARTICLE = 109
 SIM_DISTILL_QUBITS_PER_PARTICLE = 260
 SIM_OPERATOR_MEMORY_PER_PARTICLE = {"kinetic": 334, "potential": 369, "qft": 272}
 
+# Workload counts meet floats (4 N**2, 6.26e5 * B, cycles * qubits), which
+# hold integers exactly only up to 2**53.  A larger count would be rounded,
+# overflow to inf or raise OverflowError, so it is an input error.
+MAX_COUNT = 2 ** 53
+
 SWEEP_CSV_HEADER = (
     "N,app_qubits,distillation_qubits,production_rate,consumption_rate,"
     "throttle,toffoli_depth,runtime_s"
 )
+
+
+def _check_counts(workload) -> None:
+    """No count field of ``workload`` exceeds ``MAX_COUNT``."""
+    for item in fields(workload):
+        value = getattr(workload, item.name)
+        if value is not None and value > MAX_COUNT:
+            raise ValueError(
+                f"{item.name} must be at most 2**53 (the largest integer a float holds "
+                f"exactly), got {value}"
+            )
 
 
 @dataclass(frozen=True)
@@ -56,6 +72,7 @@ class ShorWorkload:
     def __post_init__(self) -> None:
         if self.bits < 4:
             raise ValueError("bit size must be >= 4")
+        _check_counts(self)
         if (
             self.machine_logical_qubits is not None
             and self.machine_logical_qubits - self.app_qubits < distillation.LEVEL1_CROSS_SECTION
@@ -107,6 +124,7 @@ class SimWorkload:
             raise ValueError("particle count must be >= 1")
         if self.bits_precision < 1 or self.timesteps < 1:
             raise ValueError("bits_precision and timesteps must be >= 1")
+        _check_counts(self)
 
     @property
     def register_qubits_per_particle(self) -> int:

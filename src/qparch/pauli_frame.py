@@ -9,9 +9,11 @@ Pauli is an (x, z) bit pair, I=(0,0), X=(1,0), Z=(0,1), Y=(1,1), and all frame
 algebra is XOR, as in CHP (Aaronson & Gottesman 2004) and Stim's frame
 simulator (Gidney 2021).  Letters appear only at the I/O boundary.
 
-Circuits are packed into parallel ``array`` columns (``Circuit``) and run by
-one loop of XORs over them (``_execute``), which every frame update goes
-through.  numpy is imported only by ``PauliFrame.transform_gate``.
+Circuits come in as JSON lines and are held only as packed (op, qubit, arg)
+rows in parallel ``array`` columns (``Circuit``).  One loop of XORs over them
+(``_execute``) runs every frame update, including the single rows that
+``PauliFrame``'s methods build.  numpy is imported only by
+``PauliFrame.transform_gate``.
 """
 
 from __future__ import annotations
@@ -20,13 +22,9 @@ import json
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Mapping, Sequence
 
-PAULI_LETTERS = ("I", "X", "Y", "Z")
 MEASUREMENT_BASES = ("X", "Y", "Z")
-
-SINGLE_QUBIT_GATES = ("H", "S", "S_dagger", "X", "Y", "Z")
-CLIFFORD_GATE_KINDS = SINGLE_QUBIT_GATES + ("CNOT",)
 
 _LETTER_OF_CODE = "IXZY"  # a Pauli's code is x | z << 1
 _CODE = {letter: code for code, letter in enumerate(_LETTER_OF_CODE)}
@@ -39,10 +37,9 @@ _S = 3  # arg: 0 for S, 1 for S_dagger, which act alike on the frame
 _MEASURE = 4  # arg: basis code | raw code << 2
 _PAULI_GATE = 5  # an implemented X, Y or Z gate, which leaves the frame alone; arg: its code
 
-# (op, arg) of each single-qubit Clifford gate kind, and back.
+# (op, arg) of each single-qubit Clifford gate kind.
 _GATE_OPS = {"H": (_H, 0), "S": (_S, 0), "S_dagger": (_S, 1),
              "X": (_PAULI_GATE, 1), "Z": (_PAULI_GATE, 2), "Y": (_PAULI_GATE, 3)}
-_GATE_KIND = {op_arg: kind for kind, op_arg in _GATE_OPS.items()}
 # A measurement's raw outcome by raw code: none (taken from the stream), +1, -1.
 _RAW = (None, 1, -1)
 _RAW_CODE = {raw: code for code, raw in enumerate(_RAW)}
@@ -57,7 +54,7 @@ def _pauli_code(letter: str) -> int:
     try:
         return _CODE[letter]
     except (KeyError, TypeError):
-        raise ValueError(f"invalid Pauli letter: {letter!r}") from None
+        raise ValueError(f"invalid Pauli {letter!r}") from None
 
 
 def _gate_op(kind: str, targets: Sequence[int]) -> tuple[int, int, int]:
@@ -87,51 +84,21 @@ class CliffordGate:
         _gate_op(self.kind, self.targets)
 
 
-@dataclass(frozen=True)
-class PauliInstruction:
-    pauli: str
-    qubit: int
+def _check_raw(raw) -> None:
+    # bool is an int subclass, so test the exact type: true is not the outcome +1.
+    if type(raw) is not int or raw not in (1, -1):
+        raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
 
 
-@dataclass(frozen=True)
-class CliffordInstruction:
-    gate: CliffordGate
-
-
-@dataclass(frozen=True)
-class MeasureInstruction:
-    basis: str
-    qubit: int
-    raw: int | None = None
-
-
-Instruction = Union[PauliInstruction, CliffordInstruction, MeasureInstruction]
-
-
-def _measure_arg(basis: str, raw: int | None) -> int:
+def _measure_arg(fields: Mapping) -> int:
+    """Check a measurement's ``raw`` (optional) and then its ``basis``; return its packed arg."""
+    raw = fields.get("raw")
+    if raw is not None:
+        _check_raw(raw)
+    basis = fields["basis"]
     if basis not in MEASUREMENT_BASES:
         raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
-    if raw is not None and raw not in (1, -1):
-        raise ValueError(f"raw outcome must be +1 or -1, got {raw!r}")
     return _CODE[basis] | _RAW_CODE[raw] << 2
-
-
-def _instruction_row(instr: Instruction) -> tuple[int, int, int]:
-    """Check an ``Instruction`` as the frame does; return its packed (op, qubit, arg)."""
-    if isinstance(instr, PauliInstruction):
-        targets, row = (instr.qubit,), (_PAULI, instr.qubit, _pauli_code(instr.pauli))
-    elif isinstance(instr, CliffordInstruction):
-        targets = instr.gate.targets
-        row = _gate_op(instr.gate.kind, targets)
-    elif isinstance(instr, MeasureInstruction):
-        targets = (instr.qubit,)
-        row = (_MEASURE, instr.qubit, _measure_arg(instr.basis, instr.raw))
-    else:
-        raise TypeError(f"not a circuit instruction: {instr!r}")
-    for qubit in targets:
-        if qubit < 0:
-            raise IndexError(f"qubit {qubit} out of range: qubit indices are non-negative")
-    return row
 
 
 class Circuit:
@@ -140,21 +107,16 @@ class Circuit:
     ``ops`` holds the op code, ``qubits`` the qubit acted on (a CNOT's
     control) and ``args`` the op's argument (see the op codes above).
     ``num_qubits`` is one more than the highest qubit used: the smallest
-    frame the circuit fits.  Indexing returns the ``Instruction`` types.
-
-    ``Circuit(instructions)`` packs instructions built by hand, checking
-    them as the frame does: a negative qubit raises ``IndexError``.
+    frame the circuit fits.  ``parse_circuit`` builds circuits.
     """
 
-    def __init__(self, instructions: Iterable[Instruction] = ()):
+    def __init__(self) -> None:
         self.ops = array("B")
         self.qubits = array("q")
         self.args = array("q")
         self.num_qubits = 0
-        # Numbers of the blank lines skipped by ``parse_circuit``; None when
-        # the circuit was not parsed from text.
-        self._blank_lines: list[int] | None = None
-        self._extend(map(_instruction_row, instructions))
+        # Numbers of the blank lines skipped by ``parse_circuit``.
+        self._blank_lines: list[int] = []
 
     def _extend(self, rows: Iterable[tuple[int, int, int]]) -> None:
         """Append packed (op, qubit, arg) rows, tracking the highest qubit."""
@@ -174,29 +136,13 @@ class Circuit:
         return len(self.ops)
 
     def _location(self, index: int) -> str:
-        """Where instruction ``index`` came from.
-
-        ``line N`` of the parsed text, or ``instruction N`` for a circuit
-        built by hand.
-        """
-        if self._blank_lines is None:
-            return f"instruction {index + 1}"
+        """``line N``: the line of the parsed text that instruction ``index`` came from."""
         line = index + 1
         for blank in self._blank_lines:  # ascending
             if blank > line:
                 break
             line += 1
         return f"line {line}"
-
-    def __getitem__(self, index: int) -> Instruction:
-        op, qubit, arg = self.ops[index], self.qubits[index], self.args[index]
-        if op == _PAULI:
-            return PauliInstruction(_LETTER_OF_CODE[arg], qubit)
-        if op == _MEASURE:
-            return MeasureInstruction(_LETTER_OF_CODE[arg & 3], qubit, _RAW[arg >> 2])
-        if op == _CNOT:
-            return CliffordInstruction(CliffordGate("CNOT", (qubit, arg)))
-        return CliffordInstruction(CliffordGate(_GATE_KIND[op, arg], (qubit,)))
 
 
 def _execute(x: list[int], z: list[int], circuit: Circuit, stream: Sequence[int]) -> list[int]:
@@ -230,8 +176,7 @@ def _execute(x: list[int], z: list[int], circuit: Circuit, stream: Sequence[int]
                     )
                 raw = stream[cursor]
                 cursor += 1
-                if raw not in (1, -1):
-                    raise ValueError(f"raw outcome must be +1 or -1, got {raw!r}")
+                _check_raw(raw)
             # The outcome flips when the frame anticommutes with the basis,
             # i.e. on an odd symplectic product x*bz + z*bx; then reset to I.
             bx, bz = arg & 1, arg >> 1 & 1
@@ -300,24 +245,25 @@ class PauliFrame:
     def __repr__(self) -> str:
         return f"PauliFrame({''.join(self.letters)!r})"
 
-    def _check_fits(self, circuit: Circuit) -> None:
-        if circuit.num_qubits > self.num_qubits:
-            raise IndexError(
-                f"qubit {circuit.num_qubits - 1} out of range for {self.num_qubits}-qubit frame"
-            )
+    def _check_qubits(self, qubits: Iterable[int]) -> None:
+        for qubit in qubits:
+            if not 0 <= qubit < self.num_qubits:
+                raise IndexError(f"qubit {qubit} out of range for {self.num_qubits}-qubit frame")
 
-    def _apply(self, instruction: Instruction, stream: Sequence[int] = ()) -> list[int]:
-        circuit = Circuit([instruction])
-        self._check_fits(circuit)
+    def _apply(self, op: int, qubit: int, arg: int, stream: Sequence[int] = ()) -> list[int]:
+        """Run one packed row on the frame."""
+        self._check_qubits((qubit, arg) if op == _CNOT else (qubit,))
+        circuit = Circuit()
+        circuit._extend([(op, qubit, arg)])
         return _execute(self.x, self.z, circuit, stream)
 
     def fold_pauli(self, pauli: str, qubit: int) -> None:
         """Multiply a circuit Pauli gate into the frame instead of running it."""
-        self._apply(PauliInstruction(pauli, qubit))
+        self._apply(_PAULI, qubit, _pauli_code(pauli))
 
     def conjugate(self, gate: CliffordGate) -> None:
         """Update the frame for an implemented Clifford gate: F -> U F U^dag."""
-        self._apply(CliffordInstruction(gate))
+        self._apply(*_gate_op(gate.kind, gate.targets))
 
     def interpret_measurement(self, basis: str, qubit: int, raw_outcome: int) -> int:
         """Reinterpret a raw +/-1 outcome against the frame.
@@ -326,7 +272,7 @@ class PauliFrame:
         measured basis operator.  The measured qubit is then reset to I,
         treating the projective measurement as establishing a fresh frame.
         """
-        return self._apply(MeasureInstruction(basis, qubit), [raw_outcome])[0]
+        return self._apply(_MEASURE, qubit, _measure_arg({"basis": basis}), [raw_outcome])[0]
 
     def transform_gate(self, matrix, targets: Sequence[int]):
         """Frame-transform a non-Clifford gate: return F U F^dag.
@@ -344,9 +290,7 @@ class PauliFrame:
         }
         matrix = np.asarray(matrix, dtype=complex)
         targets = tuple(targets)
-        for qubit in targets:
-            if not 0 <= qubit < self.num_qubits:
-                raise IndexError(f"qubit {qubit} out of range for {self.num_qubits}-qubit frame")
+        self._check_qubits(targets)
         expected = 2 ** len(targets)
         if matrix.shape != (expected, expected):
             raise ValueError(
@@ -384,23 +328,16 @@ def _line_row(obj) -> tuple[int, int, int]:
         raise ValueError("instruction must be an object with an 'op' field")
     op = obj["op"]
     if op == "pauli":
-        pauli = obj["p"]
-        if pauli not in PAULI_LETTERS:
-            raise ValueError(f"invalid Pauli {pauli!r}")
-        return _PAULI, _qubit(obj["q"]), _CODE[pauli]
+        code = _pauli_code(obj["p"])
+        return _PAULI, _qubit(obj["q"]), code
     if op == "clifford":
         targets = obj["q"]
         kind = obj["g"]
         targets = list(map(_qubit, targets)) if isinstance(targets, list) else [_qubit(targets)]
         return _gate_op(kind, targets)
     if op == "measure":
-        raw = obj.get("raw")
-        if raw is not None and (type(raw) is not int or raw not in (1, -1)):
-            raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
-        basis = obj["basis"]
-        if basis not in MEASUREMENT_BASES:
-            raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
-        return _MEASURE, _qubit(obj["q"]), _CODE[basis] | _RAW_CODE[raw] << 2
+        arg = _measure_arg(obj)
+        return _MEASURE, _qubit(obj["q"]), arg
     raise ValueError(f"unknown op {op!r}")
 
 
@@ -435,7 +372,6 @@ def _line_rows(lines: Iterable[str], blank_lines: list[int]) -> Iterable[tuple[i
 def parse_circuit(lines: Iterable[str]) -> Circuit:
     """Parse JSON-lines circuit text, one instruction per non-blank line."""
     circuit = Circuit()
-    circuit._blank_lines = []
     circuit._extend(_line_rows(lines, circuit._blank_lines))
     return circuit
 
@@ -445,30 +381,28 @@ def load_circuit(path: str | Path) -> Circuit:
         return parse_circuit(handle)
 
 
-def _packed(circuit: Circuit | Iterable[Instruction]) -> Circuit:
-    return circuit if isinstance(circuit, Circuit) else Circuit(circuit)
-
-
-def circuit_qubit_count(circuit: Circuit | Iterable[Instruction]) -> int:
+def circuit_qubit_count(circuit: Circuit) -> int:
     """Smallest frame size that fits every instruction target."""
-    return _packed(circuit).num_qubits
+    return circuit.num_qubits
 
 
 def run_circuit(
     frame: PauliFrame,
-    circuit: Circuit | Iterable[Instruction],
+    circuit: Circuit,
     raw_outcomes: Sequence[int] | None = None,
 ) -> tuple[PauliFrame, list[int]]:
     """Execute a circuit against a frame, returning (final frame, outcomes).
 
-    The input frame is not mutated.  A circuit of ``Instruction``s is packed
-    first; one that does not fit the frame raises ``IndexError`` before
-    anything runs.  Measurement instructions take their raw outcome from the
-    instruction itself when present, otherwise from the ``raw_outcomes``
-    stream in order; the stream must be consumed exactly.
+    The input frame is not mutated.  A circuit that does not fit the frame
+    raises ``IndexError`` before anything runs.  Measurement instructions
+    take their raw outcome from the instruction itself when present,
+    otherwise from the ``raw_outcomes`` stream in order; the stream must be
+    consumed exactly.
     """
-    circuit = _packed(circuit)
-    frame._check_fits(circuit)
+    if circuit.num_qubits > frame.num_qubits:
+        raise IndexError(
+            f"qubit {circuit.num_qubits - 1} out of range for {frame.num_qubits}-qubit frame"
+        )
     result = frame.copy()
     stream = list(raw_outcomes) if raw_outcomes is not None else []
     return result, _execute(result.x, result.z, circuit, stream)

@@ -29,7 +29,6 @@ DEFAULT_LARMOR_PERIOD = 40e-12
 
 SEQUENCE_LABELS = ("8H", "CP", "UDD", "BB1", "custom")
 
-SIGMA_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 IDENTITY2 = np.eye(2, dtype=complex)
 
 # Uhrig pulse-center fractions for 4 pulses: sin^2(j*pi/10), j = 1..4.
@@ -232,8 +231,8 @@ def _compose(
 
     Each distinct segment's quaternion is computed once per block of
     samples, however often the segment repeats.  Raises ``ValueError`` when
-    a segment's rotation overflows a float (a detuning or pulse error so
-    large that the phase is not finite).
+    a segment's rotation overflows a float (a detuning, pulse error or
+    duration so large that the phase is not finite).
     """
     samples = len(detunings)
     result = np.empty((4, samples))
@@ -256,8 +255,8 @@ def _compose(
     # later product carries to the result.
     if not np.isfinite(result).all():
         raise ValueError(
-            "a segment's rotation overflows: the detuning (t2_star) or the pulse error "
-            "is too large for a finite phase"
+            "a segment's rotation overflows: the detuning (t2_star), the pulse error "
+            "or a segment's duration (tau) is too large for a finite phase"
         )
     return result
 
@@ -270,19 +269,6 @@ def _unitaries(w, x, y, z) -> np.ndarray:
     out[..., 1, 0] = y - 1j * x
     out[..., 1, 1] = w + 1j * z
     return out
-
-
-def segment_unitary(
-    segment: PulseSegment,
-    larmor_period: float,
-    detuning: float = 0.0,
-    pulse_error: float = 0.0,
-) -> np.ndarray:
-    """2x2 unitary of one segment under a given detuning and pulse error.
-
-    Raises ``ValueError`` when the rotation overflows a float.
-    """
-    return _unitaries(*_compose((segment,), larmor_period, np.array([detuning]), pulse_error))[0]
 
 
 def sequence_unitary(
@@ -363,11 +349,14 @@ def build_sequence(
     for previous, current in zip(centers, centers[1:]):
         delays.append(current - previous - width)
     delays.append(window - centers[-1] - width / 2)
+    periods = [d / larmor_period for d in delays]
+    if not all(map(math.isfinite, periods)):
+        raise ValueError("tau is too large: its delays are not a finite number of Larmor periods")
     if min(delays) < 0:
         raise ValueError("tau too small to fit pulses")
 
     if label == "8H":
-        ticks = [round(d / larmor_period) for d in delays]
+        ticks = [round(p) for p in periods]
         if min(ticks) < 0:
             raise ValueError("tau too small to fit pulses")
         delays = [t * larmor_period for t in ticks]
@@ -448,22 +437,17 @@ class NoiseModel:
 
     ``t2_star`` sets the Gaussian detuning width sqrt(2)/T2* (None disables
     dephasing); ``pulse_error`` is the relative angle deviation applied to
-    every pulse; ``t2`` optionally adds an intrinsic exponential dephasing
-    envelope, off by default because it is negligible on nanosecond
-    sequences.
+    every pulse.
     """
 
     t2_star: float | None = 2e-9
     pulse_error: float = 0.0
     samples: int = 1
     seed: int = 0
-    t2: float | None = None
 
     def __post_init__(self) -> None:
         if self.t2_star is not None and not 0 < self.t2_star < math.inf:
             raise ValueError("t2_star must be positive and finite (or None to disable dephasing)")
-        if self.t2 is not None and not 0 < self.t2 < math.inf:
-            raise ValueError("t2 must be positive and finite (or None to disable)")
         if not math.isfinite(self.pulse_error):
             raise ValueError("pulse_error must be finite")
         if self.samples < 1:
@@ -525,12 +509,7 @@ def process_infidelity(
     detunings = detuning_samples(noise)
     u = _unitaries(*_compose(sequence.segments, sequence.larmor_period, detunings, noise.pulse_error))
     overlap = np.einsum("sij,ij->s", u, target.conj())
-    fidelities = np.abs(overlap) ** 2 / 4
-    if noise.t2 is not None:
-        gamma = math.exp(-sequence.duration / noise.t2)
-        dephased = np.einsum("sij,ij->s", u, (SIGMA_Z @ target).conj())
-        fidelities = 0.5 * (1 + gamma) * fidelities + 0.5 * (1 - gamma) * np.abs(dephased) ** 2 / 4
-    fidelities = np.clip(fidelities, 0.0, 1.0)
+    fidelities = np.clip(np.abs(overlap) ** 2 / 4, 0.0, 1.0)
     errors = 1.0 - fidelities
     return ProcessResult(
         infidelity=float(np.mean(errors)),

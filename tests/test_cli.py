@@ -202,6 +202,39 @@ class TestEstimate:
         assert err.startswith("error: distillation level must be between 1 and 10")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("args, field", [
+        (["shor", "--bits", str(10 ** 400)], "bits"),
+        (["sim", "--particles", str(10 ** 34)], "particles"),
+        (["sim", "--particles", "61", "--timesteps", str(10 ** 400)], "timesteps"),
+        (["shor", "--bits", "1024", "--machine-logical-qubits", str(10 ** 400)],
+         "machine_logical_qubits"),
+        (["shor", "--bits", str(10 ** 153)], "bits"),
+        (["sim", "--particles", "61", "--timesteps", str(10 ** 303)], "timesteps"),
+    ], ids=["shor-bits-overflow", "sim-particles", "sim-timesteps-overflow", "shor-machine",
+            "shor-bits-infinity", "sim-timesteps-infinity"])
+    def test_count_beyond_2_to_53_is_usage_error(self, args, field, tmp_path, capsys):
+        code, payload = run_cli(["estimate", *args], tmp_path)
+        assert code == 2
+        assert payload == b""
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {field} must be at most 2**53")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("args", [
+        ["shor", "--bits", str(2 ** 53)],
+        ["shor", "--bits", "1024", "--machine-logical-qubits", str(2 ** 53)],
+        ["sim", "--particles", str(2 ** 53), "--timesteps", str(2 ** 53),
+         "--bits-precision", str(2 ** 53)],
+    ], ids=["shor-bits", "shor-machine", "sim"])
+    def test_count_at_2_to_53_gives_a_finite_report(self, args, tmp_path):
+        code, payload = run_cli(["estimate", *args], tmp_path)
+        assert code == 0
+
+        def reject(constant):
+            raise AssertionError(f"non-finite {constant} in the report")
+
+        json.loads(payload, parse_constant=reject)
+
 
 @pytest.mark.parametrize("argv", [
     ["estimate", "shor", "--bits", ","],
@@ -263,6 +296,17 @@ class TestPulseSweep:
         assert code == 2
         assert payload == b""
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("sequence", ["8h", "cp", "udd"])
+    def test_tau_beyond_finite_larmor_periods_is_usage_error(self, sequence, tmp_path, capsys):
+        code, payload = run_cli(
+            ["pulse", "sweep", "--samples", "4", "--sequences", sequence, "--tau", "1e300"], tmp_path
+        )
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            "error: tau is too large: its delays are not a finite number of Larmor periods\n"
+        )
 
     @pytest.mark.parametrize("flags", [["--t2-star", "1e-300"], ["--pulse-errors", "1e308"]])
     def test_overflowing_rotation_is_usage_error(self, flags, tmp_path, capsys):
