@@ -8,6 +8,7 @@ circuit volume V grows by a factor of 16 per distillation level.
 from __future__ import annotations
 
 import math
+import sys
 
 LEVEL1_CROSS_SECTION = 12  # logical qubits occupied by one distillation circuit
 LEVEL1_DEPTH = 6           # logical cycles per distillation round
@@ -34,18 +35,24 @@ def distillation_volume(level: int) -> int:
     return LEVEL1_VOLUME * CIRCUITS_PER_LEVEL ** (level - 1)
 
 
+def _check_finite(name: str, value: float) -> None:
+    """``value`` is a number in [0, the largest float]: not NaN, infinite or overflowing."""
+    if not 0 <= value <= sys.float_info.max:
+        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+
+
 def factory_rate(area: float, level: int) -> float:
     """Time-averaged ancillas produced per logical cycle by a factory region."""
-    if area < 0:
-        raise ValueError("factory area must be non-negative")
+    _check_finite("factory area", area)
     return area / distillation_volume(level)
 
 
 def required_factory_area(consumption: float, level: int) -> int:
     """Smallest factory area whose production rate covers the consumption rate."""
-    if consumption < 0:
-        raise ValueError("consumption rate must be non-negative")
-    return math.ceil(consumption * distillation_volume(level))
+    _check_finite("consumption rate", consumption)
+    area = consumption * distillation_volume(level)
+    _check_finite(f"consumption rate times the level-{level} volume", area)
+    return math.ceil(area)
 
 
 def toffoli_time(profile) -> float:

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 
 from . import distillation, qec
 from .errors import NoFactoryCapacityError
@@ -52,9 +52,11 @@ SWEEP_CSV_HEADER = (
 
 
 def _check_counts(workload) -> None:
-    """No count field of ``workload`` exceeds ``MAX_COUNT``."""
+    """Every count field of ``workload`` lies in [0, ``MAX_COUNT``]."""
     for item in fields(workload):
         value = getattr(workload, item.name)
+        if value is not None and value < 0:
+            raise ValueError(f"{item.name} must be non-negative, got {value}")
         if value is not None and value > MAX_COUNT:
             raise ValueError(
                 f"{item.name} must be at most 2**53 (the largest integer a float holds "
@@ -141,64 +143,56 @@ class SimWorkload:
 
 @dataclass(frozen=True)
 class ResourceReport:
-    """Qubit/cycle/runtime budget for one application run."""
+    """Qubit/cycle/runtime budget for one application run.
+
+    A workload decides the fields passed in; ``__post_init__`` derives every
+    other field from them, the code point and the logical cycle time.
+    Fields are declared in the report's JSON key order.
+    """
 
     app_qubits: int
     distillation_qubits: int
-    total_logical_qubits: int
+    total_logical_qubits: int = field(init=False)
     toffoli_depth: float
     logical_cycles: float
-    code_distance: int
-    virtual_qubits: int
-    chip_area_cm2: float
-    runtime_seconds: float
+    code_distance: int = field(init=False)
+    virtual_qubits: int = field(init=False)
+    chip_area_cm2: float = field(init=False)
+    runtime_seconds: float = field(init=False)
+    runtime_days: float = field(init=False)
     production_rate: float
     consumption_rate: float | None
-    throttle_factor: float
-    failure_probability: float
+    throttle_factor: float = field(init=False)
+    failure_probability: float = field(init=False)
+    code: InitVar[qec.CodePoint]
+    logical_cycle_time: InitVar[float]
     details: dict = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if self.total_logical_qubits != self.app_qubits + self.distillation_qubits:
-            raise ValueError("total logical qubits must equal app + distillation")
-        if self.virtual_qubits != self.total_logical_qubits * qec.footprint(self.code_distance):
-            raise ValueError("virtual qubits must equal logical qubits times the code footprint")
-        if abs(self.chip_area_cm2 - self.virtual_qubits * CM2_PER_VIRTUAL_QUBIT) > 1e-9 * max(
-            1.0, self.chip_area_cm2
-        ):
-            raise ValueError("chip area must equal virtual qubits on a 1 um pitch")
-        if self.throttle_factor < 1.0:
-            raise ValueError("throttle factor cannot be below 1")
+    def __post_init__(self, code: qec.CodePoint, logical_cycle_time: float) -> None:
+        total = self.app_qubits + self.distillation_qubits
+        virtual = total * code.virtual_per_logical
+        throttle = 1.0
         if self.consumption_rate is not None:
-            expected = max(1.0, self.consumption_rate / self.production_rate)
-            if abs(self.throttle_factor - expected) > 1e-9 * expected:
-                raise ValueError("throttle factor must equal max(1, consumption/production)")
-
-    @property
-    def runtime_days(self) -> float:
-        return self.runtime_seconds / SECONDS_PER_DAY
-
-    def to_dict(self) -> dict:
-        return {
-            "app_qubits": self.app_qubits,
-            "distillation_qubits": self.distillation_qubits,
-            "total_logical_qubits": self.total_logical_qubits,
-            "toffoli_depth": self.toffoli_depth,
-            "logical_cycles": self.logical_cycles,
-            "code_distance": self.code_distance,
-            "virtual_qubits": self.virtual_qubits,
-            "chip_area_cm2": self.chip_area_cm2,
-            "runtime_seconds": self.runtime_seconds,
-            "runtime_days": self.runtime_days,
-            "production_rate": self.production_rate,
-            "consumption_rate": self.consumption_rate,
-            "throttle_factor": self.throttle_factor,
-            "failure_probability": self.failure_probability,
-            "details": self.details,
+            throttle = max(1.0, self.consumption_rate / self.production_rate)
+        runtime = self.logical_cycles * logical_cycle_time * throttle
+        derived = {
+            "total_logical_qubits": total,
+            "code_distance": code.distance,
+            "virtual_qubits": virtual,
+            "chip_area_cm2": virtual * CM2_PER_VIRTUAL_QUBIT,
+            "runtime_seconds": runtime,
+            "runtime_days": runtime / SECONDS_PER_DAY,
+            "throttle_factor": throttle,
+            "failure_probability": qec.failure_probability(
+                code.logical_error_rate, self.logical_cycles, total
+            ),
         }
+        for name, value in derived.items():
+            object.__setattr__(self, name, value)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=False) + "\n"
+        report = {item.name: getattr(self, item.name) for item in fields(self)}
+        return json.dumps(report, indent=2) + "\n"
 
 
 def shor_estimate(
@@ -225,28 +219,15 @@ def shor_estimate(
         factory_area = distillation.required_factory_area(consumption, level)
     else:
         factory_area = workload.machine_logical_qubits - workload.app_qubits
-    production = distillation.factory_rate(factory_area, level)
-    throttle = max(1.0, consumption / production)
-    runtime = logical_cycles * profile.logical_cycle_time * throttle
-
-    total = workload.app_qubits + factory_area
-    virtual = total * code.virtual_per_logical
     return ResourceReport(
         app_qubits=workload.app_qubits,
         distillation_qubits=factory_area,
-        total_logical_qubits=total,
         toffoli_depth=toffoli_depth,
         logical_cycles=logical_cycles,
-        code_distance=code.distance,
-        virtual_qubits=virtual,
-        chip_area_cm2=virtual * CM2_PER_VIRTUAL_QUBIT,
-        runtime_seconds=runtime,
-        production_rate=production,
+        production_rate=distillation.factory_rate(factory_area, level),
         consumption_rate=consumption,
-        throttle_factor=throttle,
-        failure_probability=qec.failure_probability(
-            code.logical_error_rate, logical_cycles, total
-        ),
+        code=code,
+        logical_cycle_time=profile.logical_cycle_time,
         details={
             "application": "shor",
             "bits": workload.bits,
@@ -282,25 +263,15 @@ def sim_estimate(
     code = code if code is not None else qec.code_point(profile, qec.DEFAULT_REPORT_DISTANCE)
 
     logical_cycles = workload.timesteps * sim_per_step_cycles(workload) + SIM_QFT_CYCLES
-    toffoli_depth = logical_cycles / distillation.TOFFOLI_DEPTH_CYCLES
-    total = workload.app_qubits + workload.distillation_qubits
-    virtual = total * code.virtual_per_logical
     return ResourceReport(
         app_qubits=workload.app_qubits,
         distillation_qubits=workload.distillation_qubits,
-        total_logical_qubits=total,
-        toffoli_depth=toffoli_depth,
+        toffoli_depth=logical_cycles / distillation.TOFFOLI_DEPTH_CYCLES,
         logical_cycles=logical_cycles,
-        code_distance=code.distance,
-        virtual_qubits=virtual,
-        chip_area_cm2=virtual * CM2_PER_VIRTUAL_QUBIT,
-        runtime_seconds=logical_cycles * profile.logical_cycle_time,
         production_rate=distillation.factory_rate(workload.distillation_qubits, level),
         consumption_rate=None,
-        throttle_factor=1.0,
-        failure_probability=qec.failure_probability(
-            code.logical_error_rate, logical_cycles, total
-        ),
+        code=code,
+        logical_cycle_time=profile.logical_cycle_time,
         details={
             "application": "molecular_simulation",
             "particles": workload.particles,

@@ -27,8 +27,6 @@ from . import _keyed_normals
 
 DEFAULT_LARMOR_PERIOD = 40e-12
 
-SEQUENCE_LABELS = ("8H", "CP", "UDD", "BB1", "custom")
-
 IDENTITY2 = np.eye(2, dtype=complex)
 
 # Uhrig pulse-center fractions for 4 pulses: sin^2(j*pi/10), j = 1..4.
@@ -116,13 +114,10 @@ class PulseSequence:
     """Ordered pulse/precession schedule with the Larmor period it was built for."""
 
     segments: tuple[PulseSegment, ...]
-    label: str = "custom"
     larmor_period: float = DEFAULT_LARMOR_PERIOD
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
-        if self.label not in SEQUENCE_LABELS:
-            raise ValueError(f"unknown sequence label: {self.label!r}")
         if not 0 < self.larmor_period < math.inf:
             raise ValueError(f"larmor_period must be positive and finite, got {self.larmor_period!r}")
         if self.segments and not self.duration > 0:
@@ -131,10 +126,6 @@ class PulseSequence:
     @property
     def duration(self) -> float:
         return sum(seg.duration for seg in self.segments)
-
-    @property
-    def pulse_count(self) -> int:
-        return sum(1 for seg in self.segments if seg.kind == "pulse")
 
 
 def _rotation_quaternion(vx: float, vy: float, vz: np.ndarray) -> tuple:
@@ -297,11 +288,7 @@ def composite_x_gate(
     """
     if not 0 <= theta < 4 * math.pi:
         raise ValueError("theta must lie in [0, 4*pi)")
-    return PulseSequence(
-        tuple(_composite_x_segments(theta, larmor_period, polarity)),
-        label="custom",
-        larmor_period=larmor_period,
-    )
+    return PulseSequence(tuple(_composite_x_segments(theta, larmor_period, polarity)), larmor_period)
 
 
 def _composite_x_segments(theta: float, larmor_period: float, polarity: int) -> list[PulseSegment]:
@@ -332,15 +319,15 @@ def build_sequence(
     first-order response to systematic pulse errors, which uniform-polarity
     CP and UDD retain.
     """
-    label = kind.upper()
-    if label not in ("8H", "CP", "UDD"):
+    name = kind.upper()
+    if name not in ("8H", "CP", "UDD"):
         raise ValueError(f"unknown sequence kind: {kind!r}")
     if not 0 < tau < math.inf:
         raise ValueError("tau must be positive and finite")
 
     window = 8 * tau
     width = _composite_x_duration(larmor_period)
-    if label == "UDD":
+    if name == "UDD":
         centers = [window * f for f in UDD_FRACTIONS]
     else:
         centers = [tau, 3 * tau, 5 * tau, 7 * tau]
@@ -355,7 +342,7 @@ def build_sequence(
     if min(delays) < 0:
         raise ValueError("tau too small to fit pulses")
 
-    if label == "8H":
+    if name == "8H":
         ticks = [round(p) for p in periods]
         if min(ticks) < 0:
             raise ValueError("tau too small to fit pulses")
@@ -372,12 +359,12 @@ def build_sequence(
         segments.append(free_precession(delay))
         segments.extend(_composite_x_segments(math.pi, larmor_period, polarity))
     segments.append(free_precession(delays[4]))
-    return PulseSequence(tuple(segments), label=label, larmor_period=larmor_period)
+    return PulseSequence(tuple(segments), larmor_period)
 
 
 def free_evolution(duration: float, larmor_period: float = DEFAULT_LARMOR_PERIOD) -> PulseSequence:
     """Pulse-free baseline of the given duration."""
-    return PulseSequence((free_precession(duration),), label="custom", larmor_period=larmor_period)
+    return PulseSequence((free_precession(duration),), larmor_period)
 
 
 def _axis_rotation_segments(phi: float, theta: float, larmor_period: float) -> list[PulseSegment]:
@@ -428,7 +415,7 @@ def bb1_virtual_gate(
     segments.extend(block)
     segments.extend(_axis_rotation_segments(phi, math.pi, larmor_period))
     segments.extend(block)
-    return PulseSequence(tuple(segments), label="BB1", larmor_period=larmor_period)
+    return PulseSequence(tuple(segments), larmor_period)
 
 
 @dataclass(frozen=True)

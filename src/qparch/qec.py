@@ -142,6 +142,13 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
     """
     if distance < 1 or distance % 2 == 0:
         raise ValueError(f"code distance must be an odd positive integer, got {distance}")
+    # The gate-step and footprint formulas take the distance as a float, which
+    # holds integers exactly only up to 2**53; a huge int overflows it.
+    if distance > 2 ** 53:
+        raise ValueError(
+            f"code distance must be at most 2**53 (the largest integer a float holds "
+            f"exactly), got {distance}"
+        )
     exponent = (distance + 1) // 2
     try:
         rate = profile.c1 * profile.suppression_base ** exponent
@@ -172,11 +179,12 @@ def code_point(profile: HardwareProfile, distance: int) -> CodePoint:
     A logical gate lasts its lattice steps times the lattice refresh time; a
     measurement takes one refresh.
     """
+    rate = logical_error_rate(profile, distance)  # checks the distance first
     cnot_steps = CNOT_STEP_COEFF * math.ceil(distance / CNOT_DIVISOR)
     hadamard_steps = CNOT_STEP_COEFF * math.ceil(distance / HADAMARD_DIVISOR)
     return CodePoint(
         distance=distance,
-        logical_error_rate=logical_error_rate(profile, distance),
+        logical_error_rate=rate,
         virtual_per_logical=footprint(distance),
         cnot_lattice_steps=cnot_steps,
         hadamard_lattice_steps=hadamard_steps,

@@ -1,11 +1,17 @@
 import json
+import math
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from qparch import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 
 def run_cli(args, tmp_path, name="out"):
@@ -60,6 +66,21 @@ class TestQecDistance:
         err = capsys.readouterr().err
         assert err.startswith("error: the logical error rate at code distance 31 is 45977.3, above 1")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", [
+        ["qec", "distance"],
+        ["estimate", "shor", "--bits", "1024"],
+        ["estimate", "sim", "--particles", "61"],
+    ], ids=["qec-distance", "estimate-shor", "estimate-sim"])
+    @pytest.mark.parametrize("distance", [2 ** 53 + 1, 10 ** 400 + 1], ids=["2**53+1", "huge"])
+    def test_distance_beyond_2_to_53_is_usage_error(self, command, distance, tmp_path, capsys):
+        code, payload = run_cli([*command, "--distance", str(distance)], tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            "error: code distance must be at most 2**53 (the largest integer a float holds "
+            f"exactly), got {distance}\n"
+        )
 
     def test_error_per_gate_at_threshold_is_infeasible(self, capsys):
         assert cli.main(["qec", "distance", "--error-per-gate", "9e-3"]) == 3
@@ -160,15 +181,24 @@ class TestEstimate:
         assert report["runtime_seconds"] == pytest.approx(13.7 * 86400, rel=0.02)
 
     def test_machine_too_small_exits_3(self, capsys):
-        code = cli.main(
-            ["estimate", "shor", "--bits", "1024", "--machine-logical-qubits", "6144"]
+        # 1024 bits need 6144 application qubits plus 12 for one distillation
+        # circuit; 390 - 6 * 64 = 6 spare qubits cannot hold that circuit either.
+        for bits, machine in [(1024, 0), (1024, 1), (1024, 6144), (1024, 6155), (64, 390)]:
+            argv = ["estimate", "shor", "--bits", str(bits), "--machine-logical-qubits", str(machine)]
+            assert cli.main(argv) == 3
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: no factory capacity: machine has {machine} logical qubits")
+            assert err.count("\n") == 1
+
+    def test_negative_machine_size_is_usage_error(self, tmp_path, capsys):
+        code, payload = run_cli(
+            ["estimate", "shor", "--bits", "1024", "--machine-logical-qubits", "-5"], tmp_path
         )
-        assert code == 3
-        assert "no factory capacity" in capsys.readouterr().err
-        # 390 - 6 * 64 = 6 spare qubits cannot hold one 12-qubit distillation circuit.
-        code = cli.main(["estimate", "shor", "--bits", "64", "--machine-logical-qubits", "390"])
-        assert code == 3
-        assert "no factory capacity" in capsys.readouterr().err
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            "error: machine_logical_qubits must be non-negative, got -5\n"
+        )
 
     def test_bit_list_emits_sweep_csv(self, tmp_path):
         code, payload = run_cli(
@@ -390,6 +420,126 @@ class TestFrameExec:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert cli.main(["frame", "exec", "/nonexistent/circuit.jsonl"]) == 2
+
+
+@pytest.mark.parametrize("name, argv", [
+    ("qec_target", ["qec", "distance", "--target-logical-error", "8.6e-19"]),
+    ("qec_d31", ["qec", "distance", "--distance", "31"]),
+    ("shor_1024", ["estimate", "shor", "--bits", "1024"]),
+    ("shor_sweep", ["estimate", "shor", "--bits", "512,1024,2048,4096,8192,16384",
+                    "--machine-logical-qubits", "100000"]),
+    ("shor_4096_fixed", ["estimate", "shor", "--bits", "4096",
+                         "--machine-logical-qubits", "100000"]),
+    ("sim_61", ["estimate", "sim", "--particles", "61"]),
+])
+def test_stdout_matches_golden_bytes(name, argv, capsys):
+    """The README's deterministic commands print exactly the pinned bytes."""
+    assert cli.main(argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
+
+
+def reject_constant(constant):
+    raise AssertionError(f"non-finite {constant} on stdout")
+
+
+def assert_one_outcome(argv, capsys):
+    """Exit 0 with finite output, or exit 2 or 3 with one error line."""
+    capsys.readouterr()
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        code = exc.code
+    out, err = capsys.readouterr()
+    if code == 0:
+        assert err == ""
+        if out.startswith("{"):
+            json.loads(out, parse_constant=reject_constant)
+        else:
+            for row in out.splitlines()[1:]:
+                assert all(math.isfinite(float(cell)) for cell in row.split(",") if cell)
+    else:
+        assert code in (2, 3), (argv, code, err)
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+        assert "Traceback" not in err
+
+
+EDGE_TOKENS = [
+    "0", "-1", "-7", "nan", "inf", "-inf", "1e-300", "1e308", str(10 ** 30), str(10 ** 400),
+    str(2 ** 53), str(2 ** 53 + 1), "9" * 5000, "",
+]
+
+
+def tokens(typical):
+    """A flag value: an edge case, a typical value, or any int or float."""
+    return st.one_of(
+        st.sampled_from(EDGE_TOKENS),
+        typical.map(str),
+        st.integers().map(str),
+        st.floats().map(repr),
+    )
+
+
+def argv_of(command, required, optional):
+    def build(flags):
+        return [*command, *required, *(item for pair in flags.items() for item in pair)]
+
+    return st.fixed_dictionaries({}, optional=optional).map(build)
+
+
+DISTANCES = tokens(st.integers(0, 60).map(lambda k: 2 * k + 1))
+LEVELS = tokens(st.integers(0, 11))
+BIT_LISTS = st.lists(st.one_of(tokens(st.integers(4, 20000)), st.just("")), min_size=1,
+                     max_size=4).map(",".join)
+
+QEC_DISTANCE = argv_of(["qec", "distance"], [], {
+    "--target-logical-error": tokens(st.floats(1e-30, 1.0)),
+    "--distance": DISTANCES,
+    "--error-per-gate": tokens(st.floats(1e-6, 1e-2)),
+})
+ESTIMATE_SHOR = BIT_LISTS.flatmap(lambda bits: argv_of(["estimate", "shor"], ["--bits", bits], {
+    "--machine-logical-qubits": tokens(st.integers(0, 300000)),
+    "--distance": DISTANCES,
+    "--level": LEVELS,
+}))
+ESTIMATE_SIM = tokens(st.integers(1, 500)).flatmap(
+    lambda particles: argv_of(["estimate", "sim"], ["--particles", particles], {
+        "--bits-precision": tokens(st.integers(1, 64)),
+        "--timesteps": tokens(st.integers(1, 2 ** 20)),
+        "--distance": DISTANCES,
+        "--level": LEVELS,
+    })
+)
+PROPERTY_SETTINGS = settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+@PROPERTY_SETTINGS
+@given(argv=QEC_DISTANCE)
+@example(argv=["qec", "distance", "--distance", str(10 ** 400)])
+@example(argv=["qec", "distance", "--error-per-gate", "1e-300"])
+def test_qec_distance_exits_0_with_finite_json_or_2_3_with_one_error_line(argv, capsys):
+    assert_one_outcome(argv, capsys)
+
+
+@PROPERTY_SETTINGS
+@given(argv=ESTIMATE_SHOR)
+@example(argv=["estimate", "shor", "--bits", "1024", "--machine-logical-qubits", "-5"])
+@example(argv=["estimate", "shor", "--bits", "1024", "--distance", str(10 ** 400 + 1)])
+@example(argv=["estimate", "shor", "--bits", ",", "--machine-logical-qubits", "100000"])
+def test_estimate_shor_exits_0_with_finite_output_or_2_3_with_one_error_line(argv, capsys):
+    assert_one_outcome(argv, capsys)
+
+
+@PROPERTY_SETTINGS
+@given(argv=ESTIMATE_SIM)
+@example(argv=["estimate", "sim", "--particles", str(2 ** 53), "--timesteps", str(2 ** 53)])
+@example(argv=["estimate", "sim", "--particles", "61", "--distance", str(10 ** 400)])
+def test_estimate_sim_exits_0_with_finite_json_or_2_3_with_one_error_line(argv, capsys):
+    assert_one_outcome(argv, capsys)
 
 
 class TestDeterminism:

@@ -56,6 +56,15 @@ class TestFactoryRate:
         with pytest.raises(ValueError):
             dist.factory_rate(-1, 2)
 
+    @pytest.mark.parametrize("area", [float("nan"), float("inf"), 10 ** 400],
+                             ids=["nan", "inf", "huge-int"])
+    def test_rejects_non_finite_area(self, area):
+        with pytest.raises(ValueError, match="factory area must be a finite number"):
+            dist.factory_rate(area, 2)
+
+    def test_largest_float_area_gives_a_finite_rate(self):
+        assert dist.factory_rate(1e308, 2) == 1e308 / 1152
+
 
 class TestRequiredFactoryArea:
     def test_reference_consumption(self):
@@ -66,6 +75,16 @@ class TestRequiredFactoryArea:
 
     def test_single_pipeline_level_one(self):
         assert dist.required_factory_area(1.0, 1) == 72
+
+    @pytest.mark.parametrize("consumption", [float("nan"), float("inf"), 10 ** 400, -1.0],
+                             ids=["nan", "inf", "huge-int", "negative"])
+    def test_rejects_non_finite_consumption(self, consumption):
+        with pytest.raises(ValueError, match="consumption rate must be a finite number"):
+            dist.required_factory_area(consumption, 2)
+
+    def test_rejects_an_area_beyond_the_float_range(self):
+        with pytest.raises(ValueError, match="consumption rate times the level-2 volume"):
+            dist.required_factory_area(1e308, 2)
 
     def test_round_trip_sufficiency(self):
         rng = np.random.default_rng(42)

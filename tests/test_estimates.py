@@ -2,6 +2,8 @@ import dataclasses
 import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from qparch import distillation as dist
 from qparch import estimates as est
@@ -213,3 +215,64 @@ class TestShorSweep:
         assert len(lines) == 3
         assert all(line.count(",") == lines[0].count(",") for line in lines)
         assert lines[1].startswith("512,3072,96928,")
+
+
+def assert_follows_the_chain(report, profile, distance):
+    """Every derived field equals the chain recomputed from public functions."""
+    total = report.app_qubits + report.distillation_qubits
+    virtual = total * qec.footprint(distance)
+    throttle = 1.0
+    if report.consumption_rate is not None:
+        throttle = max(1.0, report.consumption_rate / report.production_rate)
+    runtime = report.logical_cycles * profile.logical_cycle_time * throttle
+    assert report.total_logical_qubits == total
+    assert report.code_distance == distance
+    assert report.virtual_qubits == virtual
+    assert report.chip_area_cm2 == virtual * est.CM2_PER_VIRTUAL_QUBIT
+    assert report.throttle_factor == throttle
+    assert report.runtime_seconds == runtime
+    assert report.runtime_days == runtime / 86400
+    assert report.failure_probability == qec.failure_probability(
+        qec.logical_error_rate(profile, distance), report.logical_cycles, total
+    )
+
+
+odd_distances = st.integers(0, 100).map(lambda k: 2 * k + 1)
+cycle_times = st.floats(1e-6, 1e-3)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    bits=st.integers(4, 20000),
+    spare=st.one_of(st.none(), st.integers(dist.LEVEL1_CROSS_SECTION, 200000)),
+    level=st.integers(1, dist.MAX_DISTILLATION_LEVEL),
+    distance=odd_distances,
+    cycle_time=cycle_times,
+)
+@example(bits=4096, spare=100000 - 6 * 4096, level=2, distance=31, cycle_time=30e-6)
+def test_shor_report_fields_follow_the_chain(bits, spare, level, distance, cycle_time):
+    profile = qec.HardwareProfile(logical_cycle_time=cycle_time)
+    machine = None if spare is None else est.ShorWorkload(bits=bits).app_qubits + spare
+    workload = est.ShorWorkload(bits=bits, machine_logical_qubits=machine)
+    report = est.shor_estimate(workload, profile, qec.code_point(profile, distance), level)
+    assert report.consumption_rate == workload.consumption_rate
+    assert report.production_rate == dist.factory_rate(report.distillation_qubits, level)
+    assert_follows_the_chain(report, profile, distance)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    particles=st.integers(1, 10000),
+    bits_precision=st.integers(1, 64),
+    timesteps=st.integers(1, 2 ** 20),
+    distance=odd_distances,
+    cycle_time=cycle_times,
+)
+def test_sim_report_fields_follow_the_chain(particles, bits_precision, timesteps, distance,
+                                           cycle_time):
+    profile = qec.HardwareProfile(logical_cycle_time=cycle_time)
+    workload = est.SimWorkload(particles, bits_precision, timesteps)
+    report = est.sim_estimate(workload, profile, qec.code_point(profile, distance))
+    assert report.consumption_rate is None
+    assert report.throttle_factor == 1.0
+    assert_follows_the_chain(report, profile, distance)

@@ -60,7 +60,7 @@ def oracle_detunings(seed, samples, t2_star):
 
 def segment_unitary(segment, detuning=0.0, pulse_error=0.0):
     """One segment's unitary, as ``sequence_unitary`` of a one-segment sequence."""
-    return P.sequence_unitary(P.PulseSequence((segment,), "custom", LARMOR), detuning, pulse_error)
+    return P.sequence_unitary(P.PulseSequence((segment,), larmor_period=LARMOR), detuning, pulse_error)
 
 
 class TestSegmentUnitary:
@@ -78,7 +78,7 @@ class TestSegmentUnitary:
         # A sequence needs a positive duration, so the zero-length pulse sits
         # beside a whole Larmor turn, which is -I.
         seq = P.PulseSequence((P.pulse((1.0, 0.0, 0.0), math.pi, 0.0), P.free_precession(LARMOR)),
-                              "custom", LARMOR)
+                              larmor_period=LARMOR)
         assert np.allclose(P.sequence_unitary(seq, pulse_error=0.3), -np.eye(2))
 
     def test_outputs_are_unitary(self):
@@ -140,8 +140,8 @@ class TestCompositeX:
         seq = P.build_sequence("CP", 1e-9, LARMOR)
         one_pass = P.sequence_unitary(seq, detuning=3e8, pulse_error=0.01)
         split = len(seq.segments) // 2
-        first = P.PulseSequence(seq.segments[:split], "custom", LARMOR)
-        second = P.PulseSequence(seq.segments[split:], "custom", LARMOR)
+        first = P.PulseSequence(seq.segments[:split], larmor_period=LARMOR)
+        second = P.PulseSequence(seq.segments[split:], larmor_period=LARMOR)
         chunked = P.sequence_unitary(second, 3e8, 0.01) @ P.sequence_unitary(first, 3e8, 0.01)
         assert np.max(np.abs(one_pass - chunked)) < 1e-12
 
@@ -153,7 +153,7 @@ class TestCompositeX:
 class TestBuildSequence:
     def test_8h_has_eight_pulses_over_eight_tau(self):
         seq = P.build_sequence("8H", 1e-9, LARMOR)
-        assert seq.pulse_count == 8
+        assert sum(seg.kind == "pulse" for seg in seq.segments) == 8
         assert seq.duration == pytest.approx(8e-9, rel=0.02)
         # every inter-gate delay (the free segments outside the composite
         # gates) is a whole number of Larmor periods
@@ -163,7 +163,7 @@ class TestBuildSequence:
 
     def test_cp_pulse_centers_symmetric(self):
         seq = P.build_sequence("CP", 1e-9, LARMOR)
-        assert seq.pulse_count == 8
+        assert sum(seg.kind == "pulse" for seg in seq.segments) == 8
         assert seq.duration == pytest.approx(8e-9, rel=1e-12)
         centers = gate_centers(seq)
         assert len(centers) == 4
@@ -356,7 +356,7 @@ pulse_errors = st.floats(-0.05, 0.05)
 
 def custom_sequence(segments):
     assume(not segments or sum(seg.duration for seg in segments) > 0)
-    return P.PulseSequence(tuple(segments), "custom", LARMOR)
+    return P.PulseSequence(tuple(segments), larmor_period=LARMOR)
 
 
 class TestCompositionProperties:
