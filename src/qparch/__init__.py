@@ -18,14 +18,12 @@ _EXPORTS = {
     "distillation": "distillation_volume factory_rate required_factory_area toffoli_time",
     "errors": "InfeasibleInputError NoFactoryCapacityError UnreachableTargetError",
     "estimates": (
-        "ResourceReport ShorWorkload SimWorkload shor_estimate shor_sweep sim_estimate "
-        "sim_per_step_cycles sweep_to_csv"
+        "ResourceReport ShorWorkload SimWorkload shor_estimate shor_sweep sim_estimate sweep_to_csv"
     ),
     "pauli_frame": "CliffordGate CircuitParseError PauliFrame load_circuit parse_circuit run_circuit",
     "pulses": (
-        "NoiseModel ProcessResult PulseSegment PulseSequence approx_accuracy bb1_virtual_gate "
-        "build_sequence composite_x_gate free_evolution hadamard_pulse process_infidelity "
-        "sequence_unitary"
+        "NoiseModel ProcessResult PulseSegment PulseSequence bb1_virtual_gate build_sequence "
+        "composite_x_gate free_evolution process_infidelity sequence_unitary"
     ),
     "qec": (
         "CodePoint HardwareProfile code_point failure_probability footprint logical_error_rate "

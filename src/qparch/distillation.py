@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 import sys
 
+from .errors import shown
+
 LEVEL1_CROSS_SECTION = 12  # logical qubits occupied by one distillation circuit
 LEVEL1_DEPTH = 6           # logical cycles per distillation round
 LEVEL1_VOLUME = LEVEL1_CROSS_SECTION * LEVEL1_DEPTH  # 72 qubit*cycles
@@ -38,7 +40,7 @@ def distillation_volume(level: int) -> int:
 def _check_finite(name: str, value: float) -> None:
     """``value`` is a number in [0, the largest float]: not NaN, infinite or overflowing."""
     if not 0 <= value <= sys.float_info.max:
-        raise ValueError(f"{name} must be a finite number >= 0, got {value!r}")
+        raise ValueError(f"{name} must be a finite number >= 0, got {shown(value)}")
 
 
 def factory_rate(area: float, level: int) -> float:

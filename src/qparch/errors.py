@@ -11,3 +11,11 @@ class UnreachableTargetError(InfeasibleInputError):
 
 class NoFactoryCapacityError(InfeasibleInputError):
     """The machine has no logical qubits left over for distillation factories."""
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message; an int too long to print is given by its size."""
+    try:
+        return repr(value)
+    except ValueError:  # the interpreter's limit on int-to-string digits
+        return f"an integer of {value.bit_length()} bits"

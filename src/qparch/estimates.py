@@ -15,7 +15,7 @@ import math
 from dataclasses import InitVar, dataclass, field, fields
 
 from . import distillation, qec
-from .errors import NoFactoryCapacityError
+from .errors import NoFactoryCapacityError, shown
 
 SECONDS_PER_DAY = 86400.0
 # Qubits sit on a 1 um pitch, so one virtual qubit occupies 1 um^2 = 1e-8 cm^2.
@@ -56,11 +56,11 @@ def _check_counts(workload) -> None:
     for item in fields(workload):
         value = getattr(workload, item.name)
         if value is not None and value < 0:
-            raise ValueError(f"{item.name} must be non-negative, got {value}")
+            raise ValueError(f"{item.name} must be non-negative, got {shown(value)}")
         if value is not None and value > MAX_COUNT:
             raise ValueError(
                 f"{item.name} must be at most 2**53 (the largest integer a float holds "
-                f"exactly), got {value}"
+                f"exactly), got {shown(value)}"
             )
 
 
@@ -238,15 +238,6 @@ def shor_estimate(
     )
 
 
-def sim_per_step_cycles(workload: SimWorkload) -> float:
-    """Logical cycles for one propagator step: potential + kinetic + QFT pair."""
-    return (
-        SIM_POTENTIAL_CYCLES_PER_PARTICLE * workload.particles
-        + SIM_KINETIC_CYCLES
-        + 2 * SIM_QFT_CYCLES
-    )
-
-
 def sim_estimate(
     workload: SimWorkload,
     profile: qec.HardwareProfile | None = None,
@@ -255,14 +246,17 @@ def sim_estimate(
 ) -> ResourceReport:
     """Resource budget for a first-quantized simulation run.
 
-    The propagator repeats for every timestep; one extra QFT on the time
-    register converts the evolution into an energy readout (a sub-0.1%
-    addition, included for completeness).
+    One propagator step runs the potential, the kinetic operator and a QFT
+    pair.  It repeats for every timestep; one extra QFT on the time register
+    converts the evolution into an energy readout (a sub-0.1% addition,
+    included for completeness).
     """
     profile = profile if profile is not None else qec.HardwareProfile()
     code = code if code is not None else qec.code_point(profile, qec.DEFAULT_REPORT_DISTANCE)
 
-    logical_cycles = workload.timesteps * sim_per_step_cycles(workload) + SIM_QFT_CYCLES
+    potential = SIM_POTENTIAL_CYCLES_PER_PARTICLE * workload.particles
+    per_step = potential + SIM_KINETIC_CYCLES + 2 * SIM_QFT_CYCLES
+    logical_cycles = workload.timesteps * per_step + SIM_QFT_CYCLES
     return ResourceReport(
         app_qubits=workload.app_qubits,
         distillation_qubits=workload.distillation_qubits,

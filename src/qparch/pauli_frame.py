@@ -3,8 +3,7 @@
 A frame stores the Pauli correction that *would* have been applied to each
 qubit.  Pauli gates fold into the frame instead of running on hardware;
 implemented Clifford gates conjugate it; measurement outcomes are
-reinterpreted against it; non-Clifford gates are transformed by it before
-being handed to hardware.  Phases are discarded throughout, so each qubit's
+reinterpreted against it.  Phases are discarded throughout, so each qubit's
 Pauli is an (x, z) bit pair, I=(0,0), X=(1,0), Z=(0,1), Y=(1,1), and all frame
 algebra is XOR, as in CHP (Aaronson & Gottesman 2004) and Stim's frame
 simulator (Gidney 2021).  Letters appear only at the I/O boundary.
@@ -12,8 +11,7 @@ simulator (Gidney 2021).  Letters appear only at the I/O boundary.
 Circuits come in as JSON lines and are held only as packed (op, qubit, arg)
 rows in parallel ``array`` columns (``Circuit``).  One loop of XORs over them
 (``_execute``) runs every frame update, including the single rows that
-``PauliFrame``'s methods build.  numpy is imported only by
-``PauliFrame.transform_gate``.
+``PauliFrame``'s methods build.
 """
 
 from __future__ import annotations
@@ -23,6 +21,8 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
+
+from .errors import shown
 
 MEASUREMENT_BASES = ("X", "Y", "Z")
 
@@ -215,7 +215,7 @@ class PauliFrame:
         if not 0 <= num_qubits <= MAX_FRAME_QUBITS:
             raise ValueError(
                 f"num_qubits must be between 0 and {MAX_FRAME_QUBITS} (the frame-size limit), "
-                f"got {num_qubits}"
+                f"got {shown(num_qubits)}"
             )
         if letters is not None:
             codes = [_pauli_code(letter) for letter in letters]
@@ -273,34 +273,6 @@ class PauliFrame:
         treating the projective measurement as establishing a fresh frame.
         """
         return self._apply(_MEASURE, qubit, _measure_arg({"basis": basis}), [raw_outcome])[0]
-
-    def transform_gate(self, matrix, targets: Sequence[int]):
-        """Frame-transform a non-Clifford gate: return F U F^dag.
-
-        ``matrix`` is the 2x2 or 4x4 unitary the circuit requests; the result
-        is the gate hardware must actually implement under the current frame.
-        """
-        import numpy as np
-
-        pauli_matrices = {
-            "I": np.eye(2, dtype=complex),
-            "X": np.array([[0, 1], [1, 0]], dtype=complex),
-            "Y": np.array([[0, -1j], [1j, 0]], dtype=complex),
-            "Z": np.array([[1, 0], [0, -1]], dtype=complex),
-        }
-        matrix = np.asarray(matrix, dtype=complex)
-        targets = tuple(targets)
-        self._check_qubits(targets)
-        expected = 2 ** len(targets)
-        if matrix.shape != (expected, expected):
-            raise ValueError(
-                f"matrix shape {matrix.shape} does not match {len(targets)} target(s)"
-            )
-        letters = self.letters
-        frame_op = pauli_matrices[letters[targets[0]]]
-        for qubit in targets[1:]:
-            frame_op = np.kron(frame_op, pauli_matrices[letters[qubit]])
-        return frame_op @ matrix @ frame_op.conj().T
 
 
 class CircuitParseError(ValueError):
@@ -360,8 +332,8 @@ def _line_rows(lines: Iterable[str], blank_lines: list[int]) -> Iterable[tuple[i
             obj, end = decode(text)
             if end != len(text):
                 raise json.JSONDecodeError("Extra data", text, end)
-        except json.JSONDecodeError as exc:
-            raise CircuitParseError(line_number, f"invalid JSON ({exc.msg})") from exc
+        except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
+            raise CircuitParseError(line_number, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         try:
             row = _line_row(obj)
         except (KeyError, TypeError, ValueError) as exc:

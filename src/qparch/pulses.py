@@ -24,8 +24,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _keyed_normals
+from .errors import shown
 
 DEFAULT_LARMOR_PERIOD = 40e-12
+# A run holds about 150 bytes per sample (160 MB at the limit).  A larger
+# count is an input error, not a MemoryError or numpy's array-size error.
+MAX_SAMPLES = 2 ** 20
 
 IDENTITY2 = np.eye(2, dtype=complex)
 
@@ -437,8 +441,11 @@ class NoiseModel:
             raise ValueError("t2_star must be positive and finite (or None to disable dephasing)")
         if not math.isfinite(self.pulse_error):
             raise ValueError("pulse_error must be finite")
-        if self.samples < 1:
-            raise ValueError("samples must be >= 1")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ValueError(
+                f"samples must be between 1 and {MAX_SAMPLES} (the sample limit), "
+                f"got {shown(self.samples)}"
+            )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
 
@@ -503,22 +510,6 @@ def process_infidelity(
         fidelities=fidelities,
         std_error=float(np.std(errors) / math.sqrt(noise.samples)),
     )
-
-
-def approx_accuracy(u: np.ndarray, u_approx: np.ndarray) -> float:
-    """Global-phase-insensitive distance sqrt((d - |tr(U^dag U_approx)|) / d)."""
-    u = np.asarray(u, dtype=complex)
-    u_approx = np.asarray(u_approx, dtype=complex)
-    if u.ndim != 2 or u.shape[0] != u.shape[1]:
-        raise ValueError("inputs must be square matrices")
-    if u.shape != u_approx.shape:
-        raise ValueError(f"dimension mismatch: {u.shape} vs {u_approx.shape}")
-    dim = u.shape[0]
-    for name, matrix in (("u", u), ("u_approx", u_approx)):
-        if not _is_unitary(matrix):
-            raise ValueError(f"{name} is not unitary within 1e-9")
-    value = (dim - abs(np.trace(u.conj().T @ u_approx))) / dim
-    return math.sqrt(max(value, 0.0))
 
 
 def _is_unitary(matrix: np.ndarray) -> bool:

@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import UnreachableTargetError
+from .errors import UnreachableTargetError, shown
 
 # Virtual qubits per logical qubit, modeled as round(coeff * d^2).  The
 # coefficient is calibrated so that footprint(31) = 6240, the reference
@@ -62,7 +62,7 @@ class HardwareProfile:
             # rejects NaN, infinities and ints too large to become a float.
             real = isinstance(value, (int, float)) and not isinstance(value, bool)
             if not (real and 0 < value <= sys.float_info.max):
-                raise ValueError(f"{field.name} must be a finite real number > 0, got {value!r}")
+                raise ValueError(f"{field.name} must be a finite real number > 0, got {shown(value)}")
         if not self.threshold < 1:
             raise ValueError(f"threshold must be below 1, got {self.threshold}")
         if not self.error_per_virtual_gate < self.threshold:
@@ -77,25 +77,23 @@ class HardwareProfile:
         return self.c2 * self.error_per_virtual_gate / self.threshold
 
     @classmethod
-    def from_dict(cls, data: dict) -> "HardwareProfile":
-        """Build a profile from a mapping with exactly the dataclass field names.
+    def from_json(cls, path: str | Path) -> "HardwareProfile":
+        """Read a profile from a JSON object keyed by the dataclass field names.
 
         Missing fields take their defaults.  Unknown fields raise, so typos
         fail fast instead of silently keeping a default.
         """
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(data) - known)
+        with open(path, "r", encoding="utf-8") as handle:
+            try:
+                data = json.load(handle)
+            except ValueError as exc:  # not JSON, or an int too long to convert
+                raise ValueError(f"hardware profile {path}: invalid JSON ({exc})") from None
+        if not isinstance(data, dict):
+            raise ValueError("hardware profile JSON must be an object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown hardware profile field(s): {', '.join(unknown)}")
         return cls(**data)
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "HardwareProfile":
-        with open(path, "r", encoding="utf-8") as handle:
-            data = json.load(handle)
-        if not isinstance(data, dict):
-            raise ValueError("hardware profile JSON must be an object")
-        return cls.from_dict(data)
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,7 @@ class CodePoint:
 
     def __post_init__(self) -> None:
         if self.distance < 1 or self.distance % 2 == 0:
-            raise ValueError(f"code distance must be an odd positive integer, got {self.distance}")
+            raise ValueError(f"code distance must be an odd positive integer, got {shown(self.distance)}")
 
 
 def failure_probability(logical_error_rate: float, depth: float, qubits: float) -> float:
@@ -124,7 +122,7 @@ def failure_probability(logical_error_rate: float, depth: float, qubits: float) 
     """
     eps = logical_error_rate
     if not 0.0 <= eps <= 1.0:
-        raise ValueError(f"logical error rate must lie in [0, 1], got {eps}")
+        raise ValueError(f"logical error rate must lie in [0, 1], got {shown(eps)}")
     if depth < 1 or qubits < 1:
         raise ValueError("depth and qubit count must be >= 1")
     if eps == 1.0:
@@ -141,13 +139,13 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
     above 1, which no error rate can be.
     """
     if distance < 1 or distance % 2 == 0:
-        raise ValueError(f"code distance must be an odd positive integer, got {distance}")
+        raise ValueError(f"code distance must be an odd positive integer, got {shown(distance)}")
     # The gate-step and footprint formulas take the distance as a float, which
     # holds integers exactly only up to 2**53; a huge int overflows it.
     if distance > 2 ** 53:
         raise ValueError(
             f"code distance must be at most 2**53 (the largest integer a float holds "
-            f"exactly), got {distance}"
+            f"exactly), got {shown(distance)}"
         )
     exponent = (distance + 1) // 2
     try:

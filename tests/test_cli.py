@@ -161,6 +161,14 @@ class TestQecDistance:
         assert cli.main(["qec", "distance", "--profile", str(profile)]) == 2
         assert "thresold" in capsys.readouterr().err
 
+    def test_profile_with_an_oversized_integer_names_the_file(self, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text('{"c1": 1' + "0" * 5000 + "}")
+        assert cli.main(["qec", "distance", "--profile", str(profile)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: hardware profile {profile}: invalid JSON (")
+        assert err.count("\n") == 1
+
 
 class TestEstimate:
     def test_shor_reference_json(self, tmp_path):
@@ -351,6 +359,22 @@ class TestPulseSweep:
         assert err.startswith("error: a segment's rotation overflows")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("samples", [2 ** 20 + 1, 2 ** 62, 10 ** 30],
+                             ids=["limit+1", "2**62", "10**30"])
+    def test_samples_beyond_the_limit_is_usage_error(self, samples, tmp_path, capsys, monkeypatch):
+        from qparch import pulses
+
+        def process_infidelity(*args):
+            raise AssertionError("a run started: samples were allocated")
+
+        monkeypatch.setattr(pulses, "process_infidelity", process_infidelity)
+        code, payload = run_cli(["pulse", "sweep", "--samples", str(samples)], tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            f"error: samples must be between 1 and 1048576 (the sample limit), got {samples}\n"
+        )
+
 
 class TestFrameExec:
     def write_circuit(self, tmp_path, lines):
@@ -417,6 +441,16 @@ class TestFrameExec:
             "error: line 1: measurement has no raw outcome and the outcome stream is used up "
             "(measurement outcome stream underrun)\n"
         )
+
+    def test_oversized_json_integer_names_its_line(self, tmp_path, capsys):
+        line = '{"op":"pauli","p":"X","q":1' + "0" * 5000 + "}"
+        circuit = self.write_circuit(tmp_path, ['{"op":"pauli","p":"X","q":0}', line])
+        code, payload = run_cli(["frame", "exec", circuit], tmp_path)
+        assert code == 2
+        assert payload == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: line 2: invalid JSON (")
+        assert err.count("\n") == 1
 
     def test_missing_file_is_usage_error(self, capsys):
         assert cli.main(["frame", "exec", "/nonexistent/circuit.jsonl"]) == 2

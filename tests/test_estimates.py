@@ -117,19 +117,26 @@ class TestShorEstimate:
         assert report.details["depth_units"] == "logical_cycles"
 
 
+def one_step_cycles(particles):
+    """Logical cycles of a one-timestep run less its readout QFT: one propagator step."""
+    workload = est.SimWorkload(particles=particles, timesteps=1)
+    return est.sim_estimate(workload, PROFILE, CODE).logical_cycles - est.SIM_QFT_CYCLES
+
+
 class TestSimEstimate:
     def test_per_step_cycles_alanine(self):
-        assert est.sim_per_step_cycles(est.SimWorkload(particles=61)) == pytest.approx(
-            3.84e7, rel=0.01
-        )
+        assert one_step_cycles(61) == pytest.approx(3.84e7, rel=0.01)
 
     def test_per_step_cycles_single_particle(self):
-        assert est.sim_per_step_cycles(est.SimWorkload(particles=1)) == pytest.approx(832400.0)
+        # 832 400 per step (potential, kinetic, QFT pair) plus the 25 700 readout QFT
+        report = est.sim_estimate(est.SimWorkload(particles=1, timesteps=1), PROFILE, CODE)
+        assert report.logical_cycles == 858100.0
+        assert one_step_cycles(1) == pytest.approx(832400.0)
 
     def test_potential_term_linear_in_particles(self):
-        one = est.sim_per_step_cycles(est.SimWorkload(particles=1))
-        two = est.sim_per_step_cycles(est.SimWorkload(particles=2))
-        assert two - one == pytest.approx(est.SIM_POTENTIAL_CYCLES_PER_PARTICLE)
+        assert one_step_cycles(2) - one_step_cycles(1) == pytest.approx(
+            est.SIM_POTENTIAL_CYCLES_PER_PARTICLE
+        )
 
     def test_alanine_reference_report(self):
         report = est.sim_estimate(est.SimWorkload(particles=61), PROFILE, CODE)

@@ -71,10 +71,10 @@ def fresh_draw_caches():
     P._standard_normals.cache_clear()
 
 
-def test_committed_tables_match_the_numpy_probe():
+def test_derived_tables_match_the_numpy_probe():
     wi, ki = probe_tables()
-    assert wi == list(K._WI)
-    assert ki == list(K._KI)
+    assert K._WI_ARRAY.tobytes() == np.array(wi).tobytes()
+    assert K._KI_ARRAY.tobytes() == np.array(ki, dtype=np.uint64).tobytes()
     assert ki[1] == 0
 
 
@@ -125,6 +125,28 @@ def test_self_check_passes_on_fast_path_keys(fresh_draw_caches):
 def test_stream_change_falls_back_to_the_per_key_generator(monkeypatch, fresh_draw_caches):
     # As if a numpy release changed its ziggurat: the replica no longer agrees.
     monkeypatch.setattr(K, "_WI_ARRAY", K._WI_ARRAY * (1 + 2 ** -40))
+    assert not K.replica_agrees()
+    assert P._standard_normals(7, 50).tobytes() == oracle(7, 50).tobytes()
+
+
+def test_tables_that_cannot_be_probed_fall_back_to_the_per_key_generator(
+    monkeypatch, fresh_draw_caches
+):
+    class ChangedState(np.random.PCG64):  # as if a numpy release changed PCG64's state dict
+        @property
+        def state(self):
+            return super().state
+
+        @state.setter
+        def state(self, value):
+            raise KeyError("inc")
+
+    monkeypatch.setattr(np.random, "PCG64", ChangedState)
+    wi, ki = K._tables()
+    monkeypatch.undo()
+    assert np.isnan(wi).all()
+    monkeypatch.setattr(K, "_WI_ARRAY", wi)
+    monkeypatch.setattr(K, "_KI_ARRAY", ki)
     assert not K.replica_agrees()
     assert P._standard_normals(7, 50).tobytes() == oracle(7, 50).tobytes()
 

@@ -272,35 +272,6 @@ class TestInterpretMeasurement:
                 pf.run_circuit(pf.PauliFrame(1), circuit, raw_outcomes=[raw])
 
 
-class TestFrameTransformGate:
-    T_GATE = np.diag([1, np.exp(1j * np.pi / 4)]).astype(complex)
-
-    def test_identity_frame_returns_gate(self):
-        frame = pf.PauliFrame(letters=["I"])
-        assert np.allclose(frame.transform_gate(self.T_GATE, [0]), self.T_GATE)
-
-    def test_x_frame_maps_t_to_phase_times_t_dagger(self):
-        frame = pf.PauliFrame(letters=["X"])
-        got = frame.transform_gate(self.T_GATE, [0])
-        assert np.allclose(got, PAULI["X"] @ self.T_GATE @ PAULI["X"])
-        assert np.allclose(got, np.exp(1j * np.pi / 4) * self.T_GATE.conj().T)
-
-    def test_z_frame_commutes_with_diagonal_gate(self):
-        frame = pf.PauliFrame(letters=["Z"])
-        assert np.allclose(frame.transform_gate(self.T_GATE, [0]), self.T_GATE)
-
-    def test_two_qubit_transform_matches_kron_oracle(self):
-        controlled_t = np.diag([1, 1, 1, np.exp(1j * np.pi / 4)]).astype(complex)
-        frame = pf.PauliFrame(letters=["X", "Z", "Y"])
-        got = frame.transform_gate(controlled_t, [0, 2])
-        op = np.kron(PAULI["X"], PAULI["Y"])
-        assert np.allclose(got, op @ controlled_t @ op.conj().T)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            pf.PauliFrame(letters=["X"]).transform_gate(np.eye(4), [0])
-
-
 class TestRunCircuit:
     def test_empty_circuit(self):
         frame = pf.PauliFrame(3)

@@ -276,6 +276,9 @@ class TestProcessInfidelity:
     def test_noise_model_validation(self):
         with pytest.raises(ValueError):
             P.NoiseModel(samples=0)
+        assert P.NoiseModel(samples=P.MAX_SAMPLES).samples == 2 ** 20
+        with pytest.raises(ValueError, match="samples must be between 1 and 1048576"):
+            P.NoiseModel(samples=P.MAX_SAMPLES + 1)
         with pytest.raises(ValueError):
             P.NoiseModel(t2_star=-1.0)
 
@@ -556,32 +559,3 @@ class TestBB1VirtualGate:
     def test_angle_range(self):
         with pytest.raises(ValueError):
             P.bb1_virtual_gate(2 * math.pi, 1e-9, LARMOR)
-
-
-class TestApproxAccuracy:
-    def test_identical_unitaries(self):
-        assert P.approx_accuracy(np.eye(2), np.eye(2)) == 0.0
-        # the square root amplifies float rounding near zero to ~sqrt(eps)
-        assert P.approx_accuracy(HADAMARD, HADAMARD) < 1e-7
-
-    def test_global_phase_invariance(self):
-        for phase in (0.3, math.pi / 2, 2.0):
-            assert P.approx_accuracy(HADAMARD, np.exp(1j * phase) * HADAMARD) < 1e-7
-
-    def test_identity_vs_x_hand_value(self):
-        assert P.approx_accuracy(np.eye(2), SX) == pytest.approx(1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            P.approx_accuracy(np.eye(2), np.eye(4))
-
-    def test_non_unitary_rejected(self):
-        with pytest.raises(ValueError, match="unitary"):
-            P.approx_accuracy(np.eye(2) * 1.5, np.eye(2))
-
-    @pytest.mark.parametrize("matrix", NON_UNITARY[1:], ids=NON_UNITARY_IDS[1:])
-    def test_non_finite_or_huge_rejected_without_warnings(self, matrix):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            with pytest.raises(ValueError, match="u is not unitary"):
-                P.approx_accuracy(matrix, np.eye(2))
