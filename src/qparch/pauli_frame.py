@@ -17,6 +17,7 @@ rows in parallel ``array`` columns (``Circuit``).  One loop of XORs over them
 from __future__ import annotations
 
 import json
+import re
 from array import array
 from dataclasses import dataclass
 from pathlib import Path
@@ -248,7 +249,9 @@ class PauliFrame:
     def _check_qubits(self, qubits: Iterable[int]) -> None:
         for qubit in qubits:
             if not 0 <= qubit < self.num_qubits:
-                raise IndexError(f"qubit {qubit} out of range for {self.num_qubits}-qubit frame")
+                raise IndexError(
+                    f"qubit {shown(qubit)} out of range for {self.num_qubits}-qubit frame"
+                )
 
     def _apply(self, op: int, qubit: int, arg: int, stream: Sequence[int] = ()) -> list[int]:
         """Run one packed row on the frame."""
@@ -313,17 +316,59 @@ def _line_row(obj) -> tuple[int, int, int]:
     raise ValueError(f"unknown op {op!r}")
 
 
+# A line in the README's compact form (no spaces, fields in the README's
+# order, an optional newline), for ``_compact_row``.  A qubit is ``[0-9]``
+# digits, not ``\d``, which also matches digits that JSON rejects.
+_QUBIT = "(0|[1-9][0-9]{0,6})"
+_COMPACT_LINE = re.compile(
+    r'\{"op":"(?:pauli","p":"([IXYZ])","q":' + _QUBIT
+    + r'|clifford","g":"(?:(S_dagger|[HSXYZ])","q":' + _QUBIT
+    + r'|CNOT","q":\[' + _QUBIT + "," + _QUBIT + r"\])"
+    + r'|measure","basis":"([XYZ])","q":' + _QUBIT + r'(?:,"raw":(-?1))?)\}\n?'
+).fullmatch
+
+
+def _compact_row(line: str) -> tuple[int, int, int] | None:
+    """The packed row of a line in the README's compact form, or None.
+
+    Never raises.  None means the line is in another form, names a qubit at
+    or above the frame limit, or is a CNOT on one qubit: ``_line_row``
+    decides those lines and words their errors.
+    """
+    match = _COMPACT_LINE(line)
+    if match is None:
+        return None
+    pauli, qubit, gate, gate_qubit, control, target, basis, measured, raw = match.groups()
+    if pauli:
+        row = _PAULI, int(qubit), _CODE[pauli]
+    elif gate:
+        op, arg = _GATE_OPS[gate]
+        row = op, int(gate_qubit), arg
+    elif control:
+        row = _CNOT, int(control), int(target)
+        if row[1] == row[2] or row[2] >= MAX_FRAME_QUBITS:
+            return None
+    else:
+        row = _MEASURE, int(measured), _CODE[basis] | _RAW_CODE[raw and int(raw)] << 2
+    return row if row[1] < MAX_FRAME_QUBITS else None
+
+
 def _line_rows(lines: Iterable[str], blank_lines: list[int]) -> Iterable[tuple[int, int, int]]:
     """The packed row of each non-blank JSON line; a bad line raises ``CircuitParseError``.
 
     Appends the number of each blank line to ``blank_lines``.
 
     A line is read as ``json.loads(line.strip())`` would read it, and
-    accepted or rejected alike, but decoded by ``raw_decode``, which skips
-    ``json.loads``'s whitespace scans.
+    accepted or rejected alike.  A line in the README's compact form goes
+    straight to its row (``_compact_row``); any other is decoded by
+    ``raw_decode``, which skips ``json.loads``'s whitespace scans.
     """
     decode = json.JSONDecoder().raw_decode
     for line_number, line in enumerate(lines, start=1):
+        row = _compact_row(line)
+        if row is not None:
+            yield row
+            continue
         text = line.strip()
         if not text:
             blank_lines.append(line_number)

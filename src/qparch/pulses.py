@@ -308,6 +308,14 @@ def _composite_x_duration(larmor_period: float) -> float:
     return larmor_period * (0.5 + 2 / math.sqrt(8))
 
 
+def _is_finite(value) -> bool:
+    """``math.isfinite``, but False, not ``OverflowError``, for an int beyond the float range."""
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
 def build_sequence(
     kind: str,
     tau: float,
@@ -326,7 +334,7 @@ def build_sequence(
     name = kind.upper()
     if name not in ("8H", "CP", "UDD"):
         raise ValueError(f"unknown sequence kind: {kind!r}")
-    if not 0 < tau < math.inf:
+    if not (tau > 0 and _is_finite(tau)):
         raise ValueError("tau must be positive and finite")
 
     window = 8 * tau
@@ -437,10 +445,15 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.t2_star is not None and not 0 < self.t2_star < math.inf:
+        if self.t2_star is not None and not (self.t2_star > 0 and _is_finite(self.t2_star)):
             raise ValueError("t2_star must be positive and finite (or None to disable dephasing)")
-        if not math.isfinite(self.pulse_error):
+        if not _is_finite(self.pulse_error):
             raise ValueError("pulse_error must be finite")
+        for name in ("samples", "seed"):
+            value = getattr(self, name)
+            # bool is an int subclass, so name it: True is not one sample.
+            if isinstance(value, bool) or not isinstance(value, int):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ValueError(
                 f"samples must be between 1 and {MAX_SAMPLES} (the sample limit), "

@@ -492,7 +492,10 @@ def assert_one_outcome(argv, capsys):
             json.loads(out, parse_constant=reject_constant)
         else:
             for row in out.splitlines()[1:]:
-                assert all(math.isfinite(float(cell)) for cell in row.split(",") if cell)
+                cells = row.split(",")
+                if out.startswith(cli.PULSE_CSV_HEADER):
+                    cells = cells[1:]  # the sequence name
+                assert all(math.isfinite(float(cell)) for cell in cells if cell)
     else:
         assert code in (2, 3), (argv, code, err)
         assert out == ""
@@ -546,6 +549,29 @@ ESTIMATE_SIM = tokens(st.integers(1, 500)).flatmap(
         "--level": LEVELS,
     })
 )
+def mostly(typical, pinned, edges=tokens):
+    """A flag value: three times in five a typical one, else a pinned one or an edge token."""
+    typical = typical.map(repr)
+    return st.one_of(typical, typical, typical, st.sampled_from(pinned), edges(typical))
+
+
+# At most 64 samples a run, except values above the sample limit, which exit before any draw.
+SAMPLES = mostly(st.integers(1, 64), ["0", "-1", str(2 ** 20 + 1), str(2 ** 62), str(10 ** 30)],
+                 edges=lambda typical: st.sampled_from(["nan", "1.5", "9" * 5000, ""]))
+PULSE_ERROR_LISTS = st.lists(mostly(st.floats(0, 0.05), ["-3", "nan", "inf", "1e308", ""]),
+                             min_size=1, max_size=3).map(",".join)
+PULSE_SWEEP = st.builds(
+    lambda argv, baseline: argv + ["--baseline"] * baseline,
+    SAMPLES.flatmap(lambda samples: argv_of(["pulse", "sweep"], ["--samples", samples], {
+        "--sequences": st.lists(st.sampled_from(["8h", "CP", "udd", "x", ""]), min_size=1,
+                                max_size=3).map(",".join),
+        "--pulse-errors": PULSE_ERROR_LISTS,
+        "--tau": mostly(st.floats(1e-10, 1e-8), ["1e-300", "1e300"]),
+        "--t2-star": mostly(st.floats(1e-9, 1e-7), ["0", "1e-300", "1e300"]),
+        "--seed": mostly(st.integers(0, 2 ** 40), ["0", str(2 ** 32), str(2 ** 200)]),
+    })),
+    st.booleans(),
+)
 PROPERTY_SETTINGS = settings(
     max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
@@ -573,6 +599,32 @@ def test_estimate_shor_exits_0_with_finite_output_or_2_3_with_one_error_line(arg
 @example(argv=["estimate", "sim", "--particles", str(2 ** 53), "--timesteps", str(2 ** 53)])
 @example(argv=["estimate", "sim", "--particles", "61", "--distance", str(10 ** 400)])
 def test_estimate_sim_exits_0_with_finite_json_or_2_3_with_one_error_line(argv, capsys):
+    assert_one_outcome(argv, capsys)
+
+
+def pulse_sweep(*flags):
+    return ["pulse", "sweep", "--samples", "8", "--sequences", "8h,cp", *flags]
+
+
+@PROPERTY_SETTINGS
+@given(argv=PULSE_SWEEP)
+@example(argv=pulse_sweep("--tau", "1e-300"))
+@example(argv=pulse_sweep("--tau", "1e300"))
+@example(argv=pulse_sweep("--t2-star", "0", "--baseline"))
+@example(argv=pulse_sweep("--t2-star", "1e-300", "--baseline"))
+@example(argv=pulse_sweep("--t2-star", "1e300", "--baseline"))
+@example(argv=pulse_sweep("--pulse-errors", "nan"))
+@example(argv=pulse_sweep("--pulse-errors", "inf"))
+@example(argv=pulse_sweep("--pulse-errors", "-3"))
+@example(argv=pulse_sweep("--pulse-errors", "1e308"))
+@example(argv=pulse_sweep("--seed", "0"))
+@example(argv=pulse_sweep("--seed", str(2 ** 32)))
+@example(argv=pulse_sweep("--seed", str(2 ** 200)))
+@example(argv=pulse_sweep("--pulse-errors", ","))
+@example(argv=pulse_sweep("--sequences", ",,"))
+@example(argv=["pulse", "sweep", "--samples", str(2 ** 20 + 1)])
+@example(argv=["pulse", "sweep", "--samples", str(2 ** 62), "--t2-star", "0"])
+def test_pulse_sweep_exits_0_with_finite_csv_or_2_3_with_one_error_line(argv, capsys):
     assert_one_outcome(argv, capsys)
 
 

@@ -1,8 +1,10 @@
 import contextlib
 import functools
+import importlib.util
 import io
 import itertools
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -13,6 +15,8 @@ from hypothesis import strategies as st
 
 from qparch import cli
 from qparch import pauli_frame as pf
+
+ROOT = Path(__file__).resolve().parents[1]
 
 # Dense-matrix oracle, built independently of the package's lookup tables.
 I2 = np.eye(2, dtype=complex)
@@ -353,6 +357,15 @@ class TestRunCircuit:
             apply(frame)
         assert frame.letters == ["X", "Z"]
 
+    @pytest.mark.parametrize("apply", [
+        lambda frame, q: frame.fold_pauli("X", q),
+        lambda frame, q: frame.interpret_measurement("Z", q, 1),
+        lambda frame, q: frame.conjugate(pf.CliffordGate("CNOT", (0, q))),
+    ], ids=["pauli", "measure", "cnot"])
+    def test_a_qubit_too_long_to_print_is_named_by_its_size(self, apply):
+        with pytest.raises(IndexError, match="qubit an integer of 16610 bits out of range for 2-qubit"):
+            apply(pf.PauliFrame(2), 10 ** 5000)
+
     def test_frame_methods_reject_negative_qubits(self):
         frame = pf.PauliFrame(2)
         with pytest.raises(IndexError):
@@ -379,6 +392,23 @@ class TestCircuitParsing:
         ]
         assert len(circuit) == 3
         assert pf.circuit_qubit_count(circuit) == 2
+
+    def test_readme_and_bench_lines_take_the_compact_path(self):
+        section = (ROOT / "README.md").read_text(encoding="utf-8").split("### Circuit files", 1)[1]
+        readme = re.search(r"```\n(.*?)```", section, re.S).group(1).splitlines()
+        spec = importlib.util.spec_from_file_location("bench_checks", ROOT / "bench" / "checks.py")
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
+        # One instruction of each shape the benchmark's circuits hold.
+        shapes = [("pauli", p, 7, None) for p in "XYZ"]
+        shapes += [("clifford", g, 999, None) for g in ("H", "S", "S_dagger")]
+        shapes += [("clifford", "CNOT", 0, 999)]
+        shapes += [("measure", b, 10, raw) for b in "XYZ" for raw in (1, -1)]
+        lines = readme + [checks.format_instruction(shape) for shape in shapes]
+        assert len(lines) == 3 + 13
+        for line in lines:
+            for text in (line, line + "\n"):
+                assert pf._compact_row(text) == pf._line_row(json.loads(line)), text
 
     def test_invalid_json_reports_line_number(self):
         with pytest.raises(pf.CircuitParseError, match="line 2"):
@@ -547,11 +577,16 @@ def circuits_on(n):
     return st.tuples(letters, st.lists(instructions_on(n), max_size=24))
 
 
-def instruction_line(obj, listed=False):
+def compact(obj):
+    """``obj`` as JSON without spaces, as in the README's circuit lines."""
+    return json.dumps(obj, separators=(",", ":"))
+
+
+def instruction_line(obj, listed=False, dumps=json.dumps):
     """The JSON line of an instruction object; ``listed`` writes a lone target as a one-element list."""
     if listed and obj["op"] == "clifford" and not isinstance(obj["q"], list):
         obj = {**obj, "q": [obj["q"]]}
-    return json.dumps(obj)
+    return dumps(obj)
 
 
 @settings(max_examples=200, deadline=None)
@@ -684,9 +719,10 @@ instruction_objects = st.sampled_from(FIELD_CHANGES).flatmap(
     )
 )
 padding = st.text(alphabet=WHITESPACE, max_size=3)
+# Lines as json.dumps writes them and in the compact form, which takes its own parse path.
 valid_lines = st.builds(
-    lambda pre, obj, listed, post: pre + instruction_line(obj, listed) + post,
-    padding, instructions_on(5), st.booleans(), padding,
+    lambda pre, obj, listed, dumps, post: pre + instruction_line(obj, listed, dumps) + post,
+    padding, instructions_on(5), st.booleans(), st.sampled_from((json.dumps, compact)), padding,
 )
 bodies = st.one_of(
     st.builds(instruction_line, instructions_on(5), st.booleans()),
@@ -694,7 +730,7 @@ bodies = st.one_of(
     json_values.map(json.dumps),
     st.text(max_size=6),
 )
-altered_lines = instruction_objects.map(json.dumps)
+altered_lines = instruction_objects.map(json.dumps) | instruction_objects.map(compact)
 any_lines = st.one_of(
     altered_lines,
     altered_lines,
@@ -714,6 +750,21 @@ any_lines = st.one_of(
 @example([], '{"op":"pauli","p":"X","q":0} {"op":"pauli","p":"Z","q":1}', [])
 @example([], '{"op":"clifford","g":"CNOT","q":[0,1,2]}', [])
 @example([], '{"op":"measure","basis":"Z","q":true,"raw":1.0}', [])
+# Near misses of the compact form.
+@example([], '{"op":"pauli","p":"X","q":01}', [])
+@example([], '{"op":"pauli","p":"X","q":-0}', [])
+@example([], '{"op":"clifford","g":"H","q":10000000}', [])
+@example([], '{"op":"clifford","g":"S","q":1048576}', [])
+@example([], '{"op":"clifford","g":"S_dagger","q":1048575}\n', [])
+@example([], '{"op":"clifford","g":"CNOT","q":[3,3]}', [])
+@example([], '{"op":"clifford","g":"CNOT","q":[0,1048576]}', [])
+@example([], '{"op":"clifford","g":"CNOT","q":[1048576,0]}', [])
+@example([], '{"op":"measure","basis":"Z","q":0,"raw":1.0}', [])
+@example([], '{"op":"measure","basis":"Z","q":0,"raw":-0}', [])
+@example([], '{"op":"measure","basis":"Z","q":0}', [])
+@example([], '{"op":"pauli","p":"X","q":\u0663}', [])
+@example([], '{"op":"pauli","p":"X","q":0}\n\n', [])
+@example([], '{"op":"pauli","p":"X","q":0,"q":1}', [])
 def test_parse_circuit_matches_json_loads_oracle(before, line, after):
     lines = [*before, line, *after]
     try:

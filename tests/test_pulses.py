@@ -283,12 +283,21 @@ class TestProcessInfidelity:
             P.NoiseModel(t2_star=-1.0)
 
     @pytest.mark.parametrize("field", ["t2_star", "pulse_error"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("value", [
+        math.nan, math.inf, -math.inf,
+        pytest.param(10 ** 400, id="int-beyond-float"), pytest.param(-(10 ** 400), id="-int-beyond-float"),
+    ])
     def test_noise_model_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             P.NoiseModel(**{field: value})
 
-    @pytest.mark.parametrize("tau", [math.nan, math.inf])
+    @pytest.mark.parametrize("field", ["samples", "seed"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, False, "2", None])
+    def test_noise_model_counts_must_be_ints(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
+            P.NoiseModel(**{field: value})
+
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, pytest.param(10 ** 400, id="int-beyond-float")])
     def test_build_sequence_rejects_non_finite_tau(self, tau):
         for kind in ("8H", "CP", "UDD"):
             with pytest.raises(ValueError, match="tau must be positive and finite"):
