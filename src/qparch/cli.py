@@ -16,7 +16,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import distillation, qec
-from .errors import InfeasibleInputError
+from .errors import InfeasibleInputError, RateUnderflowError
 
 PROFILE_ENV_VAR = "QPARCH_PROFILE"
 PULSE_CSV_HEADER = "sequence,pulse_error,tau_s,samples,seed,infidelity"
@@ -83,11 +83,15 @@ def _cmd_qec_distance(args: argparse.Namespace) -> int:
         result = {"requested": asdict(qec.code_point(profile, args.distance))}
     else:
         minimal = qec.min_code_distance(profile, args.target_logical_error)
+        try:
+            report = asdict(qec.code_point(profile, qec.DEFAULT_REPORT_DISTANCE))
+        except RateUnderflowError:  # the search succeeded; only the pinned rate is below a float
+            report = None
         result = {
             "target_logical_error": args.target_logical_error,
             "minimal": asdict(minimal),
             "report_distance": qec.DEFAULT_REPORT_DISTANCE,
-            "report": asdict(qec.code_point(profile, qec.DEFAULT_REPORT_DISTANCE)),
+            "report": report,
         }
     _write_output(json.dumps(result, indent=2) + "\n", args.output)
     return EXIT_OK

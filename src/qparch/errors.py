@@ -13,6 +13,10 @@ class NoFactoryCapacityError(InfeasibleInputError):
     """The machine has no logical qubits left over for distillation factories."""
 
 
+class RateUnderflowError(ValueError):
+    """A logical error rate too small for a float: it underflows to 0.0."""
+
+
 def shown(value) -> str:
     """``repr(value)`` for an error message; an int too long to print is given by its size."""
     try:

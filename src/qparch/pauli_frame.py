@@ -8,10 +8,11 @@ Pauli is an (x, z) bit pair, I=(0,0), X=(1,0), Z=(0,1), Y=(1,1), and all frame
 algebra is XOR, as in CHP (Aaronson & Gottesman 2004) and Stim's frame
 simulator (Gidney 2021).  Letters appear only at the I/O boundary.
 
-Circuits come in as JSON lines and are held only as packed (op, qubit, arg)
-rows in parallel ``array`` columns (``Circuit``).  One loop of XORs over them
-(``_execute``) runs every frame update, including the single rows that
-``PauliFrame``'s methods build.
+Circuits come in as JSON lines, each self-contained (a measurement carries
+its own raw outcome), so every check happens while parsing.  They are held
+only as packed (op, qubit, arg) rows in parallel ``array`` columns
+(``Circuit``).  One loop of XORs over them (``_execute``) runs every frame
+update, including the single rows that ``PauliFrame``'s methods build.
 """
 
 from __future__ import annotations
@@ -41,8 +42,7 @@ _PAULI_GATE = 5  # an implemented X, Y or Z gate, which leaves the frame alone; 
 # (op, arg) of each single-qubit Clifford gate kind.
 _GATE_OPS = {"H": (_H, 0), "S": (_S, 0), "S_dagger": (_S, 1),
              "X": (_PAULI_GATE, 1), "Z": (_PAULI_GATE, 2), "Y": (_PAULI_GATE, 3)}
-# A measurement's raw outcome by raw code: none (taken from the stream), +1, -1.
-_RAW = (None, 1, -1)
+_RAW = (1, -1)  # a measurement's raw outcome by raw code
 _RAW_CODE = {raw: code for code, raw in enumerate(_RAW)}
 # A frame holds at most this many qubits, so a circuit line names a qubit
 # below it.  A frame at the limit takes about 17 MB (two lists of bits) and
@@ -92,13 +92,15 @@ def _check_raw(raw) -> None:
 
 
 def _measure_arg(fields: Mapping) -> int:
-    """Check a measurement's ``raw`` (optional) and then its ``basis``; return its packed arg."""
+    """Check ``raw`` if given, then ``basis``, then that ``raw`` is given; return the packed arg."""
     raw = fields.get("raw")
     if raw is not None:
         _check_raw(raw)
     basis = fields["basis"]
     if basis not in MEASUREMENT_BASES:
         raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
+    if raw is None:
+        raise ValueError("measurement has no raw outcome")
     return _CODE[basis] | _RAW_CODE[raw] << 2
 
 
@@ -116,8 +118,6 @@ class Circuit:
         self.qubits = array("q")
         self.args = array("q")
         self.num_qubits = 0
-        # Numbers of the blank lines skipped by ``parse_circuit``.
-        self._blank_lines: list[int] = []
 
     def _extend(self, rows: Iterable[tuple[int, int, int]]) -> None:
         """Append packed (op, qubit, arg) rows, tracking the highest qubit."""
@@ -136,25 +136,13 @@ class Circuit:
     def __len__(self) -> int:
         return len(self.ops)
 
-    def _location(self, index: int) -> str:
-        """``line N``: the line of the parsed text that instruction ``index`` came from."""
-        line = index + 1
-        for blank in self._blank_lines:  # ascending
-            if blank > line:
-                break
-            line += 1
-        return f"line {line}"
 
-
-def _execute(x: list[int], z: list[int], circuit: Circuit, stream: Sequence[int]) -> list[int]:
+def _execute(x: list[int], z: list[int], circuit: Circuit) -> list[int]:
     """Run a packed circuit on the frame bits ``x`` and ``z`` in place.
 
-    The circuit must fit the frame.  A measurement without an in-line raw
-    outcome takes the next one from ``stream``, which must be used up
-    exactly.  Returns the reinterpreted outcomes.
+    The circuit must fit the frame.  Returns the reinterpreted outcomes.
     """
     outcomes = []
-    cursor = 0
     for op, q, arg in zip(circuit.ops, circuit.qubits, circuit.args):
         if op == _PAULI:
             x[q] ^= arg & 1
@@ -168,36 +156,13 @@ def _execute(x: list[int], z: list[int], circuit: Circuit, stream: Sequence[int]
             z[q] ^= x[q]
         elif op == _MEASURE:
             raw = _RAW[arg >> 2]
-            if raw is None:
-                if cursor == len(stream):
-                    raise ValueError(
-                        f"{circuit._location(_stream_measurement(circuit, cursor))}: measurement "
-                        "has no raw outcome and the outcome stream is used up "
-                        "(measurement outcome stream underrun)"
-                    )
-                raw = stream[cursor]
-                cursor += 1
-                _check_raw(raw)
             # The outcome flips when the frame anticommutes with the basis,
             # i.e. on an odd symplectic product x*bz + z*bx; then reset to I.
             bx, bz = arg & 1, arg >> 1 & 1
             outcomes.append(-raw if x[q] & bz ^ z[q] & bx else raw)
             x[q] = z[q] = 0
         # _PAULI_GATE: X, Y and Z gates commute with every Pauli up to phase.
-    if cursor != len(stream):
-        raise ValueError(
-            f"measurement outcome stream overrun: {len(stream) - cursor} unused outcome(s)"
-        )
     return outcomes
-
-
-def _stream_measurement(circuit: Circuit, n: int) -> int | None:
-    """Index of the measurement that takes the ``n``-th (0-based) outcome of the stream."""
-    for index, (op, arg) in enumerate(zip(circuit.ops, circuit.args)):
-        if op == _MEASURE and _RAW[arg >> 2] is None:
-            if n == 0:
-                return index
-            n -= 1
 
 
 class PauliFrame:
@@ -209,6 +174,8 @@ class PauliFrame:
     """
 
     def __init__(self, num_qubits: int = 0, letters: Sequence[str] | None = None):
+        if type(num_qubits) is not int:  # a bool too: True is not one qubit
+            raise ValueError(f"num_qubits must be an integer, got {num_qubits!r}")
         if letters is not None:
             if num_qubits and num_qubits != len(letters):
                 raise ValueError("num_qubits does not match the letter array length")
@@ -248,17 +215,19 @@ class PauliFrame:
 
     def _check_qubits(self, qubits: Iterable[int]) -> None:
         for qubit in qubits:
+            if type(qubit) is not int:  # a bool too: True is not qubit 1
+                raise ValueError(f"qubit index must be a non-negative integer, got {qubit!r}")
             if not 0 <= qubit < self.num_qubits:
                 raise IndexError(
                     f"qubit {shown(qubit)} out of range for {self.num_qubits}-qubit frame"
                 )
 
-    def _apply(self, op: int, qubit: int, arg: int, stream: Sequence[int] = ()) -> list[int]:
+    def _apply(self, op: int, qubit: int, arg: int) -> list[int]:
         """Run one packed row on the frame."""
         self._check_qubits((qubit, arg) if op == _CNOT else (qubit,))
         circuit = Circuit()
         circuit._extend([(op, qubit, arg)])
-        return _execute(self.x, self.z, circuit, stream)
+        return _execute(self.x, self.z, circuit)
 
     def fold_pauli(self, pauli: str, qubit: int) -> None:
         """Multiply a circuit Pauli gate into the frame instead of running it."""
@@ -275,7 +244,8 @@ class PauliFrame:
         measured basis operator.  The measured qubit is then reset to I,
         treating the projective measurement as establishing a fresh frame.
         """
-        return self._apply(_MEASURE, qubit, _measure_arg({"basis": basis}), [raw_outcome])[0]
+        _check_raw(raw_outcome)  # here None is a wrong outcome, not a missing field
+        return self._apply(_MEASURE, qubit, _measure_arg({"basis": basis, "raw": raw_outcome}))[0]
 
 
 class CircuitParseError(ValueError):
@@ -324,7 +294,7 @@ _COMPACT_LINE = re.compile(
     r'\{"op":"(?:pauli","p":"([IXYZ])","q":' + _QUBIT
     + r'|clifford","g":"(?:(S_dagger|[HSXYZ])","q":' + _QUBIT
     + r'|CNOT","q":\[' + _QUBIT + "," + _QUBIT + r"\])"
-    + r'|measure","basis":"([XYZ])","q":' + _QUBIT + r'(?:,"raw":(-?1))?)\}\n?'
+    + r'|measure","basis":"([XYZ])","q":' + _QUBIT + r',"raw":(-?1))\}\n?'
 ).fullmatch
 
 
@@ -349,14 +319,12 @@ def _compact_row(line: str) -> tuple[int, int, int] | None:
         if row[1] == row[2] or row[2] >= MAX_FRAME_QUBITS:
             return None
     else:
-        row = _MEASURE, int(measured), _CODE[basis] | _RAW_CODE[raw and int(raw)] << 2
+        row = _MEASURE, int(measured), _CODE[basis] | _RAW_CODE[int(raw)] << 2
     return row if row[1] < MAX_FRAME_QUBITS else None
 
 
-def _line_rows(lines: Iterable[str], blank_lines: list[int]) -> Iterable[tuple[int, int, int]]:
+def _line_rows(lines: Iterable[str]) -> Iterable[tuple[int, int, int]]:
     """The packed row of each non-blank JSON line; a bad line raises ``CircuitParseError``.
-
-    Appends the number of each blank line to ``blank_lines``.
 
     A line is read as ``json.loads(line.strip())`` would read it, and
     accepted or rejected alike.  A line in the README's compact form goes
@@ -371,7 +339,6 @@ def _line_rows(lines: Iterable[str], blank_lines: list[int]) -> Iterable[tuple[i
             continue
         text = line.strip()
         if not text:
-            blank_lines.append(line_number)
             continue
         try:
             obj, end = decode(text)
@@ -389,7 +356,7 @@ def _line_rows(lines: Iterable[str], blank_lines: list[int]) -> Iterable[tuple[i
 def parse_circuit(lines: Iterable[str]) -> Circuit:
     """Parse JSON-lines circuit text, one instruction per non-blank line."""
     circuit = Circuit()
-    circuit._extend(_line_rows(lines, circuit._blank_lines))
+    circuit._extend(_line_rows(lines))
     return circuit
 
 
@@ -403,23 +370,16 @@ def circuit_qubit_count(circuit: Circuit) -> int:
     return circuit.num_qubits
 
 
-def run_circuit(
-    frame: PauliFrame,
-    circuit: Circuit,
-    raw_outcomes: Sequence[int] | None = None,
-) -> tuple[PauliFrame, list[int]]:
+def run_circuit(frame: PauliFrame, circuit: Circuit) -> tuple[PauliFrame, list[int]]:
     """Execute a circuit against a frame, returning (final frame, outcomes).
 
     The input frame is not mutated.  A circuit that does not fit the frame
-    raises ``IndexError`` before anything runs.  Measurement instructions
-    take their raw outcome from the instruction itself when present,
-    otherwise from the ``raw_outcomes`` stream in order; the stream must be
-    consumed exactly.
+    raises ``IndexError`` before anything runs; nothing else can fail, since
+    each measurement carries the raw outcome it reinterprets.
     """
     if circuit.num_qubits > frame.num_qubits:
         raise IndexError(
             f"qubit {circuit.num_qubits - 1} out of range for {frame.num_qubits}-qubit frame"
         )
     result = frame.copy()
-    stream = list(raw_outcomes) if raw_outcomes is not None else []
-    return result, _execute(result.x, result.z, circuit, stream)
+    return result, _execute(result.x, result.z, circuit)

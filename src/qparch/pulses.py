@@ -309,7 +309,10 @@ def _composite_x_duration(larmor_period: float) -> float:
 
 
 def _is_finite(value) -> bool:
-    """``math.isfinite``, but False, not ``OverflowError``, for an int beyond the float range."""
+    """``math.isfinite``, but False for a bool, and False rather than ``OverflowError`` for an
+    int beyond the float range."""
+    if isinstance(value, bool):  # an int subclass, but True is not 1 s or a 100% error
+        return False
     try:
         return math.isfinite(value)
     except OverflowError:

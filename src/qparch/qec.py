@@ -14,7 +14,7 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import UnreachableTargetError, shown
+from .errors import RateUnderflowError, UnreachableTargetError, shown
 
 # Virtual qubits per logical qubit, modeled as round(coeff * d^2).  The
 # coefficient is calibrated so that footprint(31) = 6240, the reference
@@ -135,8 +135,8 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
 
     c1 * (c2 * eps_V / eps_thresh)^floor((d+1)/2), valid only below
     threshold, which every HardwareProfile guarantees.  Raises
-    ``ValueError`` when the rate underflows to 0.0, overflows a float, or is
-    above 1, which no error rate can be.
+    ``RateUnderflowError`` when the rate underflows to 0.0, and ``ValueError``
+    when it overflows a float or is above 1, which no error rate can be.
     """
     if distance < 1 or distance % 2 == 0:
         raise ValueError(f"code distance must be an odd positive integer, got {shown(distance)}")
@@ -152,9 +152,12 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
         rate = profile.c1 * profile.suppression_base ** exponent
     except OverflowError:  # a base above 1 raised to a huge power
         rate = math.inf
-    if rate == 0.0 or rate == math.inf:
-        what = "underflows to 0.0" if rate == 0.0 else "overflows a float"
-        raise ValueError(f"the logical error rate at code distance {distance} {what}")
+    if rate == 0.0:
+        raise RateUnderflowError(
+            f"the logical error rate at code distance {distance} underflows to 0.0"
+        )
+    if rate == math.inf:
+        raise ValueError(f"the logical error rate at code distance {distance} overflows a float")
     if rate > 1.0:
         raise ValueError(
             f"the logical error rate at code distance {distance} is {rate:.6g}, above 1 "

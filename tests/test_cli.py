@@ -82,6 +82,16 @@ class TestQecDistance:
             f"exactly), got {distance}\n"
         )
 
+    @pytest.mark.parametrize("value", ["1e-30", "1e-300"])
+    def test_report_rate_that_underflows_is_null(self, value, tmp_path, capsys):
+        code, payload = run_cli(["qec", "distance", "--error-per-gate", value], tmp_path)
+        assert code == 0
+        assert capsys.readouterr().err == ""
+        result = json.loads(payload)
+        assert list(result) == ["target_logical_error", "minimal", "report_distance", "report"]
+        assert result["minimal"]["distance"] == 1 and result["minimal"]["logical_error_rate"] > 0
+        assert result["report_distance"] == 31 and result["report"] is None
+
     def test_error_per_gate_at_threshold_is_infeasible(self, capsys):
         assert cli.main(["qec", "distance", "--error-per-gate", "9e-3"]) == 3
         assert "unreachable target" in capsys.readouterr().err
@@ -437,10 +447,7 @@ class TestFrameExec:
         code, payload = run_cli(["frame", "exec", circuit], tmp_path)
         assert code == 2
         assert payload == b""
-        assert capsys.readouterr().err == (
-            "error: line 1: measurement has no raw outcome and the outcome stream is used up "
-            "(measurement outcome stream underrun)\n"
-        )
+        assert capsys.readouterr().err == "error: line 1: measurement has no raw outcome\n"
 
     def test_oversized_json_integer_names_its_line(self, tmp_path, capsys):
         line = '{"op":"pauli","p":"X","q":1' + "0" * 5000 + "}"
@@ -581,6 +588,7 @@ PROPERTY_SETTINGS = settings(
 @given(argv=QEC_DISTANCE)
 @example(argv=["qec", "distance", "--distance", str(10 ** 400)])
 @example(argv=["qec", "distance", "--error-per-gate", "1e-300"])
+@example(argv=["qec", "distance", "--error-per-gate", "1e-30"])
 def test_qec_distance_exits_0_with_finite_json_or_2_3_with_one_error_line(argv, capsys):
     assert_one_outcome(argv, capsys)
 

@@ -267,13 +267,10 @@ class TestInterpretMeasurement:
                 assert frame.letters == ["I"]
 
     def test_bad_outcome_rejected(self):
-        circuit = pf.parse_circuit(['{"op":"measure","basis":"Z","q":0}'])
         for raw in (0, 2, True, 1.0, None):
             message = f"^raw outcome must be the integer \\+1 or -1, got {raw!r}$"
             with pytest.raises(ValueError, match=message):
                 pf.PauliFrame(1).interpret_measurement("Z", 0, raw)
-            with pytest.raises(ValueError, match=message):
-                pf.run_circuit(pf.PauliFrame(1), circuit, raw_outcomes=[raw])
 
 
 class TestRunCircuit:
@@ -319,27 +316,11 @@ class TestRunCircuit:
         assert pf.run_circuit(frame, circuit) == first
         assert first[0].letters == ["I", "I", "Y"] and first[1] == [+1]
 
-    def test_outcome_stream(self):
-        circuit = pf.parse_circuit([
-            '{"op":"pauli","p":"X","q":0}',
-            '{"op":"measure","basis":"Z","q":0}',
-            '{"op":"measure","basis":"Z","q":0}',
-        ])
-        _, outcomes = pf.run_circuit(pf.PauliFrame(1), circuit, raw_outcomes=[+1, +1])
-        assert outcomes == [-1, +1]
-
-    def test_stream_underrun_and_overrun(self):
-        circuit = pf.parse_circuit(['{"op":"measure","basis":"Z","q":0}'])
-        with pytest.raises(ValueError, match="underrun"):
-            pf.run_circuit(pf.PauliFrame(1), circuit, raw_outcomes=[])
-        with pytest.raises(ValueError, match="overrun"):
-            pf.run_circuit(pf.PauliFrame(1), circuit, raw_outcomes=[+1, -1])
-
     def test_qubit_outside_frame_raises_before_anything_runs(self):
-        # The measurement would underrun the empty stream if it ran first.
-        circuit = pf.parse_circuit(['{"op":"measure","basis":"Z","q":0}', '{"op":"pauli","p":"X","q":3}'])
+        circuit = pf.parse_circuit(['{"op":"measure","basis":"Z","q":0,"raw":1}',
+                                    '{"op":"pauli","p":"X","q":3}'])
         with pytest.raises(IndexError, match="qubit 3 out of range for 2-qubit frame"):
-            pf.run_circuit(pf.PauliFrame(2), circuit, raw_outcomes=[])
+            pf.run_circuit(pf.PauliFrame(2), circuit)
         cnot = pf.parse_circuit(['{"op":"clifford","g":"CNOT","q":[0,2]}'])
         with pytest.raises(IndexError):
             pf.run_circuit(pf.PauliFrame(2), cnot)
@@ -365,6 +346,20 @@ class TestRunCircuit:
     def test_a_qubit_too_long_to_print_is_named_by_its_size(self, apply):
         with pytest.raises(IndexError, match="qubit an integer of 16610 bits out of range for 2-qubit"):
             apply(pf.PauliFrame(2), 10 ** 5000)
+
+    @pytest.mark.parametrize("apply", [
+        lambda frame, q: frame.fold_pauli("X", q),
+        lambda frame, q: frame.interpret_measurement("Z", q, 1),
+        lambda frame, q: frame.conjugate(pf.CliffordGate("H", (q,))),
+        lambda frame, q: frame.conjugate(pf.CliffordGate("CNOT", (q, 0))),
+    ], ids=["pauli", "measure", "h", "cnot"])
+    @pytest.mark.parametrize("qubit", [1.0, True, "1", None])
+    def test_a_qubit_that_is_not_an_int_is_named(self, apply, qubit):
+        frame = pf.PauliFrame(letters=["X", "Z"])
+        with pytest.raises(ValueError, match=re.escape(
+                f"qubit index must be a non-negative integer, got {qubit!r}")):
+            apply(frame, qubit)
+        assert frame.letters == ["X", "Z"]
 
     def test_frame_methods_reject_negative_qubits(self):
         frame = pf.PauliFrame(2)
@@ -442,7 +437,7 @@ class TestCircuitParsing:
             {"op": "clifford", "g": "S_dagger", "q": 2},
             {"op": "clifford", "g": "Y", "q": [0]},
             {"op": "clifford", "g": "CNOT", "q": [1, 6]},
-            {"op": "measure", "basis": "Y", "q": 3},
+            {"op": "measure", "basis": "Y", "q": 3, "raw": 1},
             {"op": "measure", "basis": "X", "q": 5, "raw": -1},
         ]
         circuit = pf.parse_circuit(map(json.dumps, objects))
@@ -467,6 +462,11 @@ class TestCircuitParsing:
         with pytest.raises(ValueError, match="frame-size limit"):
             pf.PauliFrame(size)
 
+    @pytest.mark.parametrize("size", [True, False, 2.0, "2", None])
+    def test_frame_size_must_be_an_int(self, size):
+        with pytest.raises(ValueError, match=re.escape(f"num_qubits must be an integer, got {size!r}")):
+            pf.PauliFrame(size)
+
     def test_letter_frame_size_is_bounded(self):
         class Letters:  # as long as a frame beyond the limit, without its memory
             def __len__(self):
@@ -480,11 +480,11 @@ class TestCircuitParsing:
         (["", '{"op":"pauli","p":"X","q":0}', " ", "\t",
           '{"op":"measure","basis":"Z","q":0,"raw":1}', "",
           '{"op":"measure","basis":"X","q":1}', '{"op":"measure","basis":"Z","q":1}'], 7),
-    ], ids=["one-line", "after-blank-lines"])
-    def test_stream_underrun_names_the_line(self, lines, line):
-        circuit = pf.parse_circuit(lines)
-        with pytest.raises(ValueError, match=f"^line {line}: measurement has no raw outcome.*underrun"):
-            pf.run_circuit(pf.PauliFrame(2), circuit)
+        (['{"op":"measure","basis":"Z","q":0,"raw":null}'], 1),
+    ], ids=["one-line", "after-blank-lines", "null"])
+    def test_missing_raw_names_its_line(self, lines, line):
+        with pytest.raises(pf.CircuitParseError, match=f"^line {line}: measurement has no raw outcome$"):
+            pf.parse_circuit(lines)
 
 
 # How a packed circuit encodes each instruction, kept here so that the
@@ -499,7 +499,7 @@ SINGLE_QUBIT_ROWS = {
     (S_OP, 1): ("clifford", "S_dagger"),
     **{(PAULI_GATE_OP, code): ("clifford", CODE_LETTER[code]) for code in (1, 2, 3)},
 }
-RAW_OF_CODE = (None, 1, -1)  # measurement arg: basis code | raw code << 2
+RAW_OF_CODE = (1, -1)  # measurement arg: basis code | raw code << 2
 
 
 def decoded(circuit):
@@ -662,12 +662,14 @@ def oracle_row(obj, line_number):
                 targets = [targets]
             return gate(obj["g"], tuple(map(qubit, targets)))
         if op == "measure":
-            raw = obj.get("raw")
-            if raw is not None and (type(raw) is not int or raw not in (1, -1)):
+            raw = obj.get("raw")  # JSON null is no outcome
+            if raw is not None and (type(raw) is not int or raw not in RAW_OF_CODE):
                 raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
             basis = obj["basis"]
             if basis not in ("X", "Y", "Z"):
                 raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
+            if raw is None:
+                raise ValueError("measurement has no raw outcome")
             return "measure", basis, (qubit(obj["q"]),), raw
     except (KeyError, TypeError, ValueError) as exc:
         raise OracleParseError(line_number, str(exc)) from exc
@@ -784,7 +786,8 @@ def test_parse_circuit_matches_json_loads_oracle(before, line, after):
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(valid_lines, max_size=4), any_lines, st.lists(valid_lines, max_size=3))
-@example([], '{"op":"measure","basis":"Z","q":0}', [])  # fails while running, not parsing
+@example([], '{"op":"measure","basis":"Z","q":0}', [])
+@example(["", '{"op":"pauli","p":"X","q":0}', " "], '{"op":"measure","basis":"X","q":0}', [])
 @example(['{"op":"pauli","p":"X","q":0}'], '{"op":"measure","basis":"Z","q":0,"raw":null}', [])
 @example([], '{"op":"pauli","p":"X","q":1048576}', [])
 @example([], "\ufeff", [])

@@ -286,6 +286,7 @@ class TestProcessInfidelity:
     @pytest.mark.parametrize("value", [
         math.nan, math.inf, -math.inf,
         pytest.param(10 ** 400, id="int-beyond-float"), pytest.param(-(10 ** 400), id="-int-beyond-float"),
+        True, False,
     ])
     def test_noise_model_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
@@ -297,7 +298,8 @@ class TestProcessInfidelity:
         with pytest.raises(ValueError, match=f"{field} must be an integer, got {value!r}"):
             P.NoiseModel(**{field: value})
 
-    @pytest.mark.parametrize("tau", [math.nan, math.inf, pytest.param(10 ** 400, id="int-beyond-float")])
+    @pytest.mark.parametrize("tau", [math.nan, math.inf, pytest.param(10 ** 400, id="int-beyond-float"),
+                                     True, False])
     def test_build_sequence_rejects_non_finite_tau(self, tau):
         for kind in ("8H", "CP", "UDD"):
             with pytest.raises(ValueError, match="tau must be positive and finite"):
