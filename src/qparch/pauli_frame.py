@@ -58,11 +58,18 @@ def _pauli_code(letter: str) -> int:
         raise ValueError(f"invalid Pauli {letter!r}") from None
 
 
+def _check_int(qubit) -> None:
+    if type(qubit) is not int:  # a bool too: True is not qubit 1
+        raise ValueError(f"qubit index must be a non-negative integer, got {qubit!r}")
+
+
 def _gate_op(kind: str, targets: Sequence[int]) -> tuple[int, int, int]:
     """Check a Clifford gate and return its packed (op, qubit, arg)."""
     if kind == "CNOT":
         if len(targets) != 2:
             raise ValueError("CNOT takes exactly two targets")
+        for target in targets:  # before comparing them: True == 1 == 1.0
+            _check_int(target)
         if targets[0] == targets[1]:
             raise ValueError("CNOT control and target must be distinct")
         return _CNOT, targets[0], targets[1]
@@ -215,8 +222,7 @@ class PauliFrame:
 
     def _check_qubits(self, qubits: Iterable[int]) -> None:
         for qubit in qubits:
-            if type(qubit) is not int:  # a bool too: True is not qubit 1
-                raise ValueError(f"qubit index must be a non-negative integer, got {qubit!r}")
+            _check_int(qubit)
             if not 0 <= qubit < self.num_qubits:
                 raise IndexError(
                     f"qubit {shown(qubit)} out of range for {self.num_qubits}-qubit frame"

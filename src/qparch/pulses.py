@@ -55,21 +55,22 @@ class PulseSegment:
     def __post_init__(self) -> None:
         if self.kind not in ("free_precession", "pulse"):
             raise ValueError(f"unknown segment kind: {self.kind!r}")
-        if not 0 <= self.duration < math.inf:
+        if not (_is_finite(self.duration) and self.duration >= 0):
             raise ValueError(
-                f"segment duration must be finite and non-negative, got {self.duration!r}"
+                f"segment duration must be finite and non-negative, got {shown(self.duration)}"
             )
         if self.kind == "pulse":
             if self.axis is None or self.nominal_angle is None:
                 raise ValueError("pulse segments need an axis and a nominal angle")
+            if not all(map(_is_finite, self.axis)):
+                raise ValueError(f"pulse axis must be finite, got {shown(self.axis)}")
             axis = tuple(float(c) for c in self.axis)
-            # Written so that a NaN component fails the check too.
             if not abs(math.sqrt(sum(c * c for c in axis)) - 1.0) <= 1e-12:
                 raise ValueError(f"pulse axis must be a unit vector, got {axis}")
-            if not 0 <= self.nominal_angle < math.inf:
+            if not (_is_finite(self.nominal_angle) and self.nominal_angle >= 0):
                 raise ValueError(
                     "nominal_angle must be finite and non-negative (flip the axis instead), "
-                    f"got {self.nominal_angle!r}"
+                    f"got {shown(self.nominal_angle)}"
                 )
             object.__setattr__(self, "axis", axis)
         else:
@@ -122,8 +123,7 @@ class PulseSequence:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "segments", tuple(self.segments))
-        if not 0 < self.larmor_period < math.inf:
-            raise ValueError(f"larmor_period must be positive and finite, got {self.larmor_period!r}")
+        _check_larmor_period(self.larmor_period)
         if self.segments and not self.duration > 0:
             raise ValueError("non-empty sequences must have positive total duration")
 
@@ -170,49 +170,30 @@ def _segment_quaternion(
     )
 
 
-# Samples composed at a time, so that each elementwise operation works on
-# arrays that stay in cache instead of full-length temporaries.
-_BLOCK = 4096
+# Samples composed at a time: each product makes fresh temporaries of this
+# length, small enough to stay in cache.
+_BLOCK = 8192
 
 
-def _step(q, q2, out, t, u) -> None:
-    """Write the SU(2) product U2 U1 of q2 = U2 and q = U1 into ``out``.
+def _step(q, q2) -> tuple:
+    """The SU(2) product U2 U1 of q2 = U2 and q = U1.
 
-    On (w, v): w = w2 w1 - v2 . v1 and v = w2 v1 + w1 v2 + v2 x v1.  For a
-    rotation about Z the terms with x2 = y2 = 0 are dropped; they are exact
-    zeros, so every rounding is that of the full product (only the sign of
-    a zero result can differ).  ``t`` and ``u`` are scratch rows.
+    On (w, v): w = w2 w1 - v2 . v1 and v = w2 v1 + w1 v2 + v2 x v1, grouped
+    as written here, which sets the rounding.  For a rotation about Z the
+    terms with x2 = y2 = 0 are dropped; they are exact zeros, so every
+    rounding is that of the full product (only the sign of a zero result
+    can differ).
     """
     w, x, y, z = q
     w2, x2, y2, z2 = q2
-    nw, nx, ny, nz = out
     if x2 is None:
-        for new, a, b, combine in (
-            (nw, w, z, np.subtract), (nx, x, y, np.subtract), (ny, y, x, np.add), (nz, z, w, np.add),
-        ):
-            np.multiply(w2, a, out=new)
-            np.multiply(z2, b, out=t)
-            combine(new, t, out=new)
-        return
-    # w2 w - ((x2 x + y2 y) + z2 z), in the order that sets the rounding
-    np.multiply(x2, x, out=nw)
-    np.multiply(y2, y, out=t)
-    np.add(nw, t, out=nw)
-    np.multiply(z2, z, out=t)
-    np.add(nw, t, out=nw)
-    np.multiply(w2, w, out=t)
-    np.subtract(t, nw, out=nw)
-    # (w2 a + w a2) + (b2 c - c2 b) for each cyclic (a, b, c) of (x, y, z)
-    for new, a, a2, b, b2, c, c2 in (
-        (nx, x, x2, y, y2, z, z2), (ny, y, y2, z, z2, x, x2), (nz, z, z2, x, x2, y, y2),
-    ):
-        np.multiply(w2, a, out=new)
-        np.multiply(w, a2, out=t)
-        np.add(new, t, out=new)
-        np.multiply(b2, c, out=t)
-        np.multiply(c2, b, out=u)
-        np.subtract(t, u, out=t)
-        np.add(new, t, out=new)
+        return w2 * w - z2 * z, w2 * x - z2 * y, w2 * y + z2 * x, w2 * z + z2 * w
+    return (
+        w2 * w - (x2 * x + y2 * y + z2 * z),
+        w2 * x + w * x2 + (y2 * z - z2 * y),
+        w2 * y + w * y2 + (z2 * x - x2 * z),
+        w2 * z + w * z2 + (x2 * y - y2 * x),
+    )
 
 
 def _compose(
@@ -232,20 +213,15 @@ def _compose(
     samples = len(detunings)
     result = np.empty((4, samples))
     distinct = dict.fromkeys(segments)
-    width = min(samples, _BLOCK)
-    state, new, scratch = np.empty((4, width)), np.empty((4, width)), np.empty((2, width))
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, samples, _BLOCK):
             block = detunings[start:start + _BLOCK]
-            m = len(block)
             for segment in distinct:
                 distinct[segment] = _segment_quaternion(segment, larmor_period, block, pulse_error)
-            q, out, (t, u) = state[:, :m], new[:, :m], scratch[:, :m]
-            q[0], q[1:] = 1.0, 0.0
-            for segment in segments:
-                _step(q, distinct[segment], out, t, u)
-                q, out = out, q
-            result[:, start:start + m] = q
+            q = functools.reduce(_step, map(distinct.get, segments), (1.0, 0.0, 0.0, 0.0))
+            # q stays scalar when no segment varies with the detuning (none,
+            # or only zero-length pulses): written as (4, 1) columns then.
+            result[:, start:start + len(block)] = np.reshape(q, (4, -1))
     # A non-finite rotation turns its cos and sinc into NaN, which every
     # later product carries to the result.
     if not np.isfinite(result).all():
@@ -292,6 +268,7 @@ def composite_x_gate(
     """
     if not 0 <= theta < 4 * math.pi:
         raise ValueError("theta must lie in [0, 4*pi)")
+    _check_larmor_period(larmor_period)
     return PulseSequence(tuple(_composite_x_segments(theta, larmor_period, polarity)), larmor_period)
 
 
@@ -319,6 +296,11 @@ def _is_finite(value) -> bool:
         return False
 
 
+def _check_larmor_period(larmor_period) -> None:
+    if not (_is_finite(larmor_period) and larmor_period > 0):
+        raise ValueError(f"larmor_period must be positive and finite, got {shown(larmor_period)}")
+
+
 def build_sequence(
     kind: str,
     tau: float,
@@ -339,6 +321,7 @@ def build_sequence(
         raise ValueError(f"unknown sequence kind: {kind!r}")
     if not (tau > 0 and _is_finite(tau)):
         raise ValueError("tau must be positive and finite")
+    _check_larmor_period(larmor_period)
 
     window = 8 * tau
     width = _composite_x_duration(larmor_period)
@@ -359,8 +342,6 @@ def build_sequence(
 
     if name == "8H":
         ticks = [round(p) for p in periods]
-        if min(ticks) < 0:
-            raise ValueError("tau too small to fit pulses")
         delays = [t * larmor_period for t in ticks]
         # Two drive-polarity pairs: the sign flip halfway reverses the
         # first-order response to both pulse-angle error and the dephasing

@@ -352,7 +352,8 @@ class TestRunCircuit:
         lambda frame, q: frame.interpret_measurement("Z", q, 1),
         lambda frame, q: frame.conjugate(pf.CliffordGate("H", (q,))),
         lambda frame, q: frame.conjugate(pf.CliffordGate("CNOT", (q, 0))),
-    ], ids=["pauli", "measure", "h", "cnot"])
+        lambda frame, q: frame.conjugate(pf.CliffordGate("CNOT", (1, q))),
+    ], ids=["pauli", "measure", "h", "cnot", "cnot-target"])
     @pytest.mark.parametrize("qubit", [1.0, True, "1", None])
     def test_a_qubit_that_is_not_an_int_is_named(self, apply, qubit):
         frame = pf.PauliFrame(letters=["X", "Z"])

@@ -3,7 +3,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -120,10 +120,25 @@ class TestSegmentUnitary:
         ("axis", lambda v: P.pulse((v, 0.0, 0.0), math.pi, 1e-11)),
         ("larmor_period", lambda v: P.PulseSequence((P.free_precession(1e-9),), larmor_period=v)),
     ], ids=["free-duration", "pulse-duration", "nominal-angle", "axis", "larmor-period"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, 10 ** 400],
+                             ids=["nan", "inf", "bool", "int-beyond-float"])
     def test_non_finite_field_is_rejected_at_construction(self, field, build, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             build(value)
+
+    @pytest.mark.parametrize("build", [
+        lambda v: P.composite_x_gate(math.pi, v),
+        lambda v: P.build_sequence("8H", 1e-9, v),
+        lambda v: P.build_sequence("CP", 1e-9, v),
+        lambda v: P.build_sequence("UDD", 1e-9, v),
+        lambda v: P.bb1_virtual_gate(1.0, 1e-9, v),
+        lambda v: P.free_evolution(1e-9, v),
+    ], ids=["composite-x", "8h", "cp", "udd", "bb1", "free-evolution"])
+    @pytest.mark.parametrize("larmor_period", [0.0, -4e-11, math.nan, 10 ** 400],
+                             ids=["zero", "negative", "nan", "int-beyond-float"])
+    def test_builders_reject_a_bad_larmor_period(self, build, larmor_period):
+        with pytest.raises(ValueError, match="larmor_period must be positive and finite"):
+            build(larmor_period)
 
 
 class TestCompositeX:
@@ -486,13 +501,18 @@ class TestBlockedComposition:
         pulse_errors,
         st.floats(0.0, 2 * math.pi),
     )
+    # No segment varies with the detuning, so the product stays scalar.
+    @example([], 2 * BLOCK + 3, 7, 0.01, 1.0)
+    @example([P.pulse((1.0, 0.0, 0.0), math.pi, 0.0), P.pulse((0.0, 0.0, -1.0), 1.0, 0.0),
+              P.pulse(_unit_axis((1.0, 2.0, 3.0)), 2.0, 0.0)], BLOCK + 1, 7, 0.01, 1.0)
     def test_matches_per_segment_loop_exactly(self, segments, samples, seed, pulse_error, theta):
-        sequence = custom_sequence(segments)
         noise = P.NoiseModel(t2_star=2e-9, pulse_error=pulse_error, samples=samples, seed=seed)
         detunings = P.detuning_samples(noise)
-        got = P._compose(sequence.segments, LARMOR, detunings, pulse_error)
+        got = P._compose(tuple(segments), LARMOR, detunings, pulse_error)
         # == treats 0.0 and -0.0 as equal: only the sign of a zero may differ
         assert np.array_equal(got, oracle_compose(segments, LARMOR, detunings, pulse_error))
+        # A sequence needs a positive duration; the composition above does not.
+        sequence = custom_sequence(segments)
         target = rot_x(theta)
         fidelities = P.process_infidelity(sequence, noise, target).fidelities
         assert fidelities.tobytes() == oracle_fidelities(sequence, noise, target).tobytes()
