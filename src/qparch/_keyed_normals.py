@@ -15,11 +15,15 @@ is a fixed integer function of (seed, i) that vectorises over i:
    256-entry tables are read from the running numpy when this module is
    imported (``_probe_tables``: about 1100 primed draws, 5 ms on the VM).
 
-A key that leaves that fast path (about 1.5%, every key with idx 1 among
-them, since KI[1] = 0) is redrawn with ``default_rng((seed, i))`` itself, as
-is a seed or an index of 2**32 or more (its entropy takes several words), and
-every key if a first-use self-check against ``default_rng`` disagrees, say
-after a numpy release changes the stream or the tables cannot be probed.
+A key that leaves that fast path (about 1.4%, every key with idx 1 among
+them, since KI[1] = 0) is redrawn by one reused ``PCG64`` set to the state
+``default_rng((seed, i))`` holds before its first output: step 2's state less
+the increment, times the inverse of PCG64's multiplier modulo 2**128.  That
+takes about 5 us a key, against 21 us for a fresh generator.  A seed or an
+index of 2**32 or more (its entropy takes several words) is drawn with
+``default_rng((seed, i))`` itself, and so is every key if a first-use
+self-check against ``default_rng`` disagrees, say after a numpy release
+changes the stream or the PCG64 state dict, or the tables cannot be probed.
 Keys run in blocks of ``_BLOCK`` so temporaries stay small.
 """
 
@@ -41,12 +45,14 @@ _POOL_SIZE = 4
 _PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
 _STATE_MULT = _PCG_MULT * _PCG_MULT % 2 ** 128
 _INC_MULT = (_STATE_MULT + _PCG_MULT + 1) % 2 ** 128
+_PCG_INVERSE = pow(_PCG_MULT, -1, 2 ** 128)
 
 _KEY_LIMIT = 2 ** 32
 _BLOCK = 4096
-# (seed, first index) of the eight-key runs the self-check compares; all of
-# them take the fast path, at both ends of the single-word range.
-_SELF_CHECK_RUNS = ((0, 0), (_KEY_LIMIT - 1, _KEY_LIMIT - 8))
+# (seed, first index) of the eight-key runs the self-check compares: two that
+# take the fast path, at both ends of the single-word range, and one whose key
+# 1444 the fast path rejects, so a redraw that no longer matches is caught.
+_SELF_CHECK_RUNS = ((0, 0), (_KEY_LIMIT - 1, _KEY_LIMIT - 8), (2 ** 31 - 1, 1440))
 
 
 def _hash_pool(seed: int, index: np.ndarray) -> list[np.ndarray]:
@@ -111,8 +117,9 @@ def _mul_add_128(a: list[np.ndarray], a_mult: int, b: list[np.ndarray], b_mult: 
     return result
 
 
-def _first_bits(seed: int, start: int, stop: int) -> np.ndarray:
-    """The first next_uint64() of default_rng((seed, i)) for i in [start, stop)."""
+def _output_state(seed: int, start: int, stop: int) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """PCG64's state as the first next_uint64() of default_rng((seed, i)) outputs it, and the
+    generator's increment, for i in [start, stop), each as four 32-bit limbs."""
     w = _state_words(_hash_pool(seed, np.arange(start, stop, dtype=np.uint32)))
     # pcg64_set_seed: initstate = state[0] << 64 | state[1], and the increment
     # (state[2] << 64 | state[3]) << 1 | 1, with state[k] = w[2k] | w[2k+1] << 32.
@@ -121,16 +128,23 @@ def _first_bits(seed: int, start: int, stop: int) -> np.ndarray:
     one, top = np.uint64(1), np.uint64(31)
     inc = [(initseq[0] << one | one) & np.uint64(_MASK32)]
     inc += [(initseq[k] << one | initseq[k - 1] >> top) & np.uint64(_MASK32) for k in (1, 2, 3)]
-    r = _mul_add_128(initstate, _STATE_MULT, inc, _INC_MULT)
-    # XSL-RR: the XOR of the state's halves, rotated right by its top six bits.
+    return _mul_add_128(initstate, _STATE_MULT, inc, _INC_MULT), inc
+
+
+def _xsl_rr(r: list[np.ndarray]) -> np.ndarray:
+    """PCG64's output for a state: the XOR of its halves, rotated right by its top six bits."""
     folded = (r[3] << np.uint64(32) | r[2]) ^ (r[1] << np.uint64(32) | r[0])
     rot = r[3] >> np.uint64(26)
     return folded >> rot | folded << ((np.uint64(64) - rot) & np.uint64(63))
 
 
-def _first_try(seed: int, start: int, stop: int) -> tuple[np.ndarray, np.ndarray]:
-    """The ziggurat's first try for keys [start, stop): (x, accepted)."""
-    bits = _first_bits(seed, start, stop)
+def _first_bits(seed: int, start: int, stop: int) -> np.ndarray:
+    """The first next_uint64() of default_rng((seed, i)) for i in [start, stop)."""
+    return _xsl_rr(_output_state(seed, start, stop)[0])
+
+
+def _first_try(bits: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The ziggurat's first try on each key's first output: (x, accepted)."""
     idx = (bits & np.uint64(0xFF)).astype(np.intp)
     rabs = bits >> np.uint64(9) & np.uint64((1 << 52) - 1)
     x = rabs.astype(np.float64) * _WI_ARRAY[idx]
@@ -142,11 +156,28 @@ def _per_key(seed: int, index: int) -> float:
     return np.random.default_rng((seed, index)).standard_normal()
 
 
+def _limbs_value(limbs: list[np.ndarray], j: int) -> int:
+    return sum(int(limb[j]) << 32 * k for k, limb in enumerate(limbs))
+
+
+def _prime(bitgen: np.random.PCG64, state: int, inc: int) -> None:
+    """Set ``bitgen`` to increment ``inc`` and the state whose next step lands on ``state``."""
+    bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
+                    "state": {"state": (state - inc) * _PCG_INVERSE % 2 ** 128, "inc": inc}}
+
+
 def _draw(seed: int, start: int, stop: int) -> np.ndarray:
-    """Keys [start, stop) by the fast path, redrawing those it rejects."""
-    x, accepted = _first_try(seed, start, stop)
-    for j in np.flatnonzero(~accepted):
-        x[j] = _per_key(seed, start + int(j))
+    """Keys [start, stop) by the fast path.  A key it rejects is redrawn by one reused
+    generator, set to the state default_rng((seed, i)) holds before its first output."""
+    state, inc = _output_state(seed, start, stop)
+    x, accepted = _first_try(_xsl_rr(state))
+    rejected = np.flatnonzero(~accepted)
+    if rejected.size:
+        bitgen = np.random.PCG64(0)
+        normal = np.random.Generator(bitgen).standard_normal
+        for j in rejected:
+            _prime(bitgen, _limbs_value(state, j), _limbs_value(inc, j))
+            x[j] = normal()
     return x
 
 
@@ -155,7 +186,11 @@ def replica_agrees() -> bool:
     """Whether the vectorised draw matches default_rng on the self-check keys."""
     for seed, start in _SELF_CHECK_RUNS:
         want = np.array([_per_key(seed, i) for i in range(start, start + 8)])
-        if _draw(seed, start, start + 8).tobytes() != want.tobytes():
+        try:
+            got = _draw(seed, start, start + 8)
+        except (AttributeError, KeyError, TypeError, ValueError):  # say, another PCG64 state dict
+            return False
+        if got.tobytes() != want.tobytes():
             return False
     return True
 
@@ -188,15 +223,12 @@ def _probe_tables() -> tuple[np.ndarray, np.ndarray]:
     """
     bitgen = np.random.PCG64(0)
     normal = np.random.Generator(bitgen).standard_normal
-    inverse = pow(_PCG_MULT, -1, 2 ** 128)
 
     def draw(k: int, rabs: int) -> tuple[float, bool]:
         """The normal drawn from output k | rabs << 9, and whether it took that output alone."""
         first = k | rabs << 9
         # With the state's high word 0, XSL-RR outputs the state itself.
-        inc = -first * _PCG_MULT % 2 ** 128
-        bitgen.state = {"bit_generator": "PCG64", "has_uint32": 0, "uinteger": 0,
-                        "state": {"state": (first - inc) * inverse % 2 ** 128, "inc": inc}}
+        _prime(bitgen, first, -first * _PCG_MULT % 2 ** 128)
         x = normal()
         return x, bitgen.state["state"]["state"] == first
 

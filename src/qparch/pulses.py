@@ -62,6 +62,8 @@ class PulseSegment:
         if self.kind == "pulse":
             if self.axis is None or self.nominal_angle is None:
                 raise ValueError("pulse segments need an axis and a nominal angle")
+            if len(self.axis) != 3:
+                raise ValueError(f"pulse axis must have three components, got {shown(self.axis)}")
             if not all(map(_is_finite, self.axis)):
                 raise ValueError(f"pulse axis must be finite, got {shown(self.axis)}")
             axis = tuple(float(c) for c in self.axis)
@@ -95,6 +97,7 @@ def hadamard_pulse(larmor_period: float = DEFAULT_LARMOR_PERIOD, polarity: int =
     (-X + Z)/sqrt(2); pairs of opposite polarity cancel systematic pulse
     errors to first order.
     """
+    _check_larmor_period(larmor_period)
     if polarity not in (1, -1):
         raise ValueError("polarity must be +1 or -1")
     duration = larmor_period / math.sqrt(8)
@@ -109,6 +112,7 @@ def z_axis_pulse(angle: float, larmor_period: float = DEFAULT_LARMOR_PERIOD) -> 
     phase), so the net gate is R_Z(angle) and, unlike free precession, the
     angle is subject to the systematic pulse error.
     """
+    _check_larmor_period(larmor_period)
     if not 0 <= angle < 4 * math.pi:
         raise ValueError("angle must lie in [0, 4*pi)")
     return pulse((0.0, 0.0, 1.0), angle, larmor_period)
@@ -132,21 +136,22 @@ class PulseSequence:
         return sum(seg.duration for seg in self.segments)
 
 
-def _rotation_quaternion(vx: float, vy: float, vz: np.ndarray) -> tuple:
-    """(w, x, y, z) of exp(-i (v . sigma) / 2) = w I - i (x X + y Y + z Z).
+def _rotation(vx: float, vy: float, vz: np.ndarray) -> tuple:
+    """Cayley-Klein pair (a, b) of exp(-i (v . sigma) / 2) = [[a, b], [-b*, a*]].
 
     Only ``vz`` varies with the detuning.  A rotation about Z alone
-    (vx = vy = 0) has None for x and y: their products are exact zeros.
+    (vx = vy = 0) has None for b: its products are exact zeros.
     """
     angle = np.sqrt(vx * vx + vy * vy + vz * vz)
     # sin(a/2)/a, smooth through a = 0.
     k = 0.5 * np.sinc(angle / (2 * np.pi))
+    a = np.cos(angle / 2) - 1j * (k * vz)
     if vx == 0 and vy == 0:
-        return np.cos(angle / 2), None, None, k * vz
-    return np.cos(angle / 2), k * vx, k * vy, k * vz
+        return a, None
+    return a, -(k * vy) - 1j * (k * vx)
 
 
-def _segment_quaternion(
+def _segment_rotation(
     segment: PulseSegment,
     larmor_period: float,
     detunings: np.ndarray,
@@ -154,16 +159,16 @@ def _segment_quaternion(
 ) -> tuple:
     drift = 2 * np.pi / larmor_period + detunings
     if segment.kind == "free_precession":
-        return _rotation_quaternion(0.0, 0.0, drift * segment.duration)
+        return _rotation(0.0, 0.0, drift * segment.duration)
     if segment.duration == 0:
-        return 1.0, None, None, 0.0
+        return 1.0, None
     ax, ay, az = segment.axis
     angle = segment.nominal_angle
     # The systematic pulse error scales the whole rotation the pulse enacts
     # (drive plus the precession it rides on), a relative deviation of the
     # segment's net rotation angle.
     scale = 1 + pulse_error
-    return _rotation_quaternion(
+    return _rotation(
         scale * angle * ax,
         scale * angle * ay,
         scale * (angle * az + drift * segment.duration),
@@ -175,25 +180,21 @@ def _segment_quaternion(
 _BLOCK = 8192
 
 
-def _step(q, q2) -> tuple:
-    """The SU(2) product U2 U1 of q2 = U2 and q = U1.
+def _step(u, u2) -> tuple:
+    """The SU(2) product U2 U1 of u2 = U2 and u = U1, each as its pair (a, b).
 
-    On (w, v): w = w2 w1 - v2 . v1 and v = w2 v1 + w1 v2 + v2 x v1, grouped
-    as written here, which sets the rounding.  For a rotation about Z the
-    terms with x2 = y2 = 0 are dropped; they are exact zeros, so every
-    rounding is that of the full product (only the sign of a zero result
-    can differ).
+    For a rotation about Z (b2 = 0) the terms with b2 are dropped; they are
+    exact zeros, so every rounding is that of the full product (only the
+    sign of a zero result can differ).  A complex product's rounding depends
+    on its operand order, and numpy swaps the operands of ``x * temporary``
+    when it reuses a large temporary as the output, so each temporary comes
+    first: a sample's result does not depend on the array length.
     """
-    w, x, y, z = q
-    w2, x2, y2, z2 = q2
-    if x2 is None:
-        return w2 * w - z2 * z, w2 * x - z2 * y, w2 * y + z2 * x, w2 * z + z2 * w
-    return (
-        w2 * w - (x2 * x + y2 * y + z2 * z),
-        w2 * x + w * x2 + (y2 * z - z2 * y),
-        w2 * y + w * y2 + (z2 * x - x2 * z),
-        w2 * z + w * z2 + (x2 * y - y2 * x),
-    )
+    a, b = u
+    a2, b2 = u2
+    if b2 is None:
+        return a2 * a, a2 * b
+    return a2 * a - np.conj(b) * b2, a2 * b + np.conj(a) * b2
 
 
 def _compose(
@@ -202,26 +203,26 @@ def _compose(
     detunings: np.ndarray,
     pulse_error: float,
 ) -> np.ndarray:
-    """Quaternion rows (w, x, y, z) of the time-ordered product of segment
+    """Cayley-Klein rows (a, b) of the time-ordered product of segment
     unitaries, one column per detuning.
 
-    Each distinct segment's quaternion is computed once per block of
-    samples, however often the segment repeats.  Raises ``ValueError`` when
-    a segment's rotation overflows a float (a detuning, pulse error or
+    Each distinct segment's pair is computed once per block of samples,
+    however often the segment repeats.  Raises ``ValueError`` when a
+    segment's rotation overflows a float (a detuning, pulse error or
     duration so large that the phase is not finite).
     """
     samples = len(detunings)
-    result = np.empty((4, samples))
+    result = np.empty((2, samples), dtype=complex)
     distinct = dict.fromkeys(segments)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, samples, _BLOCK):
             block = detunings[start:start + _BLOCK]
             for segment in distinct:
-                distinct[segment] = _segment_quaternion(segment, larmor_period, block, pulse_error)
-            q = functools.reduce(_step, map(distinct.get, segments), (1.0, 0.0, 0.0, 0.0))
-            # q stays scalar when no segment varies with the detuning (none,
-            # or only zero-length pulses): written as (4, 1) columns then.
-            result[:, start:start + len(block)] = np.reshape(q, (4, -1))
+                distinct[segment] = _segment_rotation(segment, larmor_period, block, pulse_error)
+            u = functools.reduce(_step, map(distinct.get, segments), (1.0, 0.0))
+            # u stays scalar when no segment varies with the detuning (none,
+            # or only zero-length pulses): written as (2, 1) columns then.
+            result[:, start:start + len(block)] = np.reshape(u, (2, -1))
     # A non-finite rotation turns its cos and sinc into NaN, which every
     # later product carries to the result.
     if not np.isfinite(result).all():
@@ -230,16 +231,6 @@ def _compose(
             "or a segment's duration (tau) is too large for a finite phase"
         )
     return result
-
-
-def _unitaries(w, x, y, z) -> np.ndarray:
-    """Stacked 2x2 matrices w I - i (x X + y Y + z Z)."""
-    out = np.empty(w.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = w - 1j * z
-    out[..., 0, 1] = -y - 1j * x
-    out[..., 1, 0] = y - 1j * x
-    out[..., 1, 1] = w + 1j * z
-    return out
 
 
 def sequence_unitary(
@@ -251,8 +242,8 @@ def sequence_unitary(
 
     Raises ``ValueError`` when a segment's rotation overflows a float.
     """
-    quaternion = _compose(sequence.segments, sequence.larmor_period, np.array([detuning]), pulse_error)
-    return _unitaries(*quaternion)[0]
+    (a,), (b,) = _compose(sequence.segments, sequence.larmor_period, np.array([detuning]), pulse_error)
+    return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
 
 def composite_x_gate(
@@ -498,8 +489,10 @@ def process_infidelity(
     if target.shape != (2, 2) or not _is_unitary(target):
         raise ValueError("target must be a 2x2 unitary")
     detunings = detuning_samples(noise)
-    u = _unitaries(*_compose(sequence.segments, sequence.larmor_period, detunings, noise.pulse_error))
-    overlap = np.einsum("sij,ij->s", u, target.conj())
+    a, b = _compose(sequence.segments, sequence.larmor_period, detunings, noise.pulse_error)
+    # tr(target^dag U) with U = [[a, b], [-b*, a*]].
+    t = target.conj()
+    overlap = t[0, 0] * a + t[0, 1] * b - t[1, 0] * np.conj(b) + t[1, 1] * np.conj(a)
     fidelities = np.clip(np.abs(overlap) ** 2 / 4, 0.0, 1.0)
     errors = 1.0 - fidelities
     return ProcessResult(

@@ -93,7 +93,7 @@ def test_draw_is_the_per_key_generator_bit_for_bit(seed, n, prefix):
     z = P._standard_normals(seed, n)
     assert z.tobytes() == want.tobytes()
     if seed < 2 ** 32:  # the fast path alone, without the redraws and the self-check behind it
-        x, accepted = K._first_try(seed, 0, n)
+        x, accepted = K._first_try(K._first_bits(seed, 0, n))
         assert x[accepted].tobytes() == want[accepted].tobytes()
     m = min(prefix, n)
     assert P._standard_normals(seed, m).tobytes() == z[:m].tobytes()
@@ -102,7 +102,7 @@ def test_draw_is_the_per_key_generator_bit_for_bit(seed, n, prefix):
 @pytest.mark.parametrize("seed, keys", [(2 ** 31 - 1, (32, 1444)), (2 ** 32 - 1, (695, 781))])
 def test_pinned_examples_reach_the_slow_path(seed, keys):
     bits = K._first_bits(seed, 0, max(keys) + 1)
-    _, accepted = K._first_try(seed, 0, max(keys) + 1)
+    _, accepted = K._first_try(bits)
     assert sorted(int(bits[k]) & 0xFF for k in keys) == [0, 1]
     assert not accepted[list(keys)].any()
 
@@ -117,9 +117,35 @@ def test_prefixes_agree_across_blocks(seed):
 
 
 def test_self_check_passes_on_fast_path_keys(fresh_draw_caches):
-    for seed, start in K._SELF_CHECK_RUNS:
-        assert K._first_try(seed, start, start + 8)[1].all()
+    accepted = [K._first_try(K._first_bits(seed, start, start + 8))[1]
+                for seed, start in K._SELF_CHECK_RUNS]
+    assert accepted[0].all() and accepted[1].all()
+    assert not accepted[2].all()  # and a key the reused generator redraws
     assert K.replica_agrees()
+
+
+def test_redraws_match_fresh_generators_on_every_rejected_key():
+    bits = K._first_bits(7, 0, 20000)
+    rejected = np.flatnonzero(~K._first_try(bits)[1])
+    assert 200 < len(rejected) < 400  # about 1.4% of keys
+    z = K.standard_normals(7, 20000)
+    assert z[rejected].tobytes() == np.array([K._per_key(7, int(i)) for i in rejected]).tobytes()
+
+
+def test_a_changed_state_dict_falls_back_to_the_per_key_generator(monkeypatch, fresh_draw_caches):
+    class ChangedState(np.random.PCG64):  # as if a numpy release changed PCG64's state dict
+        @property
+        def state(self):
+            return super().state
+
+        @state.setter
+        def state(self, value):
+            raise KeyError("inc")
+
+    # The probed tables stay valid; only the redraw of a rejected key fails.
+    monkeypatch.setattr(np.random, "PCG64", ChangedState)
+    assert not K.replica_agrees()
+    assert P._standard_normals(2 ** 31 - 1, 1445).tobytes() == oracle(2 ** 31 - 1, 1445).tobytes()
 
 
 def test_stream_change_falls_back_to_the_per_key_generator(monkeypatch, fresh_draw_caches):

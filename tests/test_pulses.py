@@ -108,6 +108,9 @@ class TestSegmentUnitary:
     def test_segment_validation(self):
         with pytest.raises(ValueError):
             P.pulse((1.0, 1.0, 0.0), math.pi, 1e-11)
+        for axis in ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
+            with pytest.raises(ValueError, match=r"axis must have three components, got \(1\.0, 0\.0"):
+                P.pulse(axis, math.pi, 1e-11)
         with pytest.raises(ValueError):
             P.PulseSegment(kind="pulse", duration=1e-11)
         with pytest.raises(ValueError):
@@ -133,9 +136,11 @@ class TestSegmentUnitary:
         lambda v: P.build_sequence("UDD", 1e-9, v),
         lambda v: P.bb1_virtual_gate(1.0, 1e-9, v),
         lambda v: P.free_evolution(1e-9, v),
-    ], ids=["composite-x", "8h", "cp", "udd", "bb1", "free-evolution"])
-    @pytest.mark.parametrize("larmor_period", [0.0, -4e-11, math.nan, 10 ** 400],
-                             ids=["zero", "negative", "nan", "int-beyond-float"])
+        P.hadamard_pulse,
+        lambda v: P.z_axis_pulse(1.0, v),
+    ], ids=["composite-x", "8h", "cp", "udd", "bb1", "free-evolution", "hadamard", "z-axis"])
+    @pytest.mark.parametrize("larmor_period", [0.0, -4e-11, math.nan, 10 ** 400, True],
+                             ids=["zero", "negative", "nan", "int-beyond-float", "bool"])
     def test_builders_reject_a_bad_larmor_period(self, build, larmor_period):
         with pytest.raises(ValueError, match="larmor_period must be positive and finite"):
             build(larmor_period)
@@ -279,6 +284,24 @@ class TestProcessInfidelity:
         prefix = P.detuning_samples(P.NoiseModel(t2_star=2e-9, samples=16, seed=21))
         full = P.detuning_samples(P.NoiseModel(t2_star=2e-9, samples=64, seed=21))
         assert np.array_equal(full[:16], prefix)
+
+    def test_composition_is_partition_independent(self):
+        sequence = P.bb1_virtual_gate(1.0, 1e-9, LARMOR)
+        segments = sequence.segments
+        # Over 2**14 samples, so numpy reuses temporaries of the full-length products.
+        noise = P.NoiseModel(t2_star=2e-9, pulse_error=0.005, samples=2 * P._BLOCK + 3, seed=21)
+        prefix = P.NoiseModel(t2_star=2e-9, pulse_error=0.005, samples=40, seed=21)
+        target = expm(-0.5j * (0.3 * SX - 0.4 * SY + 0.5 * SZ))  # complex entries, none 0 or 1
+        assert (P.process_infidelity(sequence, prefix, target).fidelities.tobytes()
+                == P.process_infidelity(sequence, noise, target).fidelities[:40].tobytes())
+        detunings = P.detuning_samples(noise)
+        whole = P._compose(segments, LARMOR, detunings, noise.pulse_error)
+        # Chunks of 1 over a prefix (one call per sample), and chunks that
+        # straddle the sample blocks over all of them.
+        for size, stop in ((1, 40), (P._BLOCK - 1, len(detunings)), (P._BLOCK + 1, len(detunings))):
+            chunks = [P._compose(segments, LARMOR, detunings[i:min(i + size, stop)], noise.pulse_error)
+                      for i in range(0, stop, size)]
+            assert np.concatenate(chunks, axis=1).tobytes() == whole[:, :stop].tobytes()
 
     @pytest.mark.parametrize("target", NON_UNITARY + [np.eye(3)], ids=NON_UNITARY_IDS + ["3x3"])
     def test_target_must_be_a_2x2_unitary(self, target):
@@ -426,45 +449,62 @@ class TestCompositionProperties:
 
 
 def oracle_compose(segments, larmor_period, detunings, pulse_error):
-    """The plain per-segment loop: every segment's quaternion over all samples,
+    """The plain per-segment loop: every segment's pair (a, b) over all samples,
     however often it repeats, and the full product on fresh arrays each step."""
 
     def rotation(vx, vy, vz):
         angle = np.sqrt(vx * vx + vy * vy + vz * vz)
         k = 0.5 * np.sinc(angle / (2 * np.pi))
-        return np.cos(angle / 2), k * vx, k * vy, k * vz
+        return np.cos(angle / 2) - 1j * (k * vz), -(k * vy) - 1j * (k * vx)
 
-    zero = np.zeros_like(detunings)
-    w, x, y, z = np.ones_like(detunings), zero, zero, zero
+    one, zero = np.ones_like(detunings, dtype=complex), np.zeros_like(detunings, dtype=complex)
+    a, b = one, zero
     for segment in segments:
         drift = 2 * np.pi / larmor_period + detunings
         if segment.kind == "free_precession":
-            w2, x2, y2, z2 = rotation(0.0, 0.0, drift * segment.duration)
+            a2, b2 = rotation(0.0, 0.0, drift * segment.duration)
         elif segment.duration == 0:
-            w2, x2, y2, z2 = np.ones_like(detunings), zero, zero, zero
+            a2, b2 = one, zero
         else:
             (ax, ay, az), angle, scale = segment.axis, segment.nominal_angle, 1 + pulse_error
-            w2, x2, y2, z2 = rotation(
+            a2, b2 = rotation(
                 scale * angle * ax,
                 scale * angle * ay,
                 scale * (angle * az + drift * segment.duration),
             )
-        w, x, y, z = (
-            w2 * w - (x2 * x + y2 * y + z2 * z),
-            w2 * x + w * x2 + (y2 * z - z2 * y),
-            w2 * y + w * y2 + (z2 * x - x2 * z),
-            w2 * z + w * z2 + (x2 * y - y2 * x),
-        )
-    return np.array([w, x, y, z])
+        a, b = a2 * a - np.conj(b) * b2, a2 * b + np.conj(a) * b2
+    return np.array([a, b])
 
 
 def oracle_fidelities(sequence, noise, target):
-    """process_infidelity's reduction applied to the oracle's quaternions."""
-    quaternion = oracle_compose(
+    """process_infidelity's reduction applied to the oracle's pairs."""
+    a, b = oracle_compose(
         sequence.segments, sequence.larmor_period, P.detuning_samples(noise), noise.pulse_error
     )
-    overlap = np.einsum("sij,ij->s", P._unitaries(*quaternion), target.conj())
+    t = target.conj()
+    overlap = t[0, 0] * a + t[0, 1] * b - t[1, 0] * np.conj(b) + t[1, 1] * np.conj(a)
     return np.clip(np.abs(overlap) ** 2 / 4, 0.0, 1.0)
+
+
+def dense_compose(segments, larmor_period, detunings, pulse_error):
+    """Independent of the pair algebra: each segment's 2x2 in closed form,
+    cos(t/2) I - i sin(t/2) (n . sigma) for the rotation vector t n,
+    multiplied with ``@``, one (samples, 2, 2) stack per segment."""
+    u = np.broadcast_to(np.eye(2, dtype=complex), (len(detunings), 2, 2))
+    for segment in segments:
+        if segment.kind == "pulse" and segment.duration == 0:
+            continue  # the identity
+        drift = 2 * math.pi / larmor_period + detunings
+        v = np.zeros((len(detunings), 3))
+        v[:, 2] = drift * segment.duration
+        if segment.kind == "pulse":
+            v = (1 + pulse_error) * (v + segment.nominal_angle * np.array(segment.axis))
+        angle = np.linalg.norm(v, axis=1)
+        half_sin = np.divide(np.sin(angle / 2), angle, out=np.full_like(angle, 0.5), where=angle > 0)
+        v_sigma = v[:, 0, None, None] * SX + v[:, 1, None, None] * SY + v[:, 2, None, None] * SZ
+        m = np.cos(angle / 2)[:, None, None] * np.eye(2) - 1j * half_sin[:, None, None] * v_sigma
+        u = m @ u
+    return u
 
 
 BLOCK = P._BLOCK
@@ -511,6 +551,11 @@ class TestBlockedComposition:
         got = P._compose(tuple(segments), LARMOR, detunings, pulse_error)
         # == treats 0.0 and -0.0 as equal: only the sign of a zero may differ
         assert np.array_equal(got, oracle_compose(segments, LARMOR, detunings, pulse_error))
+        # The pair is the first row of U = [[a, b], [-b*, a*]]: entries agree
+        # with the dense product up to rounding.
+        (a, b), want = got, dense_compose(segments, LARMOR, detunings, pulse_error)
+        u = np.array([[a, b], [-np.conj(b), np.conj(a)]]).transpose(2, 0, 1)
+        assert np.max(np.abs(u - want)) <= 1e-12
         # A sequence needs a positive duration; the composition above does not.
         sequence = custom_sequence(segments)
         target = rot_x(theta)
