@@ -19,11 +19,11 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Sized
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import _keyed_normals
 from .errors import shown
 
 DEFAULT_LARMOR_PERIOD = 40e-12
@@ -62,7 +62,7 @@ class PulseSegment:
         if self.kind == "pulse":
             if self.axis is None or self.nominal_angle is None:
                 raise ValueError("pulse segments need an axis and a nominal angle")
-            if len(self.axis) != 3:
+            if not isinstance(self.axis, Sized) or len(self.axis) != 3:
                 raise ValueError(f"pulse axis must have three components, got {shown(self.axis)}")
             if not all(map(_is_finite, self.axis)):
                 raise ValueError(f"pulse axis must be finite, got {shown(self.axis)}")
@@ -98,8 +98,9 @@ def hadamard_pulse(larmor_period: float = DEFAULT_LARMOR_PERIOD, polarity: int =
     errors to first order.
     """
     _check_larmor_period(larmor_period)
-    if polarity not in (1, -1):
-        raise ValueError("polarity must be +1 or -1")
+    # bool is an int subclass, so name it: True is not the +X drive.
+    if isinstance(polarity, bool) or not isinstance(polarity, int) or polarity not in (1, -1):
+        raise ValueError(f"polarity must be the integer +1 or -1, got {polarity!r}")
     duration = larmor_period / math.sqrt(8)
     drive_angle = 2 * math.pi / math.sqrt(8)
     return pulse((float(polarity), 0.0, 0.0), drive_angle, duration)
@@ -278,12 +279,12 @@ def _composite_x_duration(larmor_period: float) -> float:
 
 def _is_finite(value) -> bool:
     """``math.isfinite``, but False for a bool, and False rather than ``OverflowError`` for an
-    int beyond the float range."""
+    int beyond the float range or ``TypeError`` for a value that is not a real number."""
     if isinstance(value, bool):  # an int subclass, but True is not 1 s or a 100% error
         return False
     try:
         return math.isfinite(value)
-    except OverflowError:
+    except (OverflowError, TypeError):
         return False
 
 
@@ -310,7 +311,7 @@ def build_sequence(
     name = kind.upper()
     if name not in ("8H", "CP", "UDD"):
         raise ValueError(f"unknown sequence kind: {kind!r}")
-    if not (tau > 0 and _is_finite(tau)):
+    if not (_is_finite(tau) and tau > 0):
         raise ValueError("tau must be positive and finite")
     _check_larmor_period(larmor_period)
 
@@ -420,7 +421,7 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.t2_star is not None and not (self.t2_star > 0 and _is_finite(self.t2_star)):
+        if self.t2_star is not None and not (_is_finite(self.t2_star) and self.t2_star > 0):
             raise ValueError("t2_star must be positive and finite (or None to disable dephasing)")
         if not _is_finite(self.pulse_error):
             raise ValueError("pulse_error must be finite")
@@ -450,23 +451,20 @@ class ProcessResult:
 
 @functools.lru_cache(maxsize=8)
 def _standard_normals(seed: int, samples: int) -> np.ndarray:
-    """One standard normal per sample from the stream keyed by (seed, index).
+    """``np.random.default_rng(seed).standard_normal(samples)``: sample i is the
+    i-th value of one stream on the seed, so a run of n samples is the first n
+    values of any longer run on the same seed.
 
-    The numbers are those of ``np.random.default_rng((seed, i)).standard_normal()``,
-    bit for bit, drawn for all i at once (see ``_keyed_normals``).  Cached
-    (read-only) because a sweep redraws the same seed for every grid point.
+    Cached (read-only) because a sweep redraws the same seed for every grid point.
     """
-    z = _keyed_normals.standard_normals(seed, samples)
+    z = np.random.default_rng(seed).standard_normal(samples)
     z.flags.writeable = False
     return z
 
 
 def detuning_samples(noise: NoiseModel) -> np.ndarray:
-    """Per-shot detunings, each drawn from a stream keyed by (seed, index).
-
-    Keying the stream per sample makes the results independent of how a run
-    is partitioned across workers.
-    """
+    """Per-shot detunings: the seed's standard normals (``_standard_normals``)
+    scaled by sqrt(2)/T2*."""
     if noise.t2_star is None:
         return np.zeros(noise.samples)
     return (math.sqrt(2) / noise.t2_star) * _standard_normals(noise.seed, noise.samples)

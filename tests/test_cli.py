@@ -695,8 +695,10 @@ assert "numpy" in sys.modules and callable(process_infidelity)
         (["estimate", "shor", "--bits", "1024"], {"pauli_frame", "pulses"}),
         (["estimate", "sim", "--particles", "61"], {"pauli_frame", "pulses"}),
         (["frame", "exec", "CIRCUIT"], {"estimates", "pulses"}),
+        (["pulse", "sweep", "--sequences", "8h", "--samples", "8"],
+         {"estimates", "pauli_frame", "_keyed_normals"}),
         ([], {"cli", "distillation", "errors", "estimates", "pauli_frame", "pulses", "qec"}),
-    ], ids=["qec-distance", "estimate-shor", "estimate-sim", "frame-exec", "bare-import"])
+    ], ids=["qec-distance", "estimate-shor", "estimate-sim", "frame-exec", "pulse-sweep", "bare-import"])
     def test_each_command_imports_only_the_layers_it_runs(self, argv, absent, tmp_path):
         circuit = tmp_path / "circuit.jsonl"
         circuit.write_text('{"op":"pauli","p":"X","q":0}\n{"op":"measure","basis":"Z","q":0,"raw":1}\n')

@@ -53,9 +53,9 @@ def oracle_sequence_unitary(segments, larmor_period, detuning=0.0, pulse_error=0
 
 
 def oracle_detunings(seed, samples, t2_star):
-    """One fresh generator per sample, drawing N(0, sqrt(2)/T2*) directly."""
+    """One generator on the seed, drawing N(0, sqrt(2)/T2*) directly."""
     sigma = math.sqrt(2) / t2_star
-    return np.array([np.random.default_rng((seed, i)).normal(0.0, sigma) for i in range(samples)])
+    return np.random.default_rng(seed).normal(0.0, sigma, samples)
 
 
 def segment_unitary(segment, detuning=0.0, pulse_error=0.0):
@@ -111,6 +111,9 @@ class TestSegmentUnitary:
         for axis in ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
             with pytest.raises(ValueError, match=r"axis must have three components, got \(1\.0, 0\.0"):
                 P.pulse(axis, math.pi, 1e-11)
+        for axis in (5, 1.0, object()):
+            with pytest.raises(ValueError, match="axis must have three components, got "):
+                P.PulseSegment(kind="pulse", duration=1e-11, axis=axis, nominal_angle=1.0)
         with pytest.raises(ValueError):
             P.PulseSegment(kind="pulse", duration=1e-11)
         with pytest.raises(ValueError):
@@ -123,8 +126,8 @@ class TestSegmentUnitary:
         ("axis", lambda v: P.pulse((v, 0.0, 0.0), math.pi, 1e-11)),
         ("larmor_period", lambda v: P.PulseSequence((P.free_precession(1e-9),), larmor_period=v)),
     ], ids=["free-duration", "pulse-duration", "nominal-angle", "axis", "larmor-period"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, True, 10 ** 400],
-                             ids=["nan", "inf", "bool", "int-beyond-float"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, True, 10 ** 400, "1e-11", 1e-11j],
+                             ids=["nan", "inf", "bool", "int-beyond-float", "str", "complex"])
     def test_non_finite_field_is_rejected_at_construction(self, field, build, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
             build(value)
@@ -144,6 +147,15 @@ class TestSegmentUnitary:
     def test_builders_reject_a_bad_larmor_period(self, build, larmor_period):
         with pytest.raises(ValueError, match="larmor_period must be positive and finite"):
             build(larmor_period)
+
+    @pytest.mark.parametrize("build", [
+        lambda v: P.hadamard_pulse(LARMOR, v),
+        lambda v: P.composite_x_gate(math.pi, LARMOR, v),
+    ], ids=["hadamard", "composite-x"])
+    @pytest.mark.parametrize("polarity", [True, False, 1.0, -1.0, 0, 2, "1", None])
+    def test_builders_reject_a_polarity_that_is_not_the_int_plus_or_minus_one(self, build, polarity):
+        with pytest.raises(ValueError, match=f"polarity must be the integer \\+1 or -1, got {polarity!r}"):
+            build(polarity)
 
 
 class TestCompositeX:
@@ -324,7 +336,7 @@ class TestProcessInfidelity:
     @pytest.mark.parametrize("value", [
         math.nan, math.inf, -math.inf,
         pytest.param(10 ** 400, id="int-beyond-float"), pytest.param(-(10 ** 400), id="-int-beyond-float"),
-        True, False,
+        True, False, "2e-9",
     ])
     def test_noise_model_rejects_non_finite(self, field, value):
         with pytest.raises(ValueError, match=f"{field} must be"):
@@ -337,7 +349,7 @@ class TestProcessInfidelity:
             P.NoiseModel(**{field: value})
 
     @pytest.mark.parametrize("tau", [math.nan, math.inf, pytest.param(10 ** 400, id="int-beyond-float"),
-                                     True, False])
+                                     True, False, "1e-9"])
     def test_build_sequence_rejects_non_finite_tau(self, tau):
         for kind in ("8H", "CP", "UDD"):
             with pytest.raises(ValueError, match="tau must be positive and finite"):
@@ -378,6 +390,26 @@ class TestDetuningDraws:
         scratch = P.detuning_samples(noise)
         scratch[:] = 0.0
         assert np.array_equal(P.detuning_samples(noise), oracle_detunings(3, 8, 2e-9))
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.one_of(st.sampled_from([0, 2**32 - 1, 2**32, 2**200]), st.integers(0, 2**128)),
+        st.integers(1, 2 * P._BLOCK + 3),
+        st.integers(1, 2 * P._BLOCK + 3),
+    )
+    @example(0, 1, 2 * P._BLOCK + 3)
+    @example(2**32 - 1, P._BLOCK, P._BLOCK + 1)
+    @example(2**32, P._BLOCK + 1, 2 * P._BLOCK + 3)
+    @example(2**200, 40, 2 * P._BLOCK + 3)
+    def test_a_run_is_a_prefix_of_any_longer_run_on_its_seed(self, seed, n, m):
+        n, m = sorted((n, m))
+        short = P.NoiseModel(t2_star=2e-9, pulse_error=0.005, samples=n, seed=seed)
+        long = P.NoiseModel(t2_star=2e-9, pulse_error=0.005, samples=m, seed=seed)
+        assert P.detuning_samples(short).tobytes() == P.detuning_samples(long)[:n].tobytes()
+        sequence = P.build_sequence("8H", 1e-9, LARMOR)
+        target = expm(-0.5j * (0.3 * SX - 0.4 * SY + 0.5 * SZ))  # complex entries, none 0 or 1
+        assert (P.process_infidelity(sequence, short, target).fidelities.tobytes()
+                == P.process_infidelity(sequence, long, target).fidelities[:n].tobytes())
 
     def test_each_t2_star_gets_its_own_scale_on_one_seed(self):
         short = P.detuning_samples(P.NoiseModel(t2_star=1e-9, samples=40, seed=9))
