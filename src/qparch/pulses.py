@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import math
-from collections.abc import Sized
+from collections.abc import Callable, Sized
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -137,43 +137,56 @@ class PulseSequence:
         return sum(seg.duration for seg in self.segments)
 
 
-def _rotation(vx: float, vy: float, vz: np.ndarray) -> tuple:
-    """Cayley-Klein pair (a, b) of exp(-i (v . sigma) / 2) = [[a, b], [-b*, a*]].
-
-    Only ``vz`` varies with the detuning.  A rotation about Z alone
-    (vx = vy = 0) has None for b: its products are exact zeros.
-    """
-    angle = np.sqrt(vx * vx + vy * vy + vz * vz)
-    # sin(a/2)/a, smooth through a = 0.
-    k = 0.5 * np.sinc(angle / (2 * np.pi))
-    a = np.cos(angle / 2) - 1j * (k * vz)
-    if vx == 0 and vy == 0:
-        return a, None
-    return a, -(k * vy) - 1j * (k * vx)
-
-
 def _segment_rotation(
-    segment: PulseSegment,
-    larmor_period: float,
-    detunings: np.ndarray,
-    pulse_error: float,
-) -> tuple:
-    drift = 2 * np.pi / larmor_period + detunings
-    if segment.kind == "free_precession":
-        return _rotation(0.0, 0.0, drift * segment.duration)
-    if segment.duration == 0:
-        return 1.0, None
-    ax, ay, az = segment.axis
-    angle = segment.nominal_angle
+    segment: PulseSegment, larmor_period: float, pulse_error: float
+) -> Callable[[np.ndarray], tuple]:
+    """The function from a block of detunings to the segment's Cayley-Klein pair
+    (a, b) of exp(-i (v . sigma) / 2) = [[a, b], [-b*, a*]], where v = (vx, vy,
+    c0 + c1 * detuning).  Free precession is the case angle = 0, scale = 1.
+    """
+    if segment.kind == "pulse" and segment.duration == 0:
+        return lambda detunings: (1.0, None)
+    ax, ay, az = segment.axis or (0.0, 0.0, 0.0)
+    angle = segment.nominal_angle or 0.0
     # The systematic pulse error scales the whole rotation the pulse enacts
     # (drive plus the precession it rides on), a relative deviation of the
     # segment's net rotation angle.
-    scale = 1 + pulse_error
-    return _rotation(
-        scale * angle * ax,
-        scale * angle * ay,
-        scale * (angle * az + drift * segment.duration),
-    )
+    scale = 1 + pulse_error if segment.kind == "pulse" else 1.0
+    vx, vy = scale * angle * ax, scale * angle * ay
+    c0 = scale * (angle * az + 2 * math.pi / larmor_period * segment.duration)
+    c1 = scale * segment.duration
+    if vx == 0 and vy == 0:
+        # The Larmor phase exp(-i c0 / 2), up to about 300 rad, is one scalar;
+        # a non-finite one is NaN, which _compose reports as an overflow.
+        half = 0.5 * c0
+        phase = complex(math.cos(half), -math.sin(half)) if math.isfinite(half) else math.nan
+        return functools.partial(_z_rotation, phase, c1)
+    return functools.partial(_tilted_rotation, vx, vy, c0, c1)
+
+
+def _z_rotation(phase: complex, c1: float, detunings: np.ndarray) -> tuple:
+    """a = phase * exp(-i c1 detuning / 2) of a rotation about Z alone: a small
+    angle's cos and sin per sample.  b is None: its products are exact zeros."""
+    x = (-0.5 * c1) * detunings
+    a = np.empty(len(x), dtype=complex)
+    np.cos(x, out=a.real)
+    np.sin(x, out=a.imag)
+    # Not in place: numpy's in-place product of a one-sample array rounds
+    # differently from the same product over a longer one.
+    return a * phase, None
+
+
+def _tilted_rotation(vx: float, vy: float, c0: float, c1: float, detunings: np.ndarray) -> tuple:
+    """a = cos(n/2) - i k vz and b = -k vy - i k vx, with n = |v| and
+    k = sin(n/2)/n (1/2 where n = 0, a rotation whose squares underflow)."""
+    vz = c0 + c1 * detunings
+    n = np.sqrt((vx * vx + vy * vy) + vz * vz)
+    half = 0.5 * n
+    k = np.divide(np.sin(half), n, out=np.full_like(n, 0.5), where=n > 0)
+    a = np.empty(len(n), dtype=complex)
+    np.cos(half, out=a.real)
+    np.multiply(k, -vz, out=a.imag)
+    return a, k * complex(-vy, -vx)
 
 
 # Samples composed at a time: each product makes fresh temporaries of this
@@ -207,25 +220,27 @@ def _compose(
     """Cayley-Klein rows (a, b) of the time-ordered product of segment
     unitaries, one column per detuning.
 
-    Each distinct segment's pair is computed once per block of samples,
-    however often the segment repeats.  Raises ``ValueError`` when a
-    segment's rotation overflows a float (a detuning, pulse error or
-    duration so large that the phase is not finite).
+    Each distinct segment's scalars are computed once per call and its pair
+    once per block of samples, however often the segment repeats.  Raises
+    ``ValueError`` when a segment's rotation overflows a float (a detuning,
+    pulse error or duration so large that the phase is not finite).
     """
     samples = len(detunings)
     result = np.empty((2, samples), dtype=complex)
-    distinct = dict.fromkeys(segments)
+    index: dict[PulseSegment, int] = {}
+    order = [index.setdefault(segment, len(index)) for segment in segments]
+    rotations = [_segment_rotation(segment, larmor_period, pulse_error) for segment in index]
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, samples, _BLOCK):
             block = detunings[start:start + _BLOCK]
-            for segment in distinct:
-                distinct[segment] = _segment_rotation(segment, larmor_period, block, pulse_error)
-            u = functools.reduce(_step, map(distinct.get, segments), (1.0, 0.0))
+            pairs = [rotation(block) for rotation in rotations]
+            u = functools.reduce(_step, map(pairs.__getitem__, order), (1.0, 0.0))
+            del pairs  # freed before the next block's pairs are made
             # u stays scalar when no segment varies with the detuning (none,
             # or only zero-length pulses): written as (2, 1) columns then.
             result[:, start:start + len(block)] = np.reshape(u, (2, -1))
-    # A non-finite rotation turns its cos and sinc into NaN, which every
-    # later product carries to the result.
+    # A non-finite rotation or Larmor phase turns its pair into NaN, which
+    # every later product carries to the result.
     if not np.isfinite(result).all():
         raise ValueError(
             "a segment's rotation overflows: the detuning (t2_star), the pulse error "

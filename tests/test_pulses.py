@@ -1,6 +1,7 @@
 import math
 import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -448,6 +449,9 @@ class TestCompositionProperties:
 
     @settings(max_examples=60, deadline=None)
     @given(segment_lists, st.floats(-2e9, 2e9), pulse_errors)
+    # A tilted rotation whose squares underflow: k = sin(n/2)/n must stay 1/2 at n = 0.
+    @example([P.pulse(_unit_axis((0.0, 1.0, 0.0)), 3.4446008499403967e-214, 3.4446008499403967e-214)],
+             0.0, 0.0)
     def test_sequence_unitary_matches_dense_product(self, segments, detuning, pulse_error):
         seq = custom_sequence(segments)
         got = P.sequence_unitary(seq, detuning, pulse_error)
@@ -482,19 +486,27 @@ class TestCompositionProperties:
 
 def oracle_compose(segments, larmor_period, detunings, pulse_error):
     """The plain per-segment loop: every segment's pair (a, b) over all samples,
-    however often it repeats, and the full product on fresh arrays each step."""
+    however often it repeats, and the full product on fresh arrays each step.
 
-    def rotation(vx, vy, vz):
-        angle = np.sqrt(vx * vx + vy * vy + vz * vz)
-        k = 0.5 * np.sinc(angle / (2 * np.pi))
+    A segment's rotation vector is (vx, vy, c0 + c1 * detuning); a rotation
+    about Z alone takes its Larmor phase exp(-i c0 / 2) as one scalar."""
+
+    def rotation(vx, vy, c0, c1):
+        if vx == 0 and vy == 0:
+            x = (-0.5 * c1) * detunings
+            phase = complex(math.cos(0.5 * c0), -math.sin(0.5 * c0))
+            return (np.cos(x) + 1j * np.sin(x)) * phase, zero
+        vz = c0 + c1 * detunings
+        angle = np.sqrt((vx * vx + vy * vy) + vz * vz)
+        k = np.divide(np.sin(angle / 2), angle, out=np.full_like(angle, 0.5), where=angle > 0)
         return np.cos(angle / 2) - 1j * (k * vz), -(k * vy) - 1j * (k * vx)
 
     one, zero = np.ones_like(detunings, dtype=complex), np.zeros_like(detunings, dtype=complex)
+    omega = 2 * math.pi / larmor_period
     a, b = one, zero
     for segment in segments:
-        drift = 2 * np.pi / larmor_period + detunings
         if segment.kind == "free_precession":
-            a2, b2 = rotation(0.0, 0.0, drift * segment.duration)
+            a2, b2 = rotation(0.0, 0.0, omega * segment.duration, segment.duration)
         elif segment.duration == 0:
             a2, b2 = one, zero
         else:
@@ -502,7 +514,8 @@ def oracle_compose(segments, larmor_period, detunings, pulse_error):
             a2, b2 = rotation(
                 scale * angle * ax,
                 scale * angle * ay,
-                scale * (angle * az + drift * segment.duration),
+                scale * (angle * az + omega * segment.duration),
+                scale * segment.duration,
             )
         a, b = a2 * a - np.conj(b) * b2, a2 * b + np.conj(a) * b2
     return np.array([a, b])
@@ -612,6 +625,66 @@ class TestBlockedComposition:
                 P.sequence_unitary(P.build_sequence("8H", 1e-9, LARMOR), **flags)
             with pytest.raises(ValueError, match="a segment's rotation overflows"):
                 segment_unitary(P.hadamard_pulse(LARMOR), **flags)
+            # Rotations about Z alone whose Larmor phase, a scalar, is not finite.
+            with pytest.raises(ValueError, match="a segment's rotation overflows"):
+                segment_unitary(P.free_precession(1e300), **flags)
+            with pytest.raises(ValueError, match="a segment's rotation overflows"):
+                segment_unitary(P.z_axis_pulse(1.0, LARMOR), pulse_error=1e308)
+
+    def test_partition_independent_when_numpy_reuses_temporaries(self, monkeypatch):
+        # Blocks of 2**15 samples hold 512 KiB complex arrays, above the size
+        # from which numpy reuses a temporary as a product's output: each
+        # complex product must still put its temporary first.
+        sequence = P.bb1_virtual_gate(math.pi, 1e-9, LARMOR)
+        noise = P.NoiseModel(t2_star=2e-9, pulse_error=0.01, samples=2**15 + 3, seed=7)
+        detunings = P.detuning_samples(noise)
+        default = P._compose(sequence.segments, LARMOR, detunings, noise.pulse_error)
+        monkeypatch.setattr(P, "_BLOCK", 2**15)
+        large = P._compose(sequence.segments, LARMOR, detunings, noise.pulse_error)
+        assert large.tobytes() == default.tobytes()
+
+
+def mp_pair(segment, detuning, pulse_error):
+    """A segment's pair (a, b) and rotation angle at 50 digits, from the documented
+    Hamiltonian with every float input taken as exact."""
+    with mpmath.workdps(50):
+        drift = 2 * mpmath.pi / mpmath.mpf(LARMOR) + mpmath.mpf(detuning)
+        v = [mpmath.mpf(0)] * 3
+        scale = mpmath.mpf(1)
+        if segment.kind == "pulse":
+            scale += mpmath.mpf(pulse_error)
+            v = [mpmath.mpf(segment.nominal_angle) * mpmath.mpf(c) for c in segment.axis]
+        v[2] += drift * mpmath.mpf(segment.duration)
+        v = [scale * c for c in v]
+        n = mpmath.sqrt(sum(c * c for c in v))
+        k = mpmath.sin(n / 2) / n if n else mpmath.mpf(0.5)
+        a = mpmath.mpc(mpmath.cos(n / 2), -k * v[2])
+        b = mpmath.mpc(-k * v[1], -k * v[0])
+        return complex(a), complex(b), float(n)
+
+
+class TestPairAccuracy:
+    """Each segment's pair against a 50-digit evaluation of the same rotation."""
+
+    SIGMA = math.sqrt(2) / 2e-9  # the detuning width at T2* = 2 ns
+
+    @pytest.mark.parametrize("segment, pulse_error", [
+        *[(P.free_precession(t), 0.0) for t in (0.0, 1e-12, 3.7e-11, 2.5e-10, 7.77e-10, 1e-9, 1.999e-9, 2e-9)],
+        *[(segment, error) for error in (0.0, 0.01) for segment in (
+            P.hadamard_pulse(LARMOR, 1), P.hadamard_pulse(LARMOR, -1),
+            P.z_axis_pulse(1.0, LARMOR), P.z_axis_pulse(math.pi, LARMOR), P.z_axis_pulse(3.9, LARMOR))],
+    ])
+    def test_matches_50_digit_pair(self, segment, pulse_error):
+        detunings = np.linspace(-5 * self.SIGMA, 5 * self.SIGMA, 21)
+        a, b = P._compose((segment,), LARMOR, detunings, pulse_error)
+        for i, detuning in enumerate(detunings):
+            want_a, want_b, angle = mp_pair(segment, detuning, pulse_error)
+            # Measured: at most 0.62 of this bound (2.0e-14 on free precession
+            # of up to 2 ns, whose Larmor phase reaches 321 rad; 4.1e-16 on
+            # pulses).  It rejects a pair that takes the cos of the whole
+            # phase per sample, which reaches 1.58 of it (4.4e-14).
+            bound = 1e-15 + 1e-16 * angle
+            assert max(abs(a[i] - want_a), abs(b[i] - want_b)) <= bound
 
 
 class TestBB1VirtualGate:
