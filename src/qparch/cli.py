@@ -191,13 +191,14 @@ def build_parser() -> argparse.ArgumentParser:
     qec_sub = qec_parser.add_subparsers(dest="subcommand", required=True)
     distance = qec_sub.add_parser("distance", help="code distance selection and logical error rates")
     add_common(distance)
-    distance.add_argument(
+    chosen = distance.add_mutually_exclusive_group()
+    chosen.add_argument(
         "--target-logical-error",
         type=float,
         default=1e-2,
         help="target error per logical gate for the minimal-distance search (default 1e-2)",
     )
-    distance.add_argument("--distance", type=int, help="evaluate one explicit code distance instead")
+    chosen.add_argument("--distance", type=int, help="evaluate one explicit code distance instead")
     distance.add_argument("--error-per-gate", type=float, help="override the profile's error per virtual gate")
     distance.set_defaults(handler=_cmd_qec_distance)
 

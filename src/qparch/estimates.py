@@ -146,7 +146,8 @@ class ResourceReport:
     """Qubit/cycle/runtime budget for one application run.
 
     A workload decides the fields passed in; ``__post_init__`` derives every
-    other field from them, the code point and the logical cycle time.
+    other field from them, the code point and the logical cycle time, and
+    raises ``ValueError`` when the runtime overflows a float.
     Fields are declared in the report's JSON key order.
     """
 
@@ -175,6 +176,11 @@ class ResourceReport:
         if self.consumption_rate is not None:
             throttle = max(1.0, self.consumption_rate / self.production_rate)
         runtime = self.logical_cycles * logical_cycle_time * throttle
+        if not math.isfinite(runtime):
+            raise ValueError(
+                f"the runtime overflows a float: {self.logical_cycles!r} logical cycles of "
+                f"logical_cycle_time {logical_cycle_time!r} s, throttled by {throttle!r}"
+            )
         derived = {
             "total_logical_qubits": total,
             "code_distance": code.distance,

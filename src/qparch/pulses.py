@@ -156,10 +156,11 @@ def _segment_rotation(
     c0 = scale * (angle * az + 2 * math.pi / larmor_period * segment.duration)
     c1 = scale * segment.duration
     if vx == 0 and vy == 0:
-        # The Larmor phase exp(-i c0 / 2), up to about 300 rad, is one scalar;
-        # a non-finite one is NaN, which _compose reports as an overflow.
+        # The Larmor phase exp(-i c0 / 2), up to about 300 rad, is one scalar.
+        # From 2**52 rad on a double holds no fractional radian, so the phase
+        # is unresolved: NaN, like a non-finite one, which _compose reports.
         half = 0.5 * c0
-        phase = complex(math.cos(half), -math.sin(half)) if math.isfinite(half) else math.nan
+        phase = complex(math.cos(half), -math.sin(half)) if abs(half) < 2 ** 52 else math.nan
         return functools.partial(_z_rotation, phase, c1)
     return functools.partial(_tilted_rotation, vx, vy, c0, c1)
 
@@ -223,7 +224,9 @@ def _compose(
     Each distinct segment's scalars are computed once per call and its pair
     once per block of samples, however often the segment repeats.  Raises
     ``ValueError`` when a segment's rotation overflows a float (a detuning,
-    pulse error or duration so large that the phase is not finite).
+    pulse error or duration so large that the phase is not finite), or when
+    a segment's Larmor phase reaches 2**52 rad, where it holds no fractional
+    radian.
     """
     samples = len(detunings)
     result = np.empty((2, samples), dtype=complex)
@@ -239,12 +242,14 @@ def _compose(
             # u stays scalar when no segment varies with the detuning (none,
             # or only zero-length pulses): written as (2, 1) columns then.
             result[:, start:start + len(block)] = np.reshape(u, (2, -1))
-    # A non-finite rotation or Larmor phase turns its pair into NaN, which
-    # every later product carries to the result.
+    # A non-finite rotation or an unresolved Larmor phase turns its pair into
+    # NaN, which every later product carries to the result.
     if not np.isfinite(result).all():
         raise ValueError(
-            "a segment's rotation overflows: the detuning (t2_star), the pulse error "
-            "or a segment's duration (tau) is too large for a finite phase"
+            "a segment's rotation overflows or is too large to resolve: the detuning "
+            "(t2_star), the pulse error, a segment's duration (tau) or the Larmor rate "
+            "(1 / larmor_period) is so large that the phase is not finite or holds no "
+            "fractional radian"
         )
     return result
 
@@ -256,7 +261,8 @@ def sequence_unitary(
 ) -> np.ndarray:
     """Net unitary of a sequence (segments compose in time order).
 
-    Raises ``ValueError`` when a segment's rotation overflows a float.
+    Raises ``ValueError`` when a segment's rotation overflows a float or is
+    too large to resolve.
     """
     (a,), (b,) = _compose(sequence.segments, sequence.larmor_period, np.array([detuning]), pulse_error)
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
@@ -496,7 +502,8 @@ def process_infidelity(
     per-sample fidelity is |tr(target^dag U)|^2 / 4 and the result is the
     mean of 1 - F.  Deterministic for a fixed seed and sample count.  Raises
     ``ValueError`` when a segment's rotation overflows a float (a detuning
-    or pulse error so large that the phase is not finite).
+    or pulse error so large that the phase is not finite) or its Larmor
+    phase is too large to resolve.
     """
     target = IDENTITY2 if target is None else np.asarray(target, dtype=complex)
     if target.shape != (2, 2) or not _is_unitary(target):

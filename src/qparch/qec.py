@@ -1,6 +1,6 @@
 """Surface-code sizing model.
 
-Maps a hardware profile (gate times and error rates) to logical-layer
+Maps a hardware profile (cycle times and error rates) to logical-layer
 quantities: the error rate of a logical gate at a given code distance, the
 smallest distance meeting a target error rate, the virtual-qubit footprint of
 a logical qubit, and the wall-clock duration of the fundamental logical gates.
@@ -35,19 +35,17 @@ CNOT_DIVISOR = 4
 
 @dataclass(frozen=True)
 class HardwareProfile:
-    """Physical, virtual, QEC and logical timing/error constants.
+    """Physical, QEC and logical timing/error constants, each read by one formula.
 
     Defaults describe the optically controlled quantum-dot platform: 40 ps
-    Larmor period, 14 ps broadband pulses (the Larmor period over sqrt(8)),
-    32 ns entangling and virtual gates, 256 ns lattice refresh, 30 us logical
-    cycle, 1e-3 error per virtual gate against a 9e-3 threshold.
+    Larmor period, 256 ns lattice refresh, 30 us logical cycle, 1e-3 error
+    per virtual gate against a 9e-3 threshold.  The pulse layer derives the
+    times in between from the Larmor period: a 14 ps broadband pulse
+    (``pulses.hadamard_pulse``, the period over sqrt(8)) and a 32 ns virtual
+    gate (``pulses.bb1_virtual_gate(...).duration``).
     """
 
     larmor_period: float = 40e-12
-    pulse_duration: float = 14e-12
-    entangling_gate_time: float = 32e-9
-    qnd_readout_time: float = 1e-9
-    virtual_gate_time: float = 32e-9
     lattice_cycle_time: float = 256e-9
     logical_cycle_time: float = 30e-6
     error_per_virtual_gate: float = 1e-3
@@ -178,18 +176,26 @@ def code_point(profile: HardwareProfile, distance: int) -> CodePoint:
     """Assemble the CodePoint for an explicitly chosen distance.
 
     A logical gate lasts its lattice steps times the lattice refresh time; a
-    measurement takes one refresh.
+    measurement takes one refresh.  Raises ``ValueError`` when the CNOT time
+    overflows a float.
     """
     rate = logical_error_rate(profile, distance)  # checks the distance first
     cnot_steps = CNOT_STEP_COEFF * math.ceil(distance / CNOT_DIVISOR)
     hadamard_steps = CNOT_STEP_COEFF * math.ceil(distance / HADAMARD_DIVISOR)
+    # The CNOT is the longest gate, so its time bounds the others.
+    cnot_time = cnot_steps * profile.lattice_cycle_time
+    if not math.isfinite(cnot_time):
+        raise ValueError(
+            f"the CNOT time at code distance {distance} overflows a float: {cnot_steps} "
+            f"lattice steps of lattice_cycle_time {profile.lattice_cycle_time!r} s"
+        )
     return CodePoint(
         distance=distance,
         logical_error_rate=rate,
         virtual_per_logical=footprint(distance),
         cnot_lattice_steps=cnot_steps,
         hadamard_lattice_steps=hadamard_steps,
-        cnot_time_s=cnot_steps * profile.lattice_cycle_time,
+        cnot_time_s=cnot_time,
         hadamard_time_s=hadamard_steps * profile.lattice_cycle_time,
         measurement_time_s=profile.lattice_cycle_time,
     )

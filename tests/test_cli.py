@@ -3,13 +3,14 @@ import math
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qparch import cli
+from qparch import cli, qec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -18,6 +19,27 @@ def run_cli(args, tmp_path, name="out"):
     path = tmp_path / name
     code = cli.main(args + ["--output", str(path)])
     return code, path.read_bytes() if path.exists() else b""
+
+
+def write_profile(tmp_path, **values):
+    path = tmp_path / "profile.json"
+    path.write_text(json.dumps(values))
+    return str(path)
+
+
+@pytest.mark.parametrize("name", [item.name for item in fields(qec.HardwareProfile)])
+def test_every_profile_field_is_read(name, tmp_path):
+    """Changing any one profile field changes the output of some command."""
+    path = write_profile(tmp_path, **{name: getattr(qec.HardwareProfile(), name) * 1.25})
+    readers = (
+        ["qec", "distance", "--distance", "31"],
+        ["estimate", "shor", "--bits", "1024"],
+        ["pulse", "sweep", "--samples", "16"],
+    )
+    assert any(
+        run_cli(argv, tmp_path, "default") != run_cli([*argv, "--profile", path], tmp_path, "changed")
+        for argv in readers
+    ), f"no output reads {name}"
 
 
 class TestQecDistance:
@@ -125,6 +147,13 @@ class TestQecDistance:
         err = capsys.readouterr().err
         assert err.startswith("error: unreachable target") and "error_per_virtual_gate" in err
 
+    def test_distance_with_a_target_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["qec", "distance", "--distance", "31", "--target-logical-error", "1e-9"])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "error: argument --target-logical-error: not allowed with argument --distance" in err
+
     def test_json_key_order(self, tmp_path):
         point_keys = [
             "distance", "logical_error_rate", "virtual_per_logical", "cnot_lattice_steps",
@@ -165,11 +194,16 @@ class TestQecDistance:
         assert cli.main(["qec", "distance", "--profile", str(profile)]) == 2
         assert capsys.readouterr().err.startswith("error: c1 must be a finite real number")
 
-    def test_unknown_profile_field_is_usage_error(self, tmp_path, capsys):
+    # A typo, and the four times no formula read.
+    @pytest.mark.parametrize("name", [
+        "thresold", "pulse_duration", "virtual_gate_time", "entangling_gate_time",
+        "qnd_readout_time",
+    ])
+    def test_unknown_profile_field_is_usage_error(self, name, tmp_path, capsys):
         profile = tmp_path / "profile.json"
-        profile.write_text(json.dumps({"thresold": 9e-3}))
+        profile.write_text(json.dumps({name: 9e-3}))
         assert cli.main(["qec", "distance", "--profile", str(profile)]) == 2
-        assert "thresold" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: unknown hardware profile field(s): {name}\n"
 
     def test_profile_with_an_oversized_integer_names_the_file(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
@@ -369,6 +403,24 @@ class TestPulseSweep:
         assert err.startswith("error: a segment's rotation overflows")
         assert err.count("\n") == 1
 
+    @pytest.mark.parametrize("flags, profile", [
+        (["--sequences", "udd", "--tau", "1e100"], {}),
+        (["--sequences", "8h"], {"larmor_period": 1e-300}),
+    ], ids=["udd-tau-1e100", "8h-larmor-1e-300"])
+    def test_unresolvable_larmor_phase_is_usage_error(self, flags, profile, tmp_path, capsys):
+        # Noiseless, so a resolved answer is a rounding error from 0; from 2**52 rad
+        # on, a precession phase holds no fractional radian.
+        path = write_profile(tmp_path, **profile)
+        code, payload = run_cli(
+            ["pulse", "sweep", "--samples", "4", "--t2-star", "0", *flags, "--profile", path],
+            tmp_path,
+        )
+        assert code == 2
+        assert payload == b""
+        err = capsys.readouterr().err
+        assert err.startswith("error: a segment's rotation overflows or is too large to resolve")
+        assert "larmor_period" in err and err.count("\n") == 1
+
     @pytest.mark.parametrize("samples", [2 ** 20 + 1, 2 ** 62, 10 ** 30],
                              ids=["limit+1", "2**62", "10**30"])
     def test_samples_beyond_the_limit_is_usage_error(self, samples, tmp_path, capsys, monkeypatch):
@@ -508,6 +560,27 @@ def assert_one_outcome(argv, capsys):
         assert out == ""
         assert sum("error:" in line for line in err.splitlines()) == 1, err
         assert "Traceback" not in err
+
+
+# A profile time of 1e308 s, and the error its first overflowing product gives.
+CNOT_OVERFLOW = ({"lattice_cycle_time": 1e308}, "the CNOT time at code distance")
+RUNTIME_OVERFLOW = ({"logical_cycle_time": 1e308}, "the runtime overflows a float")
+
+
+@pytest.mark.parametrize("argv, overflow", [
+    (["qec", "distance", "--distance", "31"], CNOT_OVERFLOW),
+    (["qec", "distance"], CNOT_OVERFLOW),
+    (["estimate", "shor", "--bits", "1024"], CNOT_OVERFLOW),
+    (["estimate", "shor", "--bits", "16384"], RUNTIME_OVERFLOW),
+    (["estimate", "shor", "--bits", "1024,16384"], RUNTIME_OVERFLOW),
+    (["estimate", "sim", "--particles", "61"], RUNTIME_OVERFLOW),
+])
+def test_time_that_overflows_is_usage_error(argv, overflow, tmp_path, capsys):
+    profile, error = overflow
+    argv = [*argv, "--profile", write_profile(tmp_path, **profile)]
+    assert_one_outcome(argv, capsys)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err.startswith(f"error: {error}")
 
 
 EDGE_TOKENS = [

@@ -631,6 +631,16 @@ class TestBlockedComposition:
             with pytest.raises(ValueError, match="a segment's rotation overflows"):
                 segment_unitary(P.z_axis_pulse(1.0, LARMOR), pulse_error=1e308)
 
+    def test_larmor_phase_from_2_to_52_rad_is_unresolved(self):
+        # With a Larmor period of 2 pi a free precession's phase equals its duration.
+        def unitary(duration):
+            sequence = P.PulseSequence((P.free_precession(duration),), larmor_period=2 * math.pi)
+            return P.sequence_unitary(sequence)
+
+        assert np.isfinite(unitary(2.0 ** 53 - 2)).all()
+        with pytest.raises(ValueError, match="too large to resolve"):
+            unitary(2.0 ** 53)
+
     def test_partition_independent_when_numpy_reuses_temporaries(self, monkeypatch):
         # Blocks of 2**15 samples hold 512 KiB complex arrays, above the size
         # from which numpy reuses a temporary as a product's output: each

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from qparch import qec
+from qparch import pulses, qec
 from qparch.errors import UnreachableTargetError
 
 DEFAULTS = qec.HardwareProfile()
@@ -256,9 +256,9 @@ class TestLogicalGateTimes:
 
 class TestHardwareProfile:
     def test_default_pulse_matches_larmor_relation(self):
-        assert DEFAULTS.pulse_duration == pytest.approx(
-            DEFAULTS.larmor_period / math.sqrt(8), rel=0.02
-        )
+        # The pulse layer keeps its own default so that it never imports qec.
+        assert pulses.DEFAULT_LARMOR_PERIOD == DEFAULTS.larmor_period
+        assert pulses.hadamard_pulse().duration == DEFAULTS.larmor_period / math.sqrt(8)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -289,8 +289,14 @@ class TestHardwareProfile:
         assert profile.logical_cycle_time == 40e-6
         assert profile.larmor_period == DEFAULTS.larmor_period
 
-    def test_unknown_field_fails_fast(self, tmp_path):
+    # A typo, and the four times no formula read (the pulse layer derives the
+    # pulse and virtual-gate durations from the Larmor period).
+    @pytest.mark.parametrize("name", [
+        "logical_cycle_tme", "pulse_duration", "virtual_gate_time", "entangling_gate_time",
+        "qnd_readout_time",
+    ])
+    def test_unknown_field_fails_fast(self, name, tmp_path):
         path = tmp_path / "profile.json"
-        path.write_text(json.dumps({"logical_cycle_tme": 40e-6}))
-        with pytest.raises(ValueError, match="logical_cycle_tme"):
+        path.write_text(json.dumps({name: 40e-6}))
+        with pytest.raises(ValueError, match=f"unknown hardware profile field\\(s\\): {name}$"):
             qec.HardwareProfile.from_json(path)
