@@ -20,7 +20,7 @@ _EXPORTS = {
     "estimates": (
         "ResourceReport ShorWorkload SimWorkload shor_estimate shor_sweep sim_estimate sweep_to_csv"
     ),
-    "pauli_frame": "CliffordGate CircuitParseError PauliFrame load_circuit parse_circuit run_circuit",
+    "pauli_frame": "CircuitParseError PauliFrame load_circuit parse_circuit run_circuit",
     "pulses": (
         "NoiseModel ProcessResult PulseSegment PulseSequence bb1_virtual_gate build_sequence "
         "composite_x_gate free_evolution process_infidelity sequence_unitary"

@@ -30,6 +30,9 @@ TOFFOLI_ANCILLAS = 7
 
 def distillation_volume(level: int) -> int:
     """Circuit volume (qubit*cycles) to distill one ancilla at the given level."""
+    # bool is an int subclass, so name it: True is not level 1.
+    if isinstance(level, bool) or not isinstance(level, int):
+        raise ValueError(f"distillation level must be an integer, got {level!r}")
     if not 1 <= level <= MAX_DISTILLATION_LEVEL:
         raise ValueError(
             f"distillation level must be between 1 and {MAX_DISTILLATION_LEVEL}, got {level}"

@@ -52,12 +52,17 @@ SWEEP_CSV_HEADER = (
 
 
 def _check_counts(workload) -> None:
-    """Every count field of ``workload`` lies in [0, ``MAX_COUNT``]."""
+    """Every count field of ``workload`` is None or an int in [0, ``MAX_COUNT``]."""
     for item in fields(workload):
         value = getattr(workload, item.name)
-        if value is not None and value < 0:
+        if value is None:
+            continue
+        # bool is an int subclass, so name it: True is not one bit.
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"{item.name} must be an integer, got {value!r}")
+        if value < 0:
             raise ValueError(f"{item.name} must be non-negative, got {shown(value)}")
-        if value is not None and value > MAX_COUNT:
+        if value > MAX_COUNT:
             raise ValueError(
                 f"{item.name} must be at most 2**53 (the largest integer a float holds "
                 f"exactly), got {shown(value)}"
@@ -72,9 +77,9 @@ class ShorWorkload:
     machine_logical_qubits: int | None = None
 
     def __post_init__(self) -> None:
+        _check_counts(self)
         if self.bits < 4:
             raise ValueError("bit size must be >= 4")
-        _check_counts(self)
         if (
             self.machine_logical_qubits is not None
             and self.machine_logical_qubits - self.app_qubits < distillation.LEVEL1_CROSS_SECTION
@@ -122,11 +127,11 @@ class SimWorkload:
     timesteps: int = 2 ** 10
 
     def __post_init__(self) -> None:
+        _check_counts(self)
         if self.particles < 1:
             raise ValueError("particle count must be >= 1")
         if self.bits_precision < 1 or self.timesteps < 1:
             raise ValueError("bits_precision and timesteps must be >= 1")
-        _check_counts(self)
 
     @property
     def register_qubits_per_particle(self) -> int:

@@ -12,7 +12,7 @@ Circuits come in as JSON lines, each self-contained (a measurement carries
 its own raw outcome), so every check happens while parsing.  They are held
 only as packed (op, qubit, arg) rows in parallel ``array`` columns
 (``Circuit``).  One loop of XORs over them (``_execute``) runs every frame
-update, including the single rows that ``PauliFrame``'s methods build.
+update: ``run_circuit`` is the only way to change a frame.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ from __future__ import annotations
 import json
 import re
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
@@ -58,18 +57,11 @@ def _pauli_code(letter: str) -> int:
         raise ValueError(f"invalid Pauli {letter!r}") from None
 
 
-def _check_int(qubit) -> None:
-    if type(qubit) is not int:  # a bool too: True is not qubit 1
-        raise ValueError(f"qubit index must be a non-negative integer, got {qubit!r}")
-
-
 def _gate_op(kind: str, targets: Sequence[int]) -> tuple[int, int, int]:
-    """Check a Clifford gate and return its packed (op, qubit, arg)."""
+    """Check a Clifford gate on checked qubits; return its packed (op, qubit, arg)."""
     if kind == "CNOT":
         if len(targets) != 2:
             raise ValueError("CNOT takes exactly two targets")
-        for target in targets:  # before comparing them: True == 1 == 1.0
-            _check_int(target)
         if targets[0] == targets[1]:
             raise ValueError("CNOT control and target must be distinct")
         return _CNOT, targets[0], targets[1]
@@ -82,27 +74,12 @@ def _gate_op(kind: str, targets: Sequence[int]) -> tuple[int, int, int]:
     return op, targets[0], arg
 
 
-@dataclass(frozen=True)
-class CliffordGate:
-    kind: str
-    targets: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "targets", tuple(self.targets))
-        _gate_op(self.kind, self.targets)
-
-
-def _check_raw(raw) -> None:
-    # bool is an int subclass, so test the exact type: true is not the outcome +1.
-    if type(raw) is not int or raw not in (1, -1):
-        raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
-
-
 def _measure_arg(fields: Mapping) -> int:
     """Check ``raw`` if given, then ``basis``, then that ``raw`` is given; return the packed arg."""
     raw = fields.get("raw")
-    if raw is not None:
-        _check_raw(raw)
+    # bool is an int subclass, so test the exact type: true is not the outcome +1.
+    if raw is not None and (type(raw) is not int or raw not in _RAW):
+        raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
     basis = fields["basis"]
     if basis not in MEASUREMENT_BASES:
         raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
@@ -175,9 +152,9 @@ def _execute(x: list[int], z: list[int], circuit: Circuit) -> list[int]:
 class PauliFrame:
     """Per-qubit Pauli corrections tracked in classical memory as (x, z) bits.
 
-    A frame is a value type: methods mutate the instance in place, and
-    ``copy()`` produces an independent frame.  Nothing here touches a quantum
-    state; the engine only rewrites bookkeeping.
+    A frame is a value type: ``run_circuit`` returns an updated copy and
+    leaves its input alone.  Nothing here touches a quantum state; the engine
+    only rewrites bookkeeping.
     """
 
     def __init__(self, num_qubits: int = 0, letters: Sequence[str] | None = None):
@@ -219,39 +196,6 @@ class PauliFrame:
 
     def __repr__(self) -> str:
         return f"PauliFrame({''.join(self.letters)!r})"
-
-    def _check_qubits(self, qubits: Iterable[int]) -> None:
-        for qubit in qubits:
-            _check_int(qubit)
-            if not 0 <= qubit < self.num_qubits:
-                raise IndexError(
-                    f"qubit {shown(qubit)} out of range for {self.num_qubits}-qubit frame"
-                )
-
-    def _apply(self, op: int, qubit: int, arg: int) -> list[int]:
-        """Run one packed row on the frame."""
-        self._check_qubits((qubit, arg) if op == _CNOT else (qubit,))
-        circuit = Circuit()
-        circuit._extend([(op, qubit, arg)])
-        return _execute(self.x, self.z, circuit)
-
-    def fold_pauli(self, pauli: str, qubit: int) -> None:
-        """Multiply a circuit Pauli gate into the frame instead of running it."""
-        self._apply(_PAULI, qubit, _pauli_code(pauli))
-
-    def conjugate(self, gate: CliffordGate) -> None:
-        """Update the frame for an implemented Clifford gate: F -> U F U^dag."""
-        self._apply(*_gate_op(gate.kind, gate.targets))
-
-    def interpret_measurement(self, basis: str, qubit: int, raw_outcome: int) -> int:
-        """Reinterpret a raw +/-1 outcome against the frame.
-
-        The outcome flips exactly when the frame anticommutes with the
-        measured basis operator.  The measured qubit is then reset to I,
-        treating the projective measurement as establishing a fresh frame.
-        """
-        _check_raw(raw_outcome)  # here None is a wrong outcome, not a missing field
-        return self._apply(_MEASURE, qubit, _measure_arg({"basis": basis, "raw": raw_outcome}))[0]
 
 
 class CircuitParseError(ValueError):

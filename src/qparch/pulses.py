@@ -155,14 +155,16 @@ def _segment_rotation(
     vx, vy = scale * angle * ax, scale * angle * ay
     c0 = scale * (angle * az + 2 * math.pi / larmor_period * segment.duration)
     c1 = scale * segment.duration
+    # From 2**52 rad on a double holds no fractional radian, so a rotation
+    # that large is unresolved: NaN, like a non-finite one, which _compose
+    # reports.  The bound is on the half-angle at zero detuning.
+    resolved = 0.5 * math.hypot(vx, vy, c0) < 2 ** 52
     if vx == 0 and vy == 0:
         # The Larmor phase exp(-i c0 / 2), up to about 300 rad, is one scalar.
-        # From 2**52 rad on a double holds no fractional radian, so the phase
-        # is unresolved: NaN, like a non-finite one, which _compose reports.
         half = 0.5 * c0
-        phase = complex(math.cos(half), -math.sin(half)) if abs(half) < 2 ** 52 else math.nan
+        phase = complex(math.cos(half), -math.sin(half)) if resolved else math.nan
         return functools.partial(_z_rotation, phase, c1)
-    return functools.partial(_tilted_rotation, vx, vy, c0, c1)
+    return functools.partial(_tilted_rotation, vx, vy, c0 if resolved else math.nan, c1)
 
 
 def _z_rotation(phase: complex, c1: float, detunings: np.ndarray) -> tuple:
@@ -225,8 +227,8 @@ def _compose(
     once per block of samples, however often the segment repeats.  Raises
     ``ValueError`` when a segment's rotation overflows a float (a detuning,
     pulse error or duration so large that the phase is not finite), or when
-    a segment's Larmor phase reaches 2**52 rad, where it holds no fractional
-    radian.
+    a segment's Larmor phase or tilted rotation angle reaches 2**52 rad,
+    where it holds no fractional radian.
     """
     samples = len(detunings)
     result = np.empty((2, samples), dtype=complex)

@@ -94,6 +94,21 @@ class HardwareProfile:
         return cls(**data)
 
 
+def _check_distance(distance) -> None:
+    """``distance`` is an odd positive int no larger than 2**53."""
+    # bool is an int subclass, so name it: True is not distance 1.
+    if (isinstance(distance, bool) or not isinstance(distance, int)
+            or distance < 1 or distance % 2 == 0):
+        raise ValueError(f"code distance must be an odd positive integer, got {shown(distance)}")
+    # The gate-step and footprint formulas take the distance as a float, which
+    # holds integers exactly only up to 2**53; a huge int overflows it.
+    if distance > 2 ** 53:
+        raise ValueError(
+            f"code distance must be at most 2**53 (the largest integer a float holds "
+            f"exactly), got {shown(distance)}"
+        )
+
+
 @dataclass(frozen=True)
 class CodePoint:
     """A chosen code distance and the quantities derived from it."""
@@ -108,8 +123,7 @@ class CodePoint:
     measurement_time_s: float
 
     def __post_init__(self) -> None:
-        if self.distance < 1 or self.distance % 2 == 0:
-            raise ValueError(f"code distance must be an odd positive integer, got {shown(self.distance)}")
+        _check_distance(self.distance)
 
 
 def failure_probability(logical_error_rate: float, depth: float, qubits: float) -> float:
@@ -136,15 +150,7 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
     ``RateUnderflowError`` when the rate underflows to 0.0, and ``ValueError``
     when it overflows a float or is above 1, which no error rate can be.
     """
-    if distance < 1 or distance % 2 == 0:
-        raise ValueError(f"code distance must be an odd positive integer, got {shown(distance)}")
-    # The gate-step and footprint formulas take the distance as a float, which
-    # holds integers exactly only up to 2**53; a huge int overflows it.
-    if distance > 2 ** 53:
-        raise ValueError(
-            f"code distance must be at most 2**53 (the largest integer a float holds "
-            f"exactly), got {shown(distance)}"
-        )
+    _check_distance(distance)
     exponent = (distance + 1) // 2
     try:
         rate = profile.c1 * profile.suppression_base ** exponent

@@ -125,24 +125,27 @@ def test_criterion_7_pauli_frame_oracle_equivalence():
     pair_basis = {a + b: np.kron(PAULI[a], PAULI[b]) for a in letters for b in letters}
     swap = np.array([[1, 0, 0, 0], [0, 0, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1]], dtype=complex)
 
+    def run(initial, line):
+        """Run one circuit line on a frame, as ``frame exec`` does."""
+        frame = pauli_frame.PauliFrame(letters=initial)
+        return pauli_frame.run_circuit(frame, pauli_frame.parse_circuit([line]))
+
     ok = True
     for gate, matrix in GATE_MATRIX.items():
         for letter in letters:
-            frame = pauli_frame.PauliFrame(letters=[letter])
-            frame.conjugate(pauli_frame.CliffordGate(gate, (0,)))
+            frame, _ = run([letter], f'{{"op":"clifford","g":"{gate}","q":0}}')
             expected = letter_of(matrix @ PAULI[letter] @ matrix.conj().T, single_basis)
             ok &= frame.letters == [expected]
-    for targets, cnot in (((0, 1), CNOT_01), ((1, 0), swap @ CNOT_01 @ swap)):
+    for targets, cnot in (("[0,1]", CNOT_01), ("[1,0]", swap @ CNOT_01 @ swap)):
         for a in letters:
             for b in letters:
-                frame = pauli_frame.PauliFrame(letters=[a, b])
-                frame.conjugate(pauli_frame.CliffordGate("CNOT", targets))
+                frame, _ = run([a, b], f'{{"op":"clifford","g":"CNOT","q":{targets}}}')
                 expected = letter_of(cnot @ pair_basis[a + b] @ cnot.conj().T, pair_basis)
                 ok &= "".join(frame.letters) == expected
     for letter in letters:
         for basis in ("X", "Y", "Z"):
-            frame = pauli_frame.PauliFrame(letters=[letter])
-            flipped = frame.interpret_measurement(basis, 0, +1) == -1
+            _, outcomes = run([letter], f'{{"op":"measure","basis":"{basis}","q":0,"raw":1}}')
+            flipped = outcomes == [-1]
             anticommutes = np.allclose(
                 PAULI[letter] @ PAULI[basis] + PAULI[basis] @ PAULI[letter], 0, atol=1e-12
             )

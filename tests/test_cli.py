@@ -406,10 +406,11 @@ class TestPulseSweep:
     @pytest.mark.parametrize("flags, profile", [
         (["--sequences", "udd", "--tau", "1e100"], {}),
         (["--sequences", "8h"], {"larmor_period": 1e-300}),
-    ], ids=["udd-tau-1e100", "8h-larmor-1e-300"])
+        (["--sequences", "8h", "--pulse-errors", "1e17"], {}),
+    ], ids=["udd-tau-1e100", "8h-larmor-1e-300", "8h-pulse-error-1e17"])
     def test_unresolvable_larmor_phase_is_usage_error(self, flags, profile, tmp_path, capsys):
         # Noiseless, so a resolved answer is a rounding error from 0; from 2**52 rad
-        # on, a precession phase holds no fractional radian.
+        # on, a precession phase or a tilted pulse's angle holds no fractional radian.
         path = write_profile(tmp_path, **profile)
         code, payload = run_cli(
             ["pulse", "sweep", "--samples", "4", "--t2-star", "0", *flags, "--profile", path],
@@ -524,6 +525,8 @@ class TestFrameExec:
     ("shor_4096_fixed", ["estimate", "shor", "--bits", "4096",
                          "--machine-logical-qubits", "100000"]),
     ("sim_61", ["estimate", "sim", "--particles", "61"]),
+    # The README's circuit, then each other gate kind and basis; one line has spaces.
+    ("frame_readme", ["frame", "exec", str(GOLDEN / "frame_readme.jsonl")]),
 ])
 def test_stdout_matches_golden_bytes(name, argv, capsys):
     """The README's deterministic commands print exactly the pinned bytes."""

@@ -31,6 +31,10 @@ class TestDistillationVolume:
     def test_rejects_level_zero(self):
         with pytest.raises(ValueError):
             dist.distillation_volume(0)
+        for level in (True, 2.5):
+            message = f"^distillation level must be an integer, got {level!r}$"
+            with pytest.raises(ValueError, match=message):
+                dist.distillation_volume(level)
 
     def test_rejects_levels_beyond_the_limit(self):
         assert dist.distillation_volume(dist.MAX_DISTILLATION_LEVEL) == 72 * 16 ** 9

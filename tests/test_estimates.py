@@ -38,6 +38,17 @@ class TestShorConsumptionRate:
     def test_rejects_tiny_keys(self):
         with pytest.raises(ValueError):
             est.ShorWorkload(bits=2).consumption_rate
+        # A count is an int, not a bool or a float: True is not one particle.
+        for make, field, value in ((est.ShorWorkload, "bits", True),
+                                   (est.ShorWorkload, "bits", 1024.5),
+                                   (est.SimWorkload, "particles", True),
+                                   (est.SimWorkload, "particles", 61.0)):
+            with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+                make(**{field: value})
+        with pytest.raises(ValueError, match="^machine_logical_qubits must be an integer, got 100"):
+            est.ShorWorkload(bits=1024, machine_logical_qubits=100000.0)
+        with pytest.raises(ValueError, match="^distillation level must be an integer, got True$"):
+            est.shor_estimate(est.ShorWorkload(bits=1024), PROFILE, CODE, level=True)
 
 
 class TestShorEstimate:

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 
@@ -131,6 +132,15 @@ class TestLogicalErrorRate:
     def test_rejects_even_distance(self):
         with pytest.raises(ValueError):
             qec.logical_error_rate(DEFAULTS, 30)
+        # Nor a bool or a float: True is not distance 1, and 31.0 is no distance.
+        point = qec.code_point(DEFAULTS, 31)
+        for distance in (True, 31.0):
+            message = f"^code distance must be an odd positive integer, got {distance!r}$"
+            for call in (lambda: qec.logical_error_rate(DEFAULTS, distance),
+                         lambda: qec.code_point(DEFAULTS, distance),
+                         lambda: dataclasses.replace(point, distance=distance)):
+                with pytest.raises(ValueError, match=message):
+                    call()
 
     def test_rate_that_underflows_names_the_distance(self):
         assert qec.logical_error_rate(DEFAULTS, 551) > 0.0  # the last distance still a float

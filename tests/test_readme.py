@@ -1,11 +1,14 @@
-"""The README's library sketch runs, and every exported name exists."""
+"""The README's library sketch runs, every exported name exists, and every
+name the package defines has a reader."""
 
+import ast
 import re
 from pathlib import Path
 
 import qparch
 
-README = Path(__file__).resolve().parents[1] / "README.md"
+ROOT = Path(__file__).resolve().parents[1]
+README = ROOT / "README.md"
 
 
 def library_sketch() -> str:
@@ -22,3 +25,77 @@ def test_library_sketch_runs(capsys):
 def test_every_exported_name_resolves():
     assert [name for name in qparch.__all__ if not hasattr(qparch, name)] == []
     assert len(set(qparch.__all__)) == len(qparch.__all__)
+
+
+
+def definitions(tree):
+    """(name, node) of each top-level function, class, non-dunder method and module constant."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("__"):
+                    yield item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            for target in node.targets if isinstance(node, ast.Assign) else [node.target]:
+                for name in ast.walk(target):
+                    if isinstance(name, ast.Name) and not name.id.startswith("__"):
+                        yield name.id, node
+
+
+def reads(tree):
+    """(identifier, line) of each name, attribute and imported name that ``tree`` reads."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+
+
+def string_words(tree):
+    """The words of every string constant in ``tree`` that is not a docstring."""
+    docstrings = {
+        id(node.body[0].value) for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+        and isinstance(node.body[0].value, ast.Constant)
+    }
+    for node in ast.walk(tree):
+        is_string = isinstance(node, ast.Constant) and isinstance(node.value, str)
+        if is_string and id(node) not in docstrings:
+            yield from re.findall(r"\w+", node.value)
+
+
+def parse(path):
+    return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_every_name_has_a_reader():
+    """Each name survives only if the package, the bench, an acceptance criterion
+    or the library sketch reads it, outside the name's own definition."""
+    package = {path: parse(path) for path in sorted((ROOT / "src" / "qparch").glob("*.py"))}
+    inside = {}  # identifier -> (file, line) of each read in the package
+    for path, tree in package.items():
+        for name, line in reads(tree):
+            inside.setdefault(name, []).append((path, line))
+    outside = set()
+    for path in sorted((ROOT / "bench").glob("*.py")):
+        tree = parse(path)
+        outside.update(name for name, _ in reads(tree))
+        outside.update(string_words(tree))  # tracing wraps functions by name
+    outside.update(name for name, _ in reads(parse(ROOT / "tests" / "test_acceptance.py")))
+    outside.update(name for name, _ in reads(ast.parse(library_sketch())))
+    unread = []
+    for path, tree in package.items():
+        if path.name == "__init__.py":
+            continue
+        for name, node in definitions(tree):
+            own = range(node.lineno, node.end_lineno + 1)
+            if name not in outside and all(
+                other == path and line in own for other, line in inside.get(name, ())
+            ):
+                unread.append(f"{path.stem}.{name}")
+    assert unread == []
