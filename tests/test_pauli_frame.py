@@ -157,6 +157,10 @@ class TestFoldPauli:
         assert run(["X"], pauli_line("Z"))[0] == ["Y"]
         assert letter_from_matrix(PAULI["Z"] @ PAULI["X"]) == "Y"
 
+    def test_out_of_range_qubit(self):
+        with pytest.raises(IndexError, match="qubit 1 out of range for 1-qubit frame"):
+            run(["I"], pauli_line("X", 1))
+
 
 class TestConjugation:
     @pytest.mark.parametrize("gate", ("H", "S", "S_dagger", "X", "Y", "Z"))
@@ -300,6 +304,54 @@ class TestRunCircuit:
         cnot = pf.parse_circuit(['{"op":"clifford","g":"CNOT","q":[0,2]}'])
         with pytest.raises(IndexError):
             pf.run_circuit(pf.PauliFrame(2), cnot)
+
+    @pytest.mark.parametrize("line", [
+        lambda: pauli_line("X", -1),
+        lambda: measure_line("Z", -1),
+        lambda: gate_line("H", -1),
+        lambda: gate_line("CNOT", 0, -2),
+        lambda: gate_line("CNOT", -1, 1),
+    ], ids=["pauli", "measure", "h", "cnot-target", "cnot-control"])
+    def test_negative_qubit_raises_and_never_wraps(self, line):
+        # A negative qubit is a parse error, never a list index from the end.
+        frame = pf.PauliFrame(letters=["X", "Z"])
+        with pytest.raises(pf.CircuitParseError, match=(
+                r"^line 2: qubit index must be a non-negative integer, got -\d$")):
+            pf.run_circuit(frame, pf.parse_circuit([pauli_line("Y", 1), line()]))
+        assert frame.letters == ["X", "Z"]
+
+    @pytest.mark.parametrize("template", [
+        '{{"op":"pauli","p":"X","q":{}}}',
+        '{{"op":"measure","basis":"Z","q":{},"raw":1}}',
+        '{{"op":"clifford","g":"CNOT","q":[0,{}]}}',
+    ], ids=["pauli", "measure", "cnot"])
+    def test_a_qubit_too_long_to_print_is_named_by_its_size(self, template):
+        # json.dumps cannot write a 5001-digit int, so the line is built as text.
+        with pytest.raises(pf.CircuitParseError, match=r"^line 1: invalid JSON \(.*\b5001 digits"):
+            pf.parse_circuit([template.format("1" + "0" * 5000)])
+
+    @pytest.mark.parametrize("line", [
+        lambda q: pauli_line("X", q),
+        lambda q: measure_line("Z", q),
+        lambda q: gate_line("H", q),
+        lambda q: gate_line("CNOT", q, 0),
+        lambda q: gate_line("CNOT", 1, q),
+    ], ids=["pauli", "measure", "h", "cnot", "cnot-target"])
+    @pytest.mark.parametrize("qubit", [1.0, True, "1", None])
+    def test_a_qubit_that_is_not_an_int_is_named(self, line, qubit):
+        frame = pf.PauliFrame(letters=["X", "Z"])
+        with pytest.raises(pf.CircuitParseError, match=re.escape(
+                f"line 1: qubit index must be a non-negative integer, got {qubit!r}")):
+            pf.run_circuit(frame, pf.parse_circuit([line(qubit)]))
+        assert frame.letters == ["X", "Z"]
+
+    def test_frame_methods_reject_negative_qubits(self):
+        # Every line kind that changes a frame checks its qubit before the frame is touched.
+        frame = pf.PauliFrame(2)
+        for line in (pauli_line("X", -1), gate_line("S", -1), measure_line("Z", -2)):
+            with pytest.raises(pf.CircuitParseError, match="non-negative integer"):
+                pf.run_circuit(frame, pf.parse_circuit([line]))
+        assert frame.letters == ["I", "I"]
 
 
 class TestCircuitParsing:
