@@ -8,9 +8,8 @@ circuit volume V grows by a factor of 16 per distillation level.
 from __future__ import annotations
 
 import math
-import sys
 
-from .errors import shown
+from .errors import is_int, is_real, shown
 
 LEVEL1_CROSS_SECTION = 12  # logical qubits occupied by one distillation circuit
 LEVEL1_DEPTH = 6           # logical cycles per distillation round
@@ -30,8 +29,7 @@ TOFFOLI_ANCILLAS = 7
 
 def distillation_volume(level: int) -> int:
     """Circuit volume (qubit*cycles) to distill one ancilla at the given level."""
-    # bool is an int subclass, so name it: True is not level 1.
-    if isinstance(level, bool) or not isinstance(level, int):
+    if not is_int(level):
         raise ValueError(f"distillation level must be an integer, got {level!r}")
     if not 1 <= level <= MAX_DISTILLATION_LEVEL:
         raise ValueError(
@@ -41,8 +39,8 @@ def distillation_volume(level: int) -> int:
 
 
 def _check_finite(name: str, value: float) -> None:
-    """``value`` is a number in [0, the largest float]: not NaN, infinite or overflowing."""
-    if not 0 <= value <= sys.float_info.max:
+    """``value`` is a real number >= 0 (``errors.is_real``): not NaN, infinite or overflowing."""
+    if not (is_real(value) and value >= 0):
         raise ValueError(f"{name} must be a finite number >= 0, got {shown(value)}")
 
 

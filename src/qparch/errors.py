@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types and the numeric-input rule shared across the package."""
+
+import math
+import sys
+
+# A float holds every integer up to 2**53 exactly.  Counts and distances meet
+# float arithmetic, so a larger one would be rounded, overflow or raise.
+MAX_EXACT_INT = 2 ** 53
 
 
 class InfeasibleInputError(ValueError):
@@ -23,3 +30,15 @@ def shown(value) -> str:
         return repr(value)
     except ValueError:  # the interpreter's limit on int-to-string digits
         return f"an integer of {value.bit_length()} bits"
+
+
+def is_int(value) -> bool:
+    """An int that is not a bool: bool subclasses int, but True is not a count of 1."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite float, or an int (not a bool) within the float range; never raises."""
+    if isinstance(value, float):
+        return math.isfinite(value)
+    return is_int(value) and abs(value) <= sys.float_info.max

@@ -15,7 +15,7 @@ import math
 from dataclasses import InitVar, dataclass, field, fields
 
 from . import distillation, qec
-from .errors import NoFactoryCapacityError, shown
+from .errors import MAX_EXACT_INT, NoFactoryCapacityError, is_int, shown
 
 SECONDS_PER_DAY = 86400.0
 # Qubits sit on a 1 um pitch, so one virtual qubit occupies 1 um^2 = 1e-8 cm^2.
@@ -40,11 +40,6 @@ SIM_APP_QUBITS_PER_PARTICLE = 109
 SIM_DISTILL_QUBITS_PER_PARTICLE = 260
 SIM_OPERATOR_MEMORY_PER_PARTICLE = {"kinetic": 334, "potential": 369, "qft": 272}
 
-# Workload counts meet floats (4 N**2, 6.26e5 * B, cycles * qubits), which
-# hold integers exactly only up to 2**53.  A larger count would be rounded,
-# overflow to inf or raise OverflowError, so it is an input error.
-MAX_COUNT = 2 ** 53
-
 SWEEP_CSV_HEADER = (
     "N,app_qubits,distillation_qubits,production_rate,consumption_rate,"
     "throttle,toffoli_depth,runtime_s"
@@ -52,17 +47,17 @@ SWEEP_CSV_HEADER = (
 
 
 def _check_counts(workload) -> None:
-    """Every count field of ``workload`` is None or an int in [0, ``MAX_COUNT``]."""
+    """Every count field of ``workload`` is None or an int in [0, ``MAX_EXACT_INT``]:
+    counts meet floats (4 N**2, 6.26e5 * B, cycles * qubits)."""
     for item in fields(workload):
         value = getattr(workload, item.name)
         if value is None:
             continue
-        # bool is an int subclass, so name it: True is not one bit.
-        if isinstance(value, bool) or not isinstance(value, int):
+        if not is_int(value):
             raise ValueError(f"{item.name} must be an integer, got {value!r}")
         if value < 0:
             raise ValueError(f"{item.name} must be non-negative, got {shown(value)}")
-        if value > MAX_COUNT:
+        if value > MAX_EXACT_INT:
             raise ValueError(
                 f"{item.name} must be at most 2**53 (the largest integer a float holds "
                 f"exactly), got {shown(value)}"

@@ -23,7 +23,7 @@ from array import array
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
-from .errors import shown
+from .errors import is_int, shown
 
 MEASUREMENT_BASES = ("X", "Y", "Z")
 
@@ -77,8 +77,7 @@ def _gate_op(kind: str, targets: Sequence[int]) -> tuple[int, int, int]:
 def _measure_arg(fields: Mapping) -> int:
     """Check ``raw`` if given, then ``basis``, then that ``raw`` is given; return the packed arg."""
     raw = fields.get("raw")
-    # bool is an int subclass, so test the exact type: true is not the outcome +1.
-    if raw is not None and (type(raw) is not int or raw not in _RAW):
+    if raw is not None and (not is_int(raw) or raw not in _RAW):
         raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
     basis = fields["basis"]
     if basis not in MEASUREMENT_BASES:
@@ -158,7 +157,7 @@ class PauliFrame:
     """
 
     def __init__(self, num_qubits: int = 0, letters: Sequence[str] | None = None):
-        if type(num_qubits) is not int:  # a bool too: True is not one qubit
+        if not is_int(num_qubits):
             raise ValueError(f"num_qubits must be an integer, got {num_qubits!r}")
         if letters is not None:
             if num_qubits and num_qubits != len(letters):
@@ -207,8 +206,7 @@ class CircuitParseError(ValueError):
 
 
 def _qubit(value) -> int:
-    # bool is an int subclass, so test the exact type: JSON true is not qubit 1.
-    if type(value) is not int or value < 0:
+    if not is_int(value) or value < 0:
         raise ValueError(f"qubit index must be a non-negative integer, got {value!r}")
     if value >= MAX_FRAME_QUBITS:
         raise ValueError(

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import shown
+from .errors import MAX_EXACT_INT, is_int, is_real, shown
 
 DEFAULT_LARMOR_PERIOD = 40e-12
 # A run holds about 150 bytes per sample (160 MB at the limit).  A larger
@@ -55,7 +55,7 @@ class PulseSegment:
     def __post_init__(self) -> None:
         if self.kind not in ("free_precession", "pulse"):
             raise ValueError(f"unknown segment kind: {self.kind!r}")
-        if not (_is_finite(self.duration) and self.duration >= 0):
+        if not (is_real(self.duration) and self.duration >= 0):
             raise ValueError(
                 f"segment duration must be finite and non-negative, got {shown(self.duration)}"
             )
@@ -64,12 +64,12 @@ class PulseSegment:
                 raise ValueError("pulse segments need an axis and a nominal angle")
             if not isinstance(self.axis, Sized) or len(self.axis) != 3:
                 raise ValueError(f"pulse axis must have three components, got {shown(self.axis)}")
-            if not all(map(_is_finite, self.axis)):
+            if not all(map(is_real, self.axis)):
                 raise ValueError(f"pulse axis must be finite, got {shown(self.axis)}")
             axis = tuple(float(c) for c in self.axis)
             if not abs(math.sqrt(sum(c * c for c in axis)) - 1.0) <= 1e-12:
                 raise ValueError(f"pulse axis must be a unit vector, got {axis}")
-            if not (_is_finite(self.nominal_angle) and self.nominal_angle >= 0):
+            if not (is_real(self.nominal_angle) and self.nominal_angle >= 0):
                 raise ValueError(
                     "nominal_angle must be finite and non-negative (flip the axis instead), "
                     f"got {shown(self.nominal_angle)}"
@@ -98,8 +98,7 @@ def hadamard_pulse(larmor_period: float = DEFAULT_LARMOR_PERIOD, polarity: int =
     errors to first order.
     """
     _check_larmor_period(larmor_period)
-    # bool is an int subclass, so name it: True is not the +X drive.
-    if isinstance(polarity, bool) or not isinstance(polarity, int) or polarity not in (1, -1):
+    if not is_int(polarity) or polarity not in (1, -1):
         raise ValueError(f"polarity must be the integer +1 or -1, got {polarity!r}")
     duration = larmor_period / math.sqrt(8)
     drive_angle = 2 * math.pi / math.sqrt(8)
@@ -114,7 +113,7 @@ def z_axis_pulse(angle: float, larmor_period: float = DEFAULT_LARMOR_PERIOD) -> 
     angle is subject to the systematic pulse error.
     """
     _check_larmor_period(larmor_period)
-    if not 0 <= angle < 4 * math.pi:
+    if not (is_real(angle) and 0 <= angle < 4 * math.pi):
         raise ValueError("angle must lie in [0, 4*pi)")
     return pulse((0.0, 0.0, 1.0), angle, larmor_period)
 
@@ -266,6 +265,8 @@ def sequence_unitary(
     Raises ``ValueError`` when a segment's rotation overflows a float or is
     too large to resolve.
     """
+    if not (is_real(detuning) and is_real(pulse_error)):
+        raise ValueError("detuning and pulse_error must be finite real numbers")
     (a,), (b,) = _compose(sequence.segments, sequence.larmor_period, np.array([detuning]), pulse_error)
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
@@ -281,7 +282,7 @@ def composite_x_gate(
     (R_X(-theta) for negative polarity, the same gate up to phase when
     theta = pi).
     """
-    if not 0 <= theta < 4 * math.pi:
+    if not (is_real(theta) and 0 <= theta < 4 * math.pi):
         raise ValueError("theta must lie in [0, 4*pi)")
     _check_larmor_period(larmor_period)
     return PulseSequence(tuple(_composite_x_segments(theta, larmor_period, polarity)), larmor_period)
@@ -300,19 +301,8 @@ def _composite_x_duration(larmor_period: float) -> float:
     return larmor_period * (0.5 + 2 / math.sqrt(8))
 
 
-def _is_finite(value) -> bool:
-    """``math.isfinite``, but False for a bool, and False rather than ``OverflowError`` for an
-    int beyond the float range or ``TypeError`` for a value that is not a real number."""
-    if isinstance(value, bool):  # an int subclass, but True is not 1 s or a 100% error
-        return False
-    try:
-        return math.isfinite(value)
-    except (OverflowError, TypeError):
-        return False
-
-
 def _check_larmor_period(larmor_period) -> None:
-    if not (_is_finite(larmor_period) and larmor_period > 0):
+    if not (is_real(larmor_period) and larmor_period > 0):
         raise ValueError(f"larmor_period must be positive and finite, got {shown(larmor_period)}")
 
 
@@ -334,7 +324,7 @@ def build_sequence(
     name = kind.upper()
     if name not in ("8H", "CP", "UDD"):
         raise ValueError(f"unknown sequence kind: {kind!r}")
-    if not (_is_finite(tau) and tau > 0):
+    if not (is_real(tau) and tau > 0):
         raise ValueError("tau must be positive and finite")
     _check_larmor_period(larmor_period)
 
@@ -412,7 +402,7 @@ def bb1_virtual_gate(
     pi rotations about the same axis so every inserted gate carries the
     angle-proportional error the compensation is designed to cancel.
     """
-    if not 0 <= theta < 2 * math.pi:
+    if not (is_real(theta) and 0 <= theta < 2 * math.pi):
         raise ValueError("theta must lie in [0, 2*pi)")
     phi = math.acos(-theta / (4 * math.pi))
     block = build_sequence("8H", tau, larmor_period).segments
@@ -444,14 +434,13 @@ class NoiseModel:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.t2_star is not None and not (_is_finite(self.t2_star) and self.t2_star > 0):
+        if self.t2_star is not None and not (is_real(self.t2_star) and self.t2_star > 0):
             raise ValueError("t2_star must be positive and finite (or None to disable dephasing)")
-        if not _is_finite(self.pulse_error):
+        if not is_real(self.pulse_error):
             raise ValueError("pulse_error must be finite")
         for name in ("samples", "seed"):
             value = getattr(self, name)
-            # bool is an int subclass, so name it: True is not one sample.
-            if isinstance(value, bool) or not isinstance(value, int):
+            if not is_int(value):
                 raise ValueError(f"{name} must be an integer, got {value!r}")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ValueError(
@@ -460,6 +449,11 @@ class NoiseModel:
             )
         if self.seed < 0:
             raise ValueError("seed must be non-negative")
+        if self.seed > MAX_EXACT_INT:  # so the seed a CSV row prints reads back as a float
+            raise ValueError(
+                f"seed must be at most 2**53 (the largest integer a float holds exactly), "
+                f"got {shown(self.seed)}"
+            )
 
 
 @dataclass(frozen=True)

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import json
 import math
-import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-from .errors import RateUnderflowError, UnreachableTargetError, shown
+from .errors import MAX_EXACT_INT, RateUnderflowError, UnreachableTargetError, is_int, is_real, shown
 
 # Virtual qubits per logical qubit, modeled as round(coeff * d^2).  The
 # coefficient is calibrated so that footprint(31) = 6240, the reference
@@ -56,10 +55,7 @@ class HardwareProfile:
     def __post_init__(self) -> None:
         for field in fields(self):
             value = getattr(self, field.name)
-            # bool subclasses int but is not a number here.  The bound also
-            # rejects NaN, infinities and ints too large to become a float.
-            real = isinstance(value, (int, float)) and not isinstance(value, bool)
-            if not (real and 0 < value <= sys.float_info.max):
+            if not (is_real(value) and value > 0):
                 raise ValueError(f"{field.name} must be a finite real number > 0, got {shown(value)}")
         if not self.threshold < 1:
             raise ValueError(f"threshold must be below 1, got {self.threshold}")
@@ -96,13 +92,9 @@ class HardwareProfile:
 
 def _check_distance(distance) -> None:
     """``distance`` is an odd positive int no larger than 2**53."""
-    # bool is an int subclass, so name it: True is not distance 1.
-    if (isinstance(distance, bool) or not isinstance(distance, int)
-            or distance < 1 or distance % 2 == 0):
+    if not is_int(distance) or distance < 1 or distance % 2 == 0:
         raise ValueError(f"code distance must be an odd positive integer, got {shown(distance)}")
-    # The gate-step and footprint formulas take the distance as a float, which
-    # holds integers exactly only up to 2**53; a huge int overflows it.
-    if distance > 2 ** 53:
+    if distance > MAX_EXACT_INT:  # the gate-step and footprint formulas take it as a float
         raise ValueError(
             f"code distance must be at most 2**53 (the largest integer a float holds "
             f"exactly), got {shown(distance)}"
@@ -133,12 +125,12 @@ def failure_probability(logical_error_rate: float, depth: float, qubits: float) 
     underflow: for K*Q*eps << 1 the result is K*Q*eps to first order.
     """
     eps = logical_error_rate
-    if not 0.0 <= eps <= 1.0:
+    if not (is_real(eps) and 0.0 <= eps <= 1.0):
         raise ValueError(f"logical error rate must lie in [0, 1], got {shown(eps)}")
-    if depth < 1 or qubits < 1:
+    if not (is_real(depth) and is_real(qubits)) or depth < 1 or qubits < 1:
         raise ValueError("depth and qubit count must be >= 1")
-    if eps == 1.0:
-        return 1.0
+    if eps == 0.0 or eps == 1.0:  # exact, and no 0 * inf when depth * qubits overflows
+        return 1.0 if eps else 0.0
     return -math.expm1(depth * qubits * math.log1p(-eps))
 
 
@@ -172,9 +164,13 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
 
 
 def footprint(distance: int) -> int:
-    """Virtual qubits needed per logical qubit at code distance d."""
+    """Virtual qubits needed per logical qubit at code distance d (odd or even)."""
+    if not is_int(distance):
+        raise ValueError(f"distance must be an integer, got {shown(distance)}")
     if distance < 1:
         raise ValueError("distance must be >= 1")
+    if distance > MAX_EXACT_INT:
+        raise ValueError(f"distance must be at most 2**53, got {shown(distance)}")
     return round(FOOTPRINT_COEFF * distance * distance)
 
 
@@ -213,10 +209,9 @@ def min_code_distance(profile: HardwareProfile, target_logical_error: float) -> 
     Raises UnreachableTargetError when the suppression base is >= 1, in which
     case increasing the distance never helps.
     """
-    # Also rejects NaN and infinity, which no distance search can answer.
-    if not 0 < target_logical_error < math.inf:
+    if not (is_real(target_logical_error) and target_logical_error > 0):
         raise ValueError(
-            f"target_logical_error must be a finite number > 0, got {target_logical_error!r}"
+            f"target_logical_error must be a finite number > 0, got {shown(target_logical_error)}"
         )
     base = profile.suppression_base
     if base >= 1.0:

@@ -704,6 +704,7 @@ def pulse_sweep(*flags):
 @example(argv=pulse_sweep("--seed", "0"))
 @example(argv=pulse_sweep("--seed", str(2 ** 32)))
 @example(argv=pulse_sweep("--seed", str(2 ** 200)))
+@example(argv=pulse_sweep("--seed", str(10 ** 400)))
 @example(argv=pulse_sweep("--pulse-errors", ","))
 @example(argv=pulse_sweep("--sequences", ",,"))
 @example(argv=["pulse", "sweep", "--samples", str(2 ** 20 + 1)])

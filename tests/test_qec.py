@@ -38,6 +38,11 @@ class TestFailureProbability:
     def test_zero_error_rate(self):
         assert qec.failure_probability(0.0, 1e6, 1e3) == 0.0
 
+    @pytest.mark.parametrize("eps", [0.0, -0.0, 0, 1.0, 1])
+    def test_exact_rates_survive_an_overflowing_gate_count(self, eps):
+        p = qec.failure_probability(eps, 1e308, 1e308)  # depth * qubits is inf
+        assert p == eps and math.copysign(1.0, p) == 1.0 and type(p) is float
+
     def test_certain_failure(self):
         assert qec.failure_probability(1.0, 1, 1) == 1.0
 
@@ -205,7 +210,7 @@ class TestMinCodeDistance:
         with pytest.raises(ValueError):
             qec.min_code_distance(DEFAULTS, 0.0)
 
-    @pytest.mark.parametrize("target", [math.inf, math.nan], ids=["inf", "nan"])
+    @pytest.mark.parametrize("target", [math.inf, math.nan, True], ids=["inf", "nan", "bool"])
     def test_rejects_non_finite_target(self, target):
         with pytest.raises(ValueError, match="target_logical_error must be a finite number"):
             qec.min_code_distance(DEFAULTS, target)

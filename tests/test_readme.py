@@ -99,3 +99,29 @@ def test_every_name_has_a_reader():
             ):
                 unread.append(f"{path.stem}.{name}")
     assert unread == []
+
+
+def type_tests(tree):
+    """(line, source) of each ``isinstance(..., bool)``, alone or in a tuple, and each
+    ``type(...) is int`` or ``type(...) is not int`` in ``tree``."""
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            kinds = node.args[1].elts if isinstance(node.args[1], ast.Tuple) else [node.args[1]]
+            if any(isinstance(kind, ast.Name) and kind.id == "bool" for kind in kinds):
+                yield node.lineno, ast.unparse(node)
+        elif (isinstance(node, ast.Compare) and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+              and ast.unparse(node.left).startswith("type(")
+              and ast.unparse(node.comparators[0]) == "int"):
+            yield node.lineno, ast.unparse(node)
+
+
+def test_the_numeric_input_rule_has_one_home():
+    """Only ``errors.py`` tells a bool from an int: every other module calls
+    ``errors.is_int`` or ``errors.is_real``."""
+    copies = [
+        f"{path.name}:{line}: {source}"
+        for path in sorted((ROOT / "src" / "qparch").glob("*.py")) if path.name != "errors.py"
+        for line, source in type_tests(parse(path))
+    ]
+    assert copies == []
