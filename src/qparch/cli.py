@@ -13,7 +13,6 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import asdict, replace
 
 from . import distillation, qec
 from .errors import InfeasibleInputError, RateUnderflowError
@@ -77,19 +76,20 @@ def _write_output(text: str, path: str | None) -> None:
 def _cmd_qec_distance(args: argparse.Namespace) -> int:
     profile = _load_profile(args.profile)
     if args.error_per_gate is not None:
-        profile = replace(profile, error_per_virtual_gate=args.error_per_gate)
+        values = {**profile._asdict(), "error_per_virtual_gate": args.error_per_gate}
+        profile = qec.HardwareProfile(**values)  # the constructor checks the new rate
 
     if args.distance is not None:
-        result = {"requested": asdict(qec.code_point(profile, args.distance))}
+        result = {"requested": qec.code_point(profile, args.distance)._asdict()}
     else:
         minimal = qec.min_code_distance(profile, args.target_logical_error)
         try:
-            report = asdict(qec.code_point(profile, qec.DEFAULT_REPORT_DISTANCE))
+            report = qec.code_point(profile, qec.DEFAULT_REPORT_DISTANCE)._asdict()
         except RateUnderflowError:  # the search succeeded; only the pinned rate is below a float
             report = None
         result = {
             "target_logical_error": args.target_logical_error,
-            "minimal": asdict(minimal),
+            "minimal": minimal._asdict(),
             "report_distance": qec.DEFAULT_REPORT_DISTANCE,
             "report": report,
         }

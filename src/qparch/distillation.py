@@ -30,10 +30,10 @@ TOFFOLI_ANCILLAS = 7
 def distillation_volume(level: int) -> int:
     """Circuit volume (qubit*cycles) to distill one ancilla at the given level."""
     if not is_int(level):
-        raise ValueError(f"distillation level must be an integer, got {level!r}")
+        raise ValueError(f"distillation level must be an integer, got {shown(level)}")
     if not 1 <= level <= MAX_DISTILLATION_LEVEL:
         raise ValueError(
-            f"distillation level must be between 1 and {MAX_DISTILLATION_LEVEL}, got {level}"
+            f"distillation level must be between 1 and {MAX_DISTILLATION_LEVEL}, got {shown(level)}"
         )
     return LEVEL1_VOLUME * CIRCUITS_PER_LEVEL ** (level - 1)
 

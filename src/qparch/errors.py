@@ -25,11 +25,14 @@ class RateUnderflowError(ValueError):
 
 
 def shown(value) -> str:
-    """``repr(value)`` for an error message; an int too long to print is given by its size."""
+    """``repr(value)`` for an error message; an int too long to print is given by
+    its size, and a container holding one by its type.  Never raises."""
     try:
         return repr(value)
     except ValueError:  # the interpreter's limit on int-to-string digits
-        return f"an integer of {value.bit_length()} bits"
+        if isinstance(value, int):
+            return f"an integer of {value.bit_length()} bits"
+        return f"a {type(value).__name__} holding an integer too long to print"
 
 
 def is_int(value) -> bool:

@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import InitVar, dataclass, field, fields
+from collections import namedtuple
 
 from . import distillation, qec
 from .errors import MAX_EXACT_INT, NoFactoryCapacityError, is_int, shown
@@ -49,29 +49,27 @@ SWEEP_CSV_HEADER = (
 def _check_counts(workload) -> None:
     """Every count field of ``workload`` is None or an int in [0, ``MAX_EXACT_INT``]:
     counts meet floats (4 N**2, 6.26e5 * B, cycles * qubits)."""
-    for item in fields(workload):
-        value = getattr(workload, item.name)
+    for name, value in workload._asdict().items():
         if value is None:
             continue
         if not is_int(value):
-            raise ValueError(f"{item.name} must be an integer, got {value!r}")
+            raise ValueError(f"{name} must be an integer, got {shown(value)}")
         if value < 0:
-            raise ValueError(f"{item.name} must be non-negative, got {shown(value)}")
+            raise ValueError(f"{name} must be non-negative, got {shown(value)}")
         if value > MAX_EXACT_INT:
             raise ValueError(
-                f"{item.name} must be at most 2**53 (the largest integer a float holds "
+                f"{name} must be at most 2**53 (the largest integer a float holds "
                 f"exactly), got {shown(value)}"
             )
 
 
-@dataclass(frozen=True)
-class ShorWorkload:
+class ShorWorkload(namedtuple("ShorWorkload", "bits machine_logical_qubits", defaults=(None,))):
     """Factoring an N-bit integer, optionally on a fixed-size machine."""
 
-    bits: int
-    machine_logical_qubits: int | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_counts(self)
         if self.bits < 4:
             raise ValueError("bit size must be >= 4")
@@ -85,6 +83,7 @@ class ShorWorkload:
                 f"needs {self.app_qubits} application qubits plus "
                 f"{distillation.LEVEL1_CROSS_SECTION} for one distillation circuit"
             )
+        return self
 
     @property
     def app_qubits(self) -> int:
@@ -113,20 +112,21 @@ class ShorWorkload:
         return self.toffolis_per_adder * distillation.TOFFOLI_ANCILLAS / adder_cycles
 
 
-@dataclass(frozen=True)
-class SimWorkload:
+class SimWorkload(namedtuple(
+    "SimWorkload", "particles bits_precision timesteps", defaults=(12, 2 ** 10)
+)):
     """First-quantized molecular simulation of B particles on a position grid."""
 
-    particles: int
-    bits_precision: int = 12
-    timesteps: int = 2 ** 10
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_counts(self)
         if self.particles < 1:
             raise ValueError("particle count must be >= 1")
         if self.bits_precision < 1 or self.timesteps < 1:
             raise ValueError("bits_precision and timesteps must be >= 1")
+        return self
 
     @property
     def register_qubits_per_particle(self) -> int:
@@ -141,64 +141,72 @@ class SimWorkload:
         return SIM_DISTILL_QUBITS_PER_PARTICLE * self.particles
 
 
-@dataclass(frozen=True)
-class ResourceReport:
+class ResourceReport(namedtuple(
+    "ResourceReport",
+    "app_qubits distillation_qubits total_logical_qubits toffoli_depth logical_cycles "
+    "code_distance virtual_qubits chip_area_cm2 runtime_seconds runtime_days production_rate "
+    "consumption_rate throttle_factor failure_probability details",
+)):
     """Qubit/cycle/runtime budget for one application run.
 
-    A workload decides the fields passed in; ``__post_init__`` derives every
-    other field from them, the code point and the logical cycle time, and
-    raises ``ValueError`` when the runtime overflows a float.
+    A workload decides the arguments; the constructor derives every other
+    field from them, the code point and the logical cycle time, and raises
+    ``ValueError`` when the runtime overflows a float.
     Fields are declared in the report's JSON key order.
     """
 
-    app_qubits: int
-    distillation_qubits: int
-    total_logical_qubits: int = field(init=False)
-    toffoli_depth: float
-    logical_cycles: float
-    code_distance: int = field(init=False)
-    virtual_qubits: int = field(init=False)
-    chip_area_cm2: float = field(init=False)
-    runtime_seconds: float = field(init=False)
-    runtime_days: float = field(init=False)
-    production_rate: float
-    consumption_rate: float | None
-    throttle_factor: float = field(init=False)
-    failure_probability: float = field(init=False)
-    code: InitVar[qec.CodePoint]
-    logical_cycle_time: InitVar[float]
-    details: dict = field(default_factory=dict)
+    __slots__ = ()
 
-    def __post_init__(self, code: qec.CodePoint, logical_cycle_time: float) -> None:
-        total = self.app_qubits + self.distillation_qubits
+    def __new__(
+        cls,
+        app_qubits: int,
+        distillation_qubits: int,
+        toffoli_depth: float,
+        logical_cycles: float,
+        production_rate: float,
+        consumption_rate: float | None,
+        code: qec.CodePoint,
+        logical_cycle_time: float,
+        details: dict | None = None,
+    ):
+        total = app_qubits + distillation_qubits
         virtual = total * code.virtual_per_logical
         throttle = 1.0
-        if self.consumption_rate is not None:
-            throttle = max(1.0, self.consumption_rate / self.production_rate)
-        runtime = self.logical_cycles * logical_cycle_time * throttle
+        if consumption_rate is not None:
+            throttle = max(1.0, consumption_rate / production_rate)
+        runtime = logical_cycles * logical_cycle_time * throttle
         if not math.isfinite(runtime):
             raise ValueError(
-                f"the runtime overflows a float: {self.logical_cycles!r} logical cycles of "
+                f"the runtime overflows a float: {logical_cycles!r} logical cycles of "
                 f"logical_cycle_time {logical_cycle_time!r} s, throttled by {throttle!r}"
             )
-        derived = {
-            "total_logical_qubits": total,
-            "code_distance": code.distance,
-            "virtual_qubits": virtual,
-            "chip_area_cm2": virtual * CM2_PER_VIRTUAL_QUBIT,
-            "runtime_seconds": runtime,
-            "runtime_days": runtime / SECONDS_PER_DAY,
-            "throttle_factor": throttle,
-            "failure_probability": qec.failure_probability(
-                code.logical_error_rate, self.logical_cycles, total
+        return super().__new__(
+            cls,
+            app_qubits=app_qubits,
+            distillation_qubits=distillation_qubits,
+            total_logical_qubits=total,
+            toffoli_depth=toffoli_depth,
+            logical_cycles=logical_cycles,
+            code_distance=code.distance,
+            virtual_qubits=virtual,
+            chip_area_cm2=virtual * CM2_PER_VIRTUAL_QUBIT,
+            runtime_seconds=runtime,
+            runtime_days=runtime / SECONDS_PER_DAY,
+            production_rate=production_rate,
+            consumption_rate=consumption_rate,
+            throttle_factor=throttle,
+            failure_probability=qec.failure_probability(
+                code.logical_error_rate, logical_cycles, total
             ),
-        }
-        for name, value in derived.items():
-            object.__setattr__(self, name, value)
+            details={} if details is None else details,
+        )
+
+    def __reduce__(self):
+        """Copies and pickles restore the stored fields: the inputs are gone."""
+        return tuple.__new__, (type(self), tuple(self))
 
     def to_json(self) -> str:
-        report = {item.name: getattr(self, item.name) for item in fields(self)}
-        return json.dumps(report, indent=2) + "\n"
+        return json.dumps(self._asdict(), indent=2) + "\n"
 
 
 def shor_estimate(

@@ -18,10 +18,10 @@ update: ``run_circuit`` is the only way to change a frame.
 from __future__ import annotations
 
 import json
+import os
 import re
 from array import array
-from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Mapping, Sequence
 
 from .errors import is_int, shown
 
@@ -158,7 +158,7 @@ class PauliFrame:
 
     def __init__(self, num_qubits: int = 0, letters: Sequence[str] | None = None):
         if not is_int(num_qubits):
-            raise ValueError(f"num_qubits must be an integer, got {num_qubits!r}")
+            raise ValueError(f"num_qubits must be an integer, got {shown(num_qubits)}")
         if letters is not None:
             if num_qubits and num_qubits != len(letters):
                 raise ValueError("num_qubits does not match the letter array length")
@@ -308,7 +308,7 @@ def parse_circuit(lines: Iterable[str]) -> Circuit:
     return circuit
 
 
-def load_circuit(path: str | Path) -> Circuit:
+def load_circuit(path: str | os.PathLike) -> Circuit:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_circuit(handle)
 

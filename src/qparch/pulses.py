@@ -19,8 +19,8 @@ from __future__ import annotations
 
 import functools
 import math
+from collections import namedtuple
 from collections.abc import Callable, Sized
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,8 +37,7 @@ IDENTITY2 = np.eye(2, dtype=complex)
 UDD_FRACTIONS = tuple(math.sin(j * math.pi / 10) ** 2 for j in range(1, 5))
 
 
-@dataclass(frozen=True)
-class PulseSegment:
+class PulseSegment(namedtuple("PulseSegment", "kind duration axis nominal_angle")):
     """One timed element: free precession, or a drive pulse.
 
     For pulses, ``axis`` is the drive axis on the Bloch sphere and
@@ -47,37 +46,35 @@ class PulseSegment:
     folded into the same exponential.
     """
 
-    kind: str
-    duration: float
-    axis: tuple[float, float, float] | None = None
-    nominal_angle: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("free_precession", "pulse"):
-            raise ValueError(f"unknown segment kind: {self.kind!r}")
-        if not (is_real(self.duration) and self.duration >= 0):
+    def __new__(cls, kind: str, duration: float, axis: tuple[float, float, float] | None = None,
+                nominal_angle: float | None = None):
+        if kind not in ("free_precession", "pulse"):
+            raise ValueError(f"unknown segment kind: {kind!r}")
+        if not (is_real(duration) and duration >= 0):
             raise ValueError(
-                f"segment duration must be finite and non-negative, got {shown(self.duration)}"
+                f"segment duration must be finite and non-negative, got {shown(duration)}"
             )
-        if self.kind == "pulse":
-            if self.axis is None or self.nominal_angle is None:
+        if kind == "pulse":
+            if axis is None or nominal_angle is None:
                 raise ValueError("pulse segments need an axis and a nominal angle")
-            if not isinstance(self.axis, Sized) or len(self.axis) != 3:
-                raise ValueError(f"pulse axis must have three components, got {shown(self.axis)}")
-            if not all(map(is_real, self.axis)):
-                raise ValueError(f"pulse axis must be finite, got {shown(self.axis)}")
-            axis = tuple(float(c) for c in self.axis)
+            if not isinstance(axis, Sized) or len(axis) != 3:
+                raise ValueError(f"pulse axis must have three components, got {shown(axis)}")
+            if not all(map(is_real, axis)):
+                raise ValueError(f"pulse axis must be finite, got {shown(axis)}")
+            axis = tuple(float(c) for c in axis)
             if not abs(math.sqrt(sum(c * c for c in axis)) - 1.0) <= 1e-12:
                 raise ValueError(f"pulse axis must be a unit vector, got {axis}")
-            if not (is_real(self.nominal_angle) and self.nominal_angle >= 0):
+            if not (is_real(nominal_angle) and nominal_angle >= 0):
                 raise ValueError(
                     "nominal_angle must be finite and non-negative (flip the axis instead), "
-                    f"got {shown(self.nominal_angle)}"
+                    f"got {shown(nominal_angle)}"
                 )
-            object.__setattr__(self, "axis", axis)
         else:
-            if self.axis is not None or self.nominal_angle is not None:
+            if axis is not None or nominal_angle is not None:
                 raise ValueError("free precession takes no axis or angle")
+        return super().__new__(cls, kind, duration, axis, nominal_angle)
 
 
 def free_precession(duration: float) -> PulseSegment:
@@ -99,7 +96,7 @@ def hadamard_pulse(larmor_period: float = DEFAULT_LARMOR_PERIOD, polarity: int =
     """
     _check_larmor_period(larmor_period)
     if not is_int(polarity) or polarity not in (1, -1):
-        raise ValueError(f"polarity must be the integer +1 or -1, got {polarity!r}")
+        raise ValueError(f"polarity must be the integer +1 or -1, got {shown(polarity)}")
     duration = larmor_period / math.sqrt(8)
     drive_angle = 2 * math.pi / math.sqrt(8)
     return pulse((float(polarity), 0.0, 0.0), drive_angle, duration)
@@ -118,18 +115,17 @@ def z_axis_pulse(angle: float, larmor_period: float = DEFAULT_LARMOR_PERIOD) -> 
     return pulse((0.0, 0.0, 1.0), angle, larmor_period)
 
 
-@dataclass(frozen=True)
-class PulseSequence:
+class PulseSequence(namedtuple("PulseSequence", "segments larmor_period")):
     """Ordered pulse/precession schedule with the Larmor period it was built for."""
 
-    segments: tuple[PulseSegment, ...]
-    larmor_period: float = DEFAULT_LARMOR_PERIOD
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "segments", tuple(self.segments))
+    def __new__(cls, segments, larmor_period: float = DEFAULT_LARMOR_PERIOD):
+        self = super().__new__(cls, tuple(segments), larmor_period)
         _check_larmor_period(self.larmor_period)
         if self.segments and not self.duration > 0:
             raise ValueError("non-empty sequences must have positive total duration")
+        return self
 
     @property
     def duration(self) -> float:
@@ -419,8 +415,9 @@ def bb1_virtual_gate(
     return PulseSequence(tuple(segments), larmor_period)
 
 
-@dataclass(frozen=True)
-class NoiseModel:
+class NoiseModel(namedtuple(
+    "NoiseModel", "t2_star pulse_error samples seed", defaults=(2e-9, 0.0, 1, 0)
+)):
     """Quasi-static dephasing plus systematic pulse-angle error.
 
     ``t2_star`` sets the Gaussian detuning width sqrt(2)/T2* (None disables
@@ -428,12 +425,10 @@ class NoiseModel:
     every pulse.
     """
 
-    t2_star: float | None = 2e-9
-    pulse_error: float = 0.0
-    samples: int = 1
-    seed: int = 0
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if self.t2_star is not None and not (is_real(self.t2_star) and self.t2_star > 0):
             raise ValueError("t2_star must be positive and finite (or None to disable dephasing)")
         if not is_real(self.pulse_error):
@@ -441,7 +436,7 @@ class NoiseModel:
         for name in ("samples", "seed"):
             value = getattr(self, name)
             if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+                raise ValueError(f"{name} must be an integer, got {shown(value)}")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ValueError(
                 f"samples must be between 1 and {MAX_SAMPLES} (the sample limit), "
@@ -454,16 +449,14 @@ class NoiseModel:
                 f"seed must be at most 2**53 (the largest integer a float holds exactly), "
                 f"got {shown(self.seed)}"
             )
+        return self
 
 
-@dataclass(frozen=True)
-class ProcessResult:
+class ProcessResult(namedtuple("ProcessResult", "infidelity fidelities std_error")):
     """Mean process infidelity 1 - chi_II, its Monte-Carlo standard error
     std(1 - F) / sqrt(samples), and the per-sample fidelities."""
 
-    infidelity: float
-    fidelities: np.ndarray = field(repr=False)
-    std_error: float
+    __slots__ = ()
 
 
 @functools.lru_cache(maxsize=8)

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, fields
-from pathlib import Path
+import os
+from collections import namedtuple
 
 from .errors import MAX_EXACT_INT, RateUnderflowError, UnreachableTargetError, is_int, is_real, shown
 
@@ -32,8 +32,11 @@ HADAMARD_DIVISOR = 8  # lattice steps per H = 13 * ceil(d/8)     (lattice shift)
 CNOT_DIVISOR = 4
 
 
-@dataclass(frozen=True)
-class HardwareProfile:
+class HardwareProfile(namedtuple(
+    "HardwareProfile",
+    "larmor_period lattice_cycle_time logical_cycle_time error_per_virtual_gate threshold c1 c2",
+    defaults=(40e-12, 256e-9, 30e-6, 1e-3, 9e-3, 0.13, 0.61),
+)):
     """Physical, QEC and logical timing/error constants, each read by one formula.
 
     Defaults describe the optically controlled quantum-dot platform: 40 ps
@@ -44,19 +47,13 @@ class HardwareProfile:
     gate (``pulses.bb1_virtual_gate(...).duration``).
     """
 
-    larmor_period: float = 40e-12
-    lattice_cycle_time: float = 256e-9
-    logical_cycle_time: float = 30e-6
-    error_per_virtual_gate: float = 1e-3
-    threshold: float = 9e-3
-    c1: float = 0.13
-    c2: float = 0.61
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for field in fields(self):
-            value = getattr(self, field.name)
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
+        for name, value in self._asdict().items():
             if not (is_real(value) and value > 0):
-                raise ValueError(f"{field.name} must be a finite real number > 0, got {shown(value)}")
+                raise ValueError(f"{name} must be a finite real number > 0, got {shown(value)}")
         if not self.threshold < 1:
             raise ValueError(f"threshold must be below 1, got {self.threshold}")
         if not self.error_per_virtual_gate < self.threshold:
@@ -64,6 +61,7 @@ class HardwareProfile:
                 f"unreachable target: error_per_virtual_gate {self.error_per_virtual_gate} "
                 f"is at or above the threshold {self.threshold}"
             )
+        return self
 
     @property
     def suppression_base(self) -> float:
@@ -71,8 +69,8 @@ class HardwareProfile:
         return self.c2 * self.error_per_virtual_gate / self.threshold
 
     @classmethod
-    def from_json(cls, path: str | Path) -> "HardwareProfile":
-        """Read a profile from a JSON object keyed by the dataclass field names.
+    def from_json(cls, path: str | os.PathLike) -> "HardwareProfile":
+        """Read a profile from a JSON object keyed by the field names.
 
         Missing fields take their defaults.  Unknown fields raise, so typos
         fail fast instead of silently keeping a default.
@@ -84,7 +82,7 @@ class HardwareProfile:
                 raise ValueError(f"hardware profile {path}: invalid JSON ({exc})") from None
         if not isinstance(data, dict):
             raise ValueError("hardware profile JSON must be an object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        unknown = sorted(set(data) - set(cls._fields))
         if unknown:
             raise ValueError(f"unknown hardware profile field(s): {', '.join(unknown)}")
         return cls(**data)
@@ -101,21 +99,19 @@ def _check_distance(distance) -> None:
         )
 
 
-@dataclass(frozen=True)
-class CodePoint:
+class CodePoint(namedtuple(
+    "CodePoint",
+    "distance logical_error_rate virtual_per_logical cnot_lattice_steps "
+    "hadamard_lattice_steps cnot_time_s hadamard_time_s measurement_time_s",
+)):
     """A chosen code distance and the quantities derived from it."""
 
-    distance: int
-    logical_error_rate: float
-    virtual_per_logical: int
-    cnot_lattice_steps: int
-    hadamard_lattice_steps: int
-    cnot_time_s: float
-    hadamard_time_s: float
-    measurement_time_s: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         _check_distance(self.distance)
+        return self
 
 
 def failure_probability(logical_error_rate: float, depth: float, qubits: float) -> float:

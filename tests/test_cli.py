@@ -3,7 +3,6 @@ import math
 import subprocess
 import sys
 import warnings
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -27,7 +26,7 @@ def write_profile(tmp_path, **values):
     return str(path)
 
 
-@pytest.mark.parametrize("name", [item.name for item in fields(qec.HardwareProfile)])
+@pytest.mark.parametrize("name", qec.HardwareProfile._fields)
 def test_every_profile_field_is_read(name, tmp_path):
     """Changing any one profile field changes the output of some command."""
     path = write_profile(tmp_path, **{name: getattr(qec.HardwareProfile(), name) * 1.25})

@@ -2,7 +2,7 @@
 
 import pytest
 
-from qparch import distillation, estimates, pauli_frame, qec
+from qparch import distillation, estimates, pauli_frame, pulses, qec
 from qparch.errors import shown
 
 HUGE = 10 ** 5000  # more digits than the interpreter converts to a string
@@ -18,8 +18,11 @@ HUGE = 10 ** 5000  # more digits than the interpreter converts to a string
     (lambda: qec.code_point(qec.HardwareProfile(), HUGE + 1), "code distance"),
     (lambda: pauli_frame.PauliFrame(HUGE), "num_qubits"),
     (lambda: qec.failure_probability(HUGE, 1, 1), "logical error rate"),
+    (lambda: distillation.distillation_volume(HUGE), "distillation level"),
+    (lambda: pulses.hadamard_pulse(polarity=HUGE), "polarity"),
 ], ids=["factory_rate", "required_factory_area", "shor-bits", "sim-particles", "profile-c1",
-        "code_point-even", "code_point-odd", "frame-size", "failure_probability"])
+        "code_point-even", "code_point-odd", "frame-size", "failure_probability",
+        "distillation-level", "polarity"])
 def test_a_huge_int_is_named_by_its_field(call, field):
     with pytest.raises(ValueError) as info:
         call()
@@ -32,3 +35,19 @@ def test_printable_values_keep_their_repr():
     assert shown(10 ** 400 + 1) == str(10 ** 400 + 1)
     assert shown(float("nan")) == "nan"
     assert shown("0.1") == "'0.1'"
+
+
+def test_a_container_holding_a_huge_int_is_named_by_its_type():
+    assert shown([HUGE]) == "a list holding an integer too long to print"
+    for axis, problem in (((HUGE, 0, 0), "must be finite"),
+                          ((HUGE,), "must have three components")):
+        message = f"^pulse axis {problem}, got a tuple holding an integer too long to print$"
+        with pytest.raises(ValueError, match=message):
+            pulses.pulse(axis, 1.0, 1e-11)
+    for call in (lambda: distillation.distillation_volume([HUGE]),
+                 lambda: estimates.ShorWorkload(bits=[HUGE]),
+                 lambda: pulses.hadamard_pulse(polarity=[HUGE]),
+                 lambda: pulses.NoiseModel(seed=[HUGE]),
+                 lambda: pauli_frame.PauliFrame([HUGE])):
+        with pytest.raises(ValueError, match="got a list holding an integer too long to print$"):
+            call()

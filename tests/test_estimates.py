@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import math
+import pickle
 
 import pytest
 from hypothesis import example, given, settings
@@ -114,10 +115,29 @@ class TestShorEstimate:
             report.logical_cycles * PROFILE.logical_cycle_time * report.throttle_factor
         )
         assert report.throttle_factor >= 1.0
-        with pytest.raises(ValueError):
-            dataclasses.replace(report, total_logical_qubits=report.total_logical_qubits + 1)
-        with pytest.raises(ValueError):
-            dataclasses.replace(report, throttle_factor=0.5)
+        # The constructor derives the other fields and refuses them as arguments.
+        inputs = {
+            "app_qubits": report.app_qubits,
+            "distillation_qubits": report.distillation_qubits,
+            "toffoli_depth": report.toffoli_depth,
+            "logical_cycles": report.logical_cycles,
+            "production_rate": report.production_rate,
+            "consumption_rate": report.consumption_rate,
+            "code": CODE,
+            "logical_cycle_time": PROFILE.logical_cycle_time,
+            "details": report.details,
+        }
+        assert est.ResourceReport(**inputs) == report
+        with pytest.raises(TypeError):
+            est.ResourceReport(**inputs, total_logical_qubits=report.total_logical_qubits + 1)
+        with pytest.raises(TypeError):
+            est.ResourceReport(**inputs, throttle_factor=0.5)
+
+    def test_copies_and_pickles_keep_the_report(self):
+        report = est.shor_estimate(est.ShorWorkload(bits=1024), PROFILE, CODE)
+        for clone in (copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))):
+            copied = clone(report)
+            assert copied == report and type(copied) is est.ResourceReport
 
     def test_failure_probability_uses_report_depth_and_width(self):
         report = est.shor_estimate(est.ShorWorkload(bits=1024), PROFILE, CODE)

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 
@@ -143,7 +142,7 @@ class TestLogicalErrorRate:
             message = f"^code distance must be an odd positive integer, got {distance!r}$"
             for call in (lambda: qec.logical_error_rate(DEFAULTS, distance),
                          lambda: qec.code_point(DEFAULTS, distance),
-                         lambda: dataclasses.replace(point, distance=distance)):
+                         lambda: qec.CodePoint(**{**point._asdict(), "distance": distance})):
                 with pytest.raises(ValueError, match=message):
                     call()
 

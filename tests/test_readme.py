@@ -3,6 +3,8 @@ name the package defines has a reader."""
 
 import ast
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import qparch
@@ -125,3 +127,48 @@ def test_the_numeric_input_rule_has_one_home():
         for line, source in type_tests(parse(path))
     ]
     assert copies == []
+
+
+# Modules that cost start-up time on a host whose ``site`` does not preload them.
+SLOW_IMPORTS = {"dataclasses", "typing", "inspect", "pathlib"}
+
+
+def slow_imports(tree):
+    """(line, module) of each import of a ``SLOW_IMPORTS`` module in ``tree``."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            modules = [node.module]
+        else:
+            continue
+        for module in modules:
+            if module.split(".")[0] in SLOW_IMPORTS:
+                yield node.lineno, module
+
+
+def test_the_package_imports_no_slow_module():
+    """Records are ``collections.namedtuple`` classes and annotations name
+    ``os.PathLike`` and ``collections.abc``, so no module pays for these imports."""
+    found = [
+        f"{path.name}:{line}: {module}"
+        for path in sorted((ROOT / "src" / "qparch").glob("*.py"))
+        for line, module in slow_imports(parse(path))
+    ]
+    assert found == []
+
+
+def test_estimator_commands_load_no_dataclasses():
+    """A fresh process running the estimator commands never loads ``dataclasses``
+    or ``inspect``."""
+    script = """
+import contextlib, io, sys
+from qparch import cli
+for argv in (["qec", "distance", "--distance", "31"], ["estimate", "shor", "--bits", "1024"]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv) == 0, argv
+loaded = {"dataclasses", "inspect"} & set(sys.modules)
+assert not loaded, f"the estimator commands loaded {sorted(loaded)}"
+"""
+    result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
