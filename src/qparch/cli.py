@@ -47,15 +47,9 @@ def _comma_floats(text: str) -> list[float]:
     return _comma_list(text, float, "number")
 
 
-def _sequence_name(token: str) -> str:
-    name = token.strip().upper()
-    if name not in ("8H", "CP", "UDD"):
-        raise argparse.ArgumentTypeError(f"unknown sequence {name!r} (choose from 8h, cp, udd)")
-    return name
-
-
 def _comma_sequences(text: str) -> list[str]:
-    return _comma_list(text, _sequence_name, "sequence")
+    """Upper-cased names; ``pulses.build_sequence`` checks them."""
+    return _comma_list(text, lambda token: token.strip().upper(), "sequence")
 
 
 def _load_profile(path: str | None) -> qec.HardwareProfile:
@@ -110,7 +104,7 @@ def _cmd_estimate_shor(args: argparse.Namespace) -> int:
         _write_output(report.to_json(), args.output)
     else:
         reports = estimates.shor_sweep(
-            args.bits, args.machine_logical_qubits, profile, code, level=args.level
+            args.bits, args.machine_logical_qubits, profile=profile, code=code, level=args.level
         )
         _write_output(estimates.sweep_to_csv(reports), args.output)
     return EXIT_OK
@@ -136,10 +130,16 @@ def _cmd_pulse_sweep(args: argparse.Namespace) -> int:
 
     profile = _load_profile(args.profile)
     t2_star = None if args.t2_star == 0 else args.t2_star
+    # Every sequence is built, so every name and delay is checked, before any runs.
+    runs = [
+        (name, pulses.build_sequence(name, args.tau, profile.larmor_period), args.pulse_errors)
+        for name in args.sequences
+    ]
+    if args.baseline:
+        runs.append(("free", pulses.free_evolution(8 * args.tau, profile.larmor_period), [0.0]))
     rows = [PULSE_CSV_HEADER]
-    for name in args.sequences:
-        sequence = pulses.build_sequence(name, args.tau, profile.larmor_period)
-        for pulse_error in args.pulse_errors:
+    for name, sequence, pulse_errors in runs:
+        for pulse_error in pulse_errors:
             noise = pulses.NoiseModel(
                 t2_star=t2_star, pulse_error=pulse_error, samples=args.samples, seed=args.seed
             )
@@ -148,13 +148,6 @@ def _cmd_pulse_sweep(args: argparse.Namespace) -> int:
                 f"{name},{pulse_error!r},{args.tau!r},{args.samples},{args.seed},"
                 f"{result.infidelity!r}"
             )
-    if args.baseline:
-        baseline = pulses.free_evolution(8 * args.tau, profile.larmor_period)
-        noise = pulses.NoiseModel(
-            t2_star=t2_star, pulse_error=0.0, samples=args.samples, seed=args.seed
-        )
-        result = pulses.process_infidelity(baseline, noise)
-        rows.append(f"free,0.0,{args.tau!r},{args.samples},{args.seed},{result.infidelity!r}")
     _write_output("\n".join(rows) + "\n", args.output)
     return EXIT_OK
 
@@ -163,7 +156,7 @@ def _cmd_frame_exec(args: argparse.Namespace) -> int:
     from . import pauli_frame
 
     circuit = pauli_frame.load_circuit(args.circuit)
-    needed = pauli_frame.circuit_qubit_count(circuit)
+    needed = circuit.num_qubits
     num_qubits = needed if args.num_qubits is None else args.num_qubits
     if num_qubits < needed:
         raise ValueError(

@@ -8,8 +8,6 @@ factory production on a fixed-size machine.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 import math
 from collections import namedtuple
@@ -167,7 +165,7 @@ class ResourceReport(namedtuple(
         consumption_rate: float | None,
         code: qec.CodePoint,
         logical_cycle_time: float,
-        details: dict | None = None,
+        details: dict,
     ):
         total = app_qubits + distillation_qubits
         virtual = total * code.virtual_per_logical
@@ -198,7 +196,7 @@ class ResourceReport(namedtuple(
             failure_probability=qec.failure_probability(
                 code.logical_error_rate, logical_cycles, total
             ),
-            details={} if details is None else details,
+            details=details,
         )
 
     def __reduce__(self):
@@ -211,8 +209,8 @@ class ResourceReport(namedtuple(
 
 def shor_estimate(
     workload: ShorWorkload,
-    profile: qec.HardwareProfile | None = None,
-    code: qec.CodePoint | None = None,
+    profile: qec.HardwareProfile,
+    code: qec.CodePoint,
     level: int = distillation.DEFAULT_DISTILLATION_LEVEL,
 ) -> ResourceReport:
     """Full resource budget for one run of the factoring algorithm.
@@ -222,9 +220,6 @@ def shor_estimate(
     application qubits becomes factory area and the runtime stretches by
     max(1, consumption/production).
     """
-    profile = profile if profile is not None else qec.HardwareProfile()
-    code = code if code is not None else qec.code_point(profile, qec.DEFAULT_REPORT_DISTANCE)
-
     toffoli_depth = workload.adders_sequential * workload.adder_depth_toffoli
     logical_cycles = toffoli_depth * distillation.TOFFOLI_DEPTH_CYCLES
     consumption = workload.consumption_rate
@@ -254,8 +249,8 @@ def shor_estimate(
 
 def sim_estimate(
     workload: SimWorkload,
-    profile: qec.HardwareProfile | None = None,
-    code: qec.CodePoint | None = None,
+    profile: qec.HardwareProfile,
+    code: qec.CodePoint,
     level: int = distillation.DEFAULT_DISTILLATION_LEVEL,
 ) -> ResourceReport:
     """Resource budget for a first-quantized simulation run.
@@ -265,9 +260,6 @@ def sim_estimate(
     converts the evolution into an energy readout (a sub-0.1% addition,
     included for completeness).
     """
-    profile = profile if profile is not None else qec.HardwareProfile()
-    code = code if code is not None else qec.code_point(profile, qec.DEFAULT_REPORT_DISTANCE)
-
     potential = SIM_POTENTIAL_CYCLES_PER_PARTICLE * workload.particles
     per_step = potential + SIM_KINETIC_CYCLES + 2 * SIM_QFT_CYCLES
     logical_cycles = workload.timesteps * per_step + SIM_QFT_CYCLES
@@ -299,8 +291,9 @@ def sim_estimate(
 def shor_sweep(
     bit_sizes: list[int],
     machine_logical_qubits: int | None = None,
-    profile: qec.HardwareProfile | None = None,
-    code: qec.CodePoint | None = None,
+    *,
+    profile: qec.HardwareProfile,
+    code: qec.CodePoint,
     level: int = distillation.DEFAULT_DISTILLATION_LEVEL,
 ) -> list[ResourceReport]:
     """One factoring report per bit size, in input order."""
@@ -317,20 +310,11 @@ def shor_sweep(
 
 def sweep_to_csv(reports: list[ResourceReport]) -> str:
     """Serialize factoring sweep reports to CSV with the fixed sweep header."""
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER.split(","))
+    rows = [SWEEP_CSV_HEADER]
     for report in reports:
-        writer.writerow(
-            [
-                report.details["bits"],
-                report.app_qubits,
-                report.distillation_qubits,
-                repr(report.production_rate),
-                repr(report.consumption_rate) if report.consumption_rate is not None else "",
-                repr(report.throttle_factor),
-                repr(report.toffoli_depth),
-                repr(report.runtime_seconds),
-            ]
+        rows.append(
+            f"{report.details['bits']},{report.app_qubits},{report.distillation_qubits},"
+            f"{report.production_rate!r},{report.consumption_rate!r},{report.throttle_factor!r},"
+            f"{report.toffoli_depth!r},{report.runtime_seconds!r}"
         )
-    return buffer.getvalue()
+    return "\n".join(rows) + "\n"

@@ -274,12 +274,10 @@ def _compact_row(line: str) -> tuple[int, int, int] | None:
 def _line_rows(lines: Iterable[str]) -> Iterable[tuple[int, int, int]]:
     """The packed row of each non-blank JSON line; a bad line raises ``CircuitParseError``.
 
-    A line is read as ``json.loads(line.strip())`` would read it, and
-    accepted or rejected alike.  A line in the README's compact form goes
-    straight to its row (``_compact_row``); any other is decoded by
-    ``raw_decode``, which skips ``json.loads``'s whitespace scans.
+    A line in the README's compact form goes straight to its row
+    (``_compact_row``); any other is read by ``json.loads(line.strip())``, so
+    every line is accepted or rejected as that call would take it.
     """
-    decode = json.JSONDecoder().raw_decode
     for line_number, line in enumerate(lines, start=1):
         row = _compact_row(line)
         if row is not None:
@@ -289,9 +287,7 @@ def _line_rows(lines: Iterable[str]) -> Iterable[tuple[int, int, int]]:
         if not text:
             continue
         try:
-            obj, end = decode(text)
-            if end != len(text):
-                raise json.JSONDecodeError("Extra data", text, end)
+            obj = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
             raise CircuitParseError(line_number, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         try:
@@ -311,11 +307,6 @@ def parse_circuit(lines: Iterable[str]) -> Circuit:
 def load_circuit(path: str | os.PathLike) -> Circuit:
     with open(path, "r", encoding="utf-8") as handle:
         return parse_circuit(handle)
-
-
-def circuit_qubit_count(circuit: Circuit) -> int:
-    """Smallest frame size that fits every instruction target."""
-    return circuit.num_qubits
 
 
 def run_circuit(frame: PauliFrame, circuit: Circuit) -> tuple[PauliFrame, list[int]]:

@@ -267,21 +267,15 @@ def sequence_unitary(
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
 
-def composite_x_gate(
-    theta: float,
-    larmor_period: float = DEFAULT_LARMOR_PERIOD,
-    polarity: int = 1,
-) -> PulseSequence:
+def composite_x_gate(theta: float, larmor_period: float = DEFAULT_LARMOR_PERIOD) -> PulseSequence:
     """R_X(theta) from two Hadamard pulses around a timed precession.
 
-    Under zero noise the net unitary equals R_X(theta) up to global phase
-    (R_X(-theta) for negative polarity, the same gate up to phase when
-    theta = pi).
+    Under zero noise the net unitary equals R_X(theta) up to global phase.
     """
     if not (is_real(theta) and 0 <= theta < 4 * math.pi):
         raise ValueError("theta must lie in [0, 4*pi)")
     _check_larmor_period(larmor_period)
-    return PulseSequence(tuple(_composite_x_segments(theta, larmor_period, polarity)), larmor_period)
+    return PulseSequence(tuple(_composite_x_segments(theta, larmor_period, 1)), larmor_period)
 
 
 def _composite_x_segments(theta: float, larmor_period: float, polarity: int) -> list[PulseSegment]:
@@ -317,9 +311,9 @@ def build_sequence(
     first-order response to systematic pulse errors, which uniform-polarity
     CP and UDD retain.
     """
-    name = kind.upper()
+    name = kind.upper() if isinstance(kind, str) else None
     if name not in ("8H", "CP", "UDD"):
-        raise ValueError(f"unknown sequence kind: {kind!r}")
+        raise ValueError(f"unknown sequence kind: {kind!r} (choose from 8H, CP, UDD)")
     if not (is_real(tau) and tau > 0):
         raise ValueError("tau must be positive and finite")
     _check_larmor_period(larmor_period)

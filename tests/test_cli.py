@@ -361,10 +361,42 @@ class TestPulseSweep:
             cli.main(["pulse", "sweep", "--pulse-errors", "0;1"])
         assert exc.value.code == 2
 
-    def test_unknown_sequence_is_usage_error(self):
-        with pytest.raises(SystemExit) as exc:
-            cli.main(["pulse", "sweep", "--sequences", "xy8"])
-        assert exc.value.code == 2
+    def test_unknown_sequence_is_usage_error(self, capsys, monkeypatch):
+        from qparch import pulses
+
+        def process_infidelity(*args):
+            raise AssertionError("a sequence ran before every name was checked")
+
+        monkeypatch.setattr(pulses, "process_infidelity", process_infidelity)
+        assert cli.main(["pulse", "sweep", "--sequences", "8h,xy8"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "error: unknown sequence kind: 'XY8' (choose from 8H, CP, UDD)\n"
+
+    @pytest.mark.parametrize("sequences", ["xy8,8h", "cp,XY8,udd", "8h,cp,udd,xy8"],
+                             ids=["first", "middle", "last"])
+    def test_an_unknown_sequence_anywhere_stops_the_sweep_before_any_run(
+        self, sequences, tmp_path, capsys, monkeypatch
+    ):
+        from qparch import pulses
+
+        def process_infidelity(*args):
+            raise AssertionError("a sequence ran before every name was checked")
+
+        monkeypatch.setattr(pulses, "process_infidelity", process_infidelity)
+        code, payload = run_cli(["pulse", "sweep", "--sequences", sequences, "--baseline"], tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            "error: unknown sequence kind: 'XY8' (choose from 8H, CP, UDD)\n"
+        )
+
+    def test_sequence_names_are_stripped_and_upper_cased(self, tmp_path):
+        flags = ["pulse", "sweep", "--samples", "4", "--pulse-errors", "0,0.01", "--baseline"]
+        spaced = run_cli([*flags, "--sequences", " 8h , Cp ,udd"], tmp_path, "spaced")
+        upper = run_cli([*flags, "--sequences", "8H,CP,UDD"], tmp_path, "upper")
+        assert spaced[0] == 0
+        assert spaced == upper
 
     @pytest.mark.parametrize("flags", [
         ["--tau", "inf"],

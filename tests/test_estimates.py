@@ -1,4 +1,6 @@
 import copy
+import csv
+import io
 import math
 import pickle
 
@@ -154,6 +156,34 @@ def one_step_cycles(particles):
     return est.sim_estimate(workload, PROFILE, CODE).logical_cycles - est.SIM_QFT_CYCLES
 
 
+class TestRequiredArguments:
+    @pytest.mark.parametrize("estimate, workload", [
+        (est.shor_estimate, est.ShorWorkload(bits=1024)),
+        (est.sim_estimate, est.SimWorkload(particles=61)),
+    ], ids=["shor", "sim"])
+    def test_estimators_require_profile_and_code(self, estimate, workload):
+        with pytest.raises(TypeError):
+            estimate(workload)
+        with pytest.raises(TypeError):
+            estimate(workload, PROFILE)
+
+    def test_sweep_takes_profile_and_code_by_keyword_only(self):
+        with pytest.raises(TypeError):
+            est.shor_sweep([1024], None, PROFILE, CODE)
+
+    def test_report_requires_details(self):
+        report = est.shor_estimate(est.ShorWorkload(bits=1024), PROFILE, CODE)
+        inputs = {
+            name: getattr(report, name)
+            for name in ("app_qubits", "distillation_qubits", "toffoli_depth", "logical_cycles",
+                         "production_rate", "consumption_rate")
+        }
+        inputs.update(code=CODE, logical_cycle_time=PROFILE.logical_cycle_time)
+        assert est.ResourceReport(**inputs, details=report.details) == report
+        with pytest.raises(TypeError):
+            est.ResourceReport(**inputs)
+
+
 class TestSimEstimate:
     def test_per_step_cycles_alanine(self):
         assert one_step_cycles(61) == pytest.approx(3.84e7, rel=0.01)
@@ -253,6 +283,32 @@ class TestShorSweep:
         assert len(lines) == 3
         assert all(line.count(",") == lines[0].count(",") for line in lines)
         assert lines[1].startswith("512,3072,96928,")
+
+
+def csv_module_sweep(reports):
+    """The sweep CSV as ``csv.writer`` writes it: the oracle for ``sweep_to_csv``."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(est.SWEEP_CSV_HEADER.split(","))
+    for report in reports:
+        writer.writerow([
+            report.details["bits"], report.app_qubits, report.distillation_qubits,
+            repr(report.production_rate), repr(report.consumption_rate),
+            repr(report.throttle_factor), repr(report.toffoli_depth), repr(report.runtime_seconds),
+        ])
+    return buffer.getvalue()
+
+
+@settings(max_examples=50, deadline=None)
+@given(
+    bit_sizes=st.lists(st.integers(4, 20000), min_size=1, max_size=6),
+    machine=st.one_of(st.none(), st.integers(200000, 10 ** 7)),
+    level=st.integers(1, dist.MAX_DISTILLATION_LEVEL),
+)
+@example(bit_sizes=[512, 1024, 2048, 4096, 8192, 16384], machine=100000, level=2)
+def test_sweep_csv_matches_the_csv_module(bit_sizes, machine, level):
+    reports = est.shor_sweep(bit_sizes, machine, profile=PROFILE, code=CODE, level=level)
+    assert est.sweep_to_csv(reports) == csv_module_sweep(reports)
 
 
 def assert_follows_the_chain(report, profile, distance):

@@ -50,7 +50,6 @@ PARAMETERS = {
     "z_axis_pulse.larmor_period": (lambda v: pulses.z_axis_pulse(1.0, v), False),
     "composite_x_gate.theta": (pulses.composite_x_gate, False),
     "composite_x_gate.larmor_period": (lambda v: pulses.composite_x_gate(1.0, v), False),
-    "composite_x_gate.polarity": (lambda v: pulses.composite_x_gate(1.0, polarity=v), True),
     "build_sequence.tau": (lambda v: pulses.build_sequence("8H", v), False),
     "build_sequence.larmor_period": (lambda v: pulses.build_sequence("8H", 1e-9, v), False),
     "bb1_virtual_gate.theta": (pulses.bb1_virtual_gate, False),

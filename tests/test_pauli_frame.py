@@ -368,7 +368,7 @@ class TestCircuitParsing:
             ("measure", "Z", (0,), 1),
         ]
         assert len(circuit) == 3
-        assert pf.circuit_qubit_count(circuit) == 2
+        assert circuit.num_qubits == 2
 
     def test_readme_and_bench_lines_take_the_compact_path(self):
         section = (ROOT / "README.md").read_text(encoding="utf-8").split("### Circuit files", 1)[1]
@@ -390,6 +390,15 @@ class TestCircuitParsing:
     def test_invalid_json_reports_line_number(self):
         with pytest.raises(pf.CircuitParseError, match="line 2"):
             pf.parse_circuit(['{"op":"pauli","p":"X","q":0}', "{nope"])
+
+    def test_a_byte_order_mark_gets_the_json_loads_message(self):
+        line = '\ufeff{"op":"pauli","p":"X","q":0}'
+        with pytest.raises(json.JSONDecodeError) as expected:
+            json.loads(line.strip())
+        with pytest.raises(pf.CircuitParseError) as got:
+            pf.parse_circuit([line])
+        assert str(got.value) == f"line 1: invalid JSON ({expected.value.msg})"
+        assert "BOM" in str(got.value)
 
     def test_unknown_op_reports_line_number(self):
         with pytest.raises(pf.CircuitParseError, match="line 1"):
@@ -425,8 +434,8 @@ class TestCircuitParsing:
         circuit = pf.parse_circuit(map(json.dumps, objects))
         assert len(circuit) == len(circuit.ops) == len(circuit.qubits) == len(circuit.args) == 6
         assert decoded(circuit) == [expected_row(obj) for obj in objects]
-        assert circuit.num_qubits == pf.circuit_qubit_count(circuit) == 7
-        assert pf.circuit_qubit_count(pf.parse_circuit([])) == 0
+        assert circuit.num_qubits == 7
+        assert pf.parse_circuit([]).num_qubits == 0
 
     def test_qubit_beyond_the_frame_limit_is_a_parse_error(self):
         largest = pf.MAX_FRAME_QUBITS - 1
@@ -731,6 +740,7 @@ any_lines = st.one_of(
 @given(st.lists(valid_lines, max_size=4), any_lines, st.lists(valid_lines, max_size=3))
 @example([], '\xa0{"op":"pauli","p":"X","q":0}\x85\n', [])
 @example(['{"op":"pauli","p":"X","q":0}'], '\ufeff{"op":"pauli","p":"X","q":0}', [])
+@example([], '\ufeff{"op":"pauli","p":"X","q":0}', [])
 @example([], '{"op":"pauli","p":"X","q":0} {"op":"pauli","p":"Z","q":1}', [])
 @example([], '{"op":"clifford","g":"CNOT","q":[0,1,2]}', [])
 @example([], '{"op":"measure","basis":"Z","q":true,"raw":1.0}', [])
@@ -757,9 +767,7 @@ def test_parse_circuit_matches_json_loads_oracle(before, line, after):
         with pytest.raises(pf.CircuitParseError) as got:
             pf.parse_circuit(lines)
         assert got.value.line_number == exc.line_number
-        # json.loads names a leading byte-order mark; raw_decode calls it a missing value.
-        if not lines[exc.line_number - 1].strip().startswith("\ufeff"):
-            assert str(got.value) == str(exc)
+        assert str(got.value) == str(exc)
         return
     circuit = pf.parse_circuit(lines)
     assert decoded(circuit) == expected

@@ -1,4 +1,5 @@
 import math
+import re
 import warnings
 
 import mpmath
@@ -151,8 +152,7 @@ class TestSegmentUnitary:
 
     @pytest.mark.parametrize("build", [
         lambda v: P.hadamard_pulse(LARMOR, v),
-        lambda v: P.composite_x_gate(math.pi, LARMOR, v),
-    ], ids=["hadamard", "composite-x"])
+    ], ids=["hadamard"])
     @pytest.mark.parametrize("polarity", [True, False, 1.0, -1.0, 0, 2, "1", None])
     def test_builders_reject_a_polarity_that_is_not_the_int_plus_or_minus_one(self, build, polarity):
         with pytest.raises(ValueError, match=f"polarity must be the integer \\+1 or -1, got {polarity!r}"):
@@ -181,6 +181,10 @@ class TestCompositeX:
     def test_angle_range(self):
         with pytest.raises(ValueError):
             P.composite_x_gate(4 * math.pi + 0.1, LARMOR)
+
+    def test_takes_no_polarity(self):
+        with pytest.raises(TypeError):
+            P.composite_x_gate(math.pi, LARMOR, polarity=-1)
 
 
 class TestBuildSequence:
@@ -219,6 +223,24 @@ class TestBuildSequence:
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             P.build_sequence("XY8", 1e-9, LARMOR)
+
+    @pytest.mark.parametrize("kind", [None, 8, b"CP", ("CP",)])
+    def test_a_kind_that_is_not_a_string_is_an_unknown_kind(self, kind):
+        message = f"unknown sequence kind: {kind!r} (choose from 8H, CP, UDD)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            P.build_sequence(kind, 1e-9, LARMOR)
+
+    @pytest.mark.parametrize("kind", ["XY8", "", "8H ", "C P", "free"])
+    def test_an_unknown_name_names_the_choices(self, kind):
+        message = f"unknown sequence kind: {kind!r} (choose from 8H, CP, UDD)"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            P.build_sequence(kind, 1e-9, LARMOR)
+
+    @pytest.mark.parametrize("kind", ["8H", "CP", "UDD"])
+    def test_a_name_in_any_case_builds_the_same_sequence(self, kind):
+        expected = P.build_sequence(kind, 1e-9, LARMOR)
+        assert P.build_sequence(kind.lower(), 1e-9, LARMOR) == expected
+        assert P.build_sequence(kind.capitalize(), 1e-9, LARMOR) == expected
 
 
 def gate_centers(seq):

@@ -159,15 +159,15 @@ def test_the_package_imports_no_slow_module():
 
 
 def test_estimator_commands_load_no_dataclasses():
-    """A fresh process running the estimator commands never loads ``dataclasses``
-    or ``inspect``."""
+    """A fresh process running the estimator commands never loads ``dataclasses``,
+    ``inspect`` or ``csv``."""
     script = """
 import contextlib, io, sys
 from qparch import cli
 for argv in (["qec", "distance", "--distance", "31"], ["estimate", "shor", "--bits", "1024"]):
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
-loaded = {"dataclasses", "inspect"} & set(sys.modules)
+loaded = {"dataclasses", "inspect", "csv"} & set(sys.modules)
 assert not loaded, f"the estimator commands loaded {sorted(loaded)}"
 """
     result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
