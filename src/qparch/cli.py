@@ -67,6 +67,10 @@ def _write_output(text: str, path: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _write_json(value, path: str | None) -> None:
+    _write_output(json.dumps(value, indent=2) + "\n", path)
+
+
 def _cmd_qec_distance(args: argparse.Namespace) -> int:
     profile = _load_profile(args.profile)
     if args.error_per_gate is not None:
@@ -87,7 +91,7 @@ def _cmd_qec_distance(args: argparse.Namespace) -> int:
             "report_distance": qec.DEFAULT_REPORT_DISTANCE,
             "report": report,
         }
-    _write_output(json.dumps(result, indent=2) + "\n", args.output)
+    _write_json(result, args.output)
     return EXIT_OK
 
 
@@ -101,7 +105,7 @@ def _cmd_estimate_shor(args: argparse.Namespace) -> int:
             bits=args.bits[0], machine_logical_qubits=args.machine_logical_qubits
         )
         report = estimates.shor_estimate(workload, profile, code, level=args.level)
-        _write_output(report.to_json(), args.output)
+        _write_json(report._asdict(), args.output)
     else:
         reports = estimates.shor_sweep(
             args.bits, args.machine_logical_qubits, profile=profile, code=code, level=args.level
@@ -115,13 +119,11 @@ def _cmd_estimate_sim(args: argparse.Namespace) -> int:
 
     profile = _load_profile(args.profile)
     code = qec.code_point(profile, args.distance)
-    workload = estimates.SimWorkload(
-        particles=args.particles,
-        bits_precision=args.bits_precision,
-        timesteps=args.timesteps,
-    )
+    # Only the given fields: ``SimWorkload`` holds the defaults.
+    fields = {k: v for k, v in vars(args).items() if k in estimates.SimWorkload._fields}
+    workload = estimates.SimWorkload(**fields)
     report = estimates.sim_estimate(workload, profile, code, level=args.level)
-    _write_output(report.to_json(), args.output)
+    _write_json(report._asdict(), args.output)
     return EXIT_OK
 
 
@@ -164,8 +166,7 @@ def _cmd_frame_exec(args: argparse.Namespace) -> int:
         )
     frame = pauli_frame.PauliFrame(num_qubits)
     final, outcomes = pauli_frame.run_circuit(frame, circuit)
-    result = {"outcomes": outcomes, "frame": final.letters}
-    _write_output(json.dumps(result, indent=2) + "\n", args.output)
+    _write_json({"outcomes": outcomes, "frame": final.letters}, args.output)
     return EXIT_OK
 
 
@@ -176,9 +177,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--profile", help=f"hardware profile JSON (default: ${PROFILE_ENV_VAR} or built-in)")
+    def add_output(sub: argparse.ArgumentParser) -> None:
         sub.add_argument("--output", "-o", default="-", help="output file (default stdout)")
+
+    def add_common(sub: argparse.ArgumentParser) -> None:
+        """``--profile``, then ``--output``: the commands whose handler loads a profile."""
+        sub.add_argument("--profile", help=f"hardware profile JSON (default: ${PROFILE_ENV_VAR} or built-in)")
+        add_output(sub)
 
     qec_parser = subparsers.add_parser("qec", help="surface-code sizing")
     qec_sub = qec_parser.add_subparsers(dest="subcommand", required=True)
@@ -212,8 +217,8 @@ def build_parser() -> argparse.ArgumentParser:
     sim = estimate_sub.add_parser("sim", help="molecular-simulation budget")
     add_common(sim)
     sim.add_argument("--particles", type=int, required=True)
-    sim.add_argument("--bits-precision", type=int, default=12)
-    sim.add_argument("--timesteps", type=int, default=2 ** 10)
+    sim.add_argument("--bits-precision", type=int, default=argparse.SUPPRESS)
+    sim.add_argument("--timesteps", type=int, default=argparse.SUPPRESS)
     sim.add_argument("--distance", type=int, default=qec.DEFAULT_REPORT_DISTANCE)
     sim.add_argument("--level", type=int, default=distillation.DEFAULT_DISTILLATION_LEVEL)
     sim.set_defaults(handler=_cmd_estimate_sim)
@@ -238,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     frame = subparsers.add_parser("frame", help="Pauli-frame execution")
     frame_sub = frame.add_subparsers(dest="subcommand", required=True)
     execute = frame_sub.add_parser("exec", help="run a JSON-lines circuit against a fresh frame")
-    add_common(execute)
+    add_output(execute)
     execute.add_argument("circuit", help="circuit file, one JSON instruction per line")
     execute.add_argument("--num-qubits", type=int, help="frame size (default: inferred)")
     execute.set_defaults(handler=_cmd_frame_exec)

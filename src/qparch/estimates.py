@@ -8,7 +8,6 @@ factory production on a fixed-size machine.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import namedtuple
 
@@ -202,9 +201,6 @@ class ResourceReport(namedtuple(
     def __reduce__(self):
         """Copies and pickles restore the stored fields: the inputs are gone."""
         return tuple.__new__, (type(self), tuple(self))
-
-    def to_json(self) -> str:
-        return json.dumps(self._asdict(), indent=2) + "\n"
 
 
 def shor_estimate(

@@ -292,7 +292,9 @@ def _line_rows(lines: Iterable[str]) -> Iterable[tuple[int, int, int]]:
             raise CircuitParseError(line_number, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
         try:
             row = _line_row(obj)
-        except (KeyError, TypeError, ValueError) as exc:
+        except KeyError as exc:
+            raise CircuitParseError(line_number, f"missing field {exc}") from exc
+        except (TypeError, ValueError) as exc:
             raise CircuitParseError(line_number, str(exc)) from exc
         yield row
 

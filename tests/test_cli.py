@@ -515,9 +515,14 @@ class TestFrameExec:
          "line 2: qubit index must be below 1048576 (the frame-size limit)"),
         ('{"op":"pauli","p":"X","q":1}', ["--num-qubits", "1000000000000000"],
          "num_qubits must be between 0 and 1048576 (the frame-size limit)"),
+        ('{"op":"pauli","q":0}', [], "line 2: missing field 'p'\n"),
+        ('{"op":"pauli","p":"X"}', [], "line 2: missing field 'q'\n"),
+        ('{"op":"clifford","q":0}', [], "line 2: missing field 'g'\n"),
+        ('{"op":"measure","q":0,"raw":1}', [], "line 2: missing field 'basis'\n"),
     ], ids=["float-qubit", "bool-qubit", "negative-qubit", "float-cnot-target", "float-raw",
             "measurement-gate", "num-qubits-too-small", "measurement-basis",
-            "qubit-beyond-frame-limit", "num-qubits-beyond-frame-limit"])
+            "qubit-beyond-frame-limit", "num-qubits-beyond-frame-limit", "missing-pauli",
+            "missing-qubit", "missing-gate", "missing-basis"])
     def test_invalid_instruction_is_usage_error(self, line, args, expected, tmp_path, capsys):
         circuit = self.write_circuit(tmp_path, ['{"op":"pauli","p":"X","q":0}', line])
         code, payload = run_cli(["frame", "exec", circuit, *args], tmp_path)
@@ -545,6 +550,16 @@ class TestFrameExec:
 
     def test_missing_file_is_usage_error(self, capsys):
         assert cli.main(["frame", "exec", "/nonexistent/circuit.jsonl"]) == 2
+
+    def test_profile_is_an_unrecognized_argument(self, capsys):
+        """``frame exec`` reads no hardware profile, so it takes no ``--profile``."""
+        argv = ["frame", "exec", str(GOLDEN / "frame_readme.jsonl"), "--profile", "/nonexistent.json"]
+        with pytest.raises(SystemExit) as exit_info:
+            cli.main(argv)
+        assert exit_info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: unrecognized arguments: --profile /nonexistent.json" in err
 
 
 @pytest.mark.parametrize("name, argv", [
@@ -792,7 +807,7 @@ for argv in (["qec", "distance"], ["estimate", "shor", "--bits", "1024"],
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv) == 0, argv
 assert "numpy" not in sys.modules, "a non-pulse command imported numpy"
-from qparch import process_infidelity
+from qparch.pulses import process_infidelity
 assert "numpy" in sys.modules and callable(process_infidelity)
 """
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)

@@ -662,7 +662,9 @@ def oracle_row(obj, line_number):
             if raw is None:
                 raise ValueError("measurement has no raw outcome")
             return "measure", basis, (qubit(obj["q"]),), raw
-    except (KeyError, TypeError, ValueError) as exc:
+    except KeyError as exc:
+        raise OracleParseError(line_number, f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
         raise OracleParseError(line_number, str(exc)) from exc
     raise OracleParseError(line_number, f"unknown op {op!r}")
 

@@ -1,4 +1,4 @@
-"""The README's library sketch runs, every exported name exists, and every
+"""The README's library sketch runs, the package re-exports nothing, and every
 name the package defines has a reader."""
 
 import ast
@@ -6,8 +6,6 @@ import re
 import subprocess
 import sys
 from pathlib import Path
-
-import qparch
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -22,12 +20,6 @@ def test_library_sketch_runs(capsys):
     exec(compile(library_sketch(), str(README), "exec"), {})
     printed = capsys.readouterr().out.split("\n")
     assert len(printed) == 3 and printed[-1] == ""
-
-
-def test_every_exported_name_resolves():
-    assert [name for name in qparch.__all__ if not hasattr(qparch, name)] == []
-    assert len(set(qparch.__all__)) == len(qparch.__all__)
-
 
 
 def definitions(tree):
@@ -73,6 +65,17 @@ def string_words(tree):
 
 def parse(path):
     return ast.parse(path.read_text(encoding="utf-8"), str(path))
+
+
+def test_the_package_module_defines_only_its_version():
+    """``qparch/__init__.py`` is a docstring and ``__version__``: it imports and
+    re-exports nothing, so each name has one import path,
+    ``from qparch.<layer> import <name>``."""
+    tree = parse(ROOT / "src" / "qparch" / "__init__.py")
+    others = [ast.unparse(node).splitlines()[0] for node in tree.body[1:]
+              if not (isinstance(node, ast.Assign)
+                      and [ast.unparse(target) for target in node.targets] == ["__version__"])]
+    assert ast.get_docstring(tree) and others == []
 
 
 def test_every_name_has_a_reader():
