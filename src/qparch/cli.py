@@ -159,13 +159,14 @@ def _cmd_frame_exec(args: argparse.Namespace) -> int:
 
     circuit = pauli_frame.load_circuit(args.circuit)
     needed = circuit.num_qubits
-    num_qubits = needed if args.num_qubits is None else args.num_qubits
-    if num_qubits < needed:
+    # The constructor checks the size's range before it is compared with the circuit.
+    frame = pauli_frame.PauliFrame(needed if args.num_qubits is None else args.num_qubits)
+    if frame.num_qubits < needed:
         raise ValueError(
-            f"--num-qubits {num_qubits} is smaller than the {needed} qubits the circuit uses"
+            f"--num-qubits {frame.num_qubits} is smaller than the {needed} qubits the circuit uses"
         )
-    frame = pauli_frame.PauliFrame(num_qubits)
     final, outcomes = pauli_frame.run_circuit(frame, circuit)
+    del circuit, frame  # free the columns before the report is formatted
     _write_json({"outcomes": outcomes, "frame": final.letters}, args.output)
     return EXIT_OK
 

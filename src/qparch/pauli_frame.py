@@ -90,16 +90,18 @@ def _measure_arg(fields: Mapping) -> int:
 class Circuit:
     """A circuit packed into parallel columns, one entry per instruction.
 
-    ``ops`` holds the op code, ``qubits`` the qubit acted on (a CNOT's
-    control) and ``args`` the op's argument (see the op codes above).
+    ``ops`` holds the op code (1 byte), ``qubits`` the qubit acted on (a
+    CNOT's control) and ``args`` the op's argument (see the op codes above),
+    4 bytes each: every qubit is below ``MAX_FRAME_QUBITS`` and every other
+    arg below 16, so 9 bytes hold an instruction.
     ``num_qubits`` is one more than the highest qubit used: the smallest
     frame the circuit fits.  ``parse_circuit`` builds circuits.
     """
 
     def __init__(self) -> None:
         self.ops = array("B")
-        self.qubits = array("q")
-        self.args = array("q")
+        self.qubits = array("I")
+        self.args = array("I")
         self.num_qubits = 0
 
     def _extend(self, rows: Iterable[tuple[int, int, int]]) -> None:
@@ -271,12 +273,18 @@ def _compact_row(line: str) -> tuple[int, int, int] | None:
     return row if row[1] < MAX_FRAME_QUBITS else None
 
 
+# A byte that is not UTF-8, as ``load_circuit``'s "surrogateescape" decoding
+# keeps it.  The compact pattern is ASCII, so only the ``json.loads`` path looks.
+_UNDECODED_BYTE = re.compile("[\udc80-\udcff]").search
+
+
 def _line_rows(lines: Iterable[str]) -> Iterable[tuple[int, int, int]]:
     """The packed row of each non-blank JSON line; a bad line raises ``CircuitParseError``.
 
     A line in the README's compact form goes straight to its row
     (``_compact_row``); any other is read by ``json.loads(line.strip())``, so
-    every line is accepted or rejected as that call would take it.
+    every line is accepted or rejected as that call would take it, except
+    that a line holding a byte that is not UTF-8 is refused before the call.
     """
     for line_number, line in enumerate(lines, start=1):
         row = _compact_row(line)
@@ -286,6 +294,8 @@ def _line_rows(lines: Iterable[str]) -> Iterable[tuple[int, int, int]]:
         text = line.strip()
         if not text:
             continue
+        if _UNDECODED_BYTE(text):  # checked first: ``json.loads`` takes a lone surrogate
+            raise CircuitParseError(line_number, "not UTF-8 text")
         try:
             obj = json.loads(text)
         except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
@@ -307,7 +317,7 @@ def parse_circuit(lines: Iterable[str]) -> Circuit:
 
 
 def load_circuit(path: str | os.PathLike) -> Circuit:
-    with open(path, "r", encoding="utf-8") as handle:
+    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
         return parse_circuit(handle)
 
 

@@ -205,9 +205,9 @@ def min_code_distance(profile: HardwareProfile, target_logical_error: float) -> 
     Raises UnreachableTargetError when the suppression base is >= 1, in which
     case increasing the distance never helps.
     """
-    if not (is_real(target_logical_error) and target_logical_error > 0):
+    if not (is_real(target_logical_error) and 0 < target_logical_error <= 1):
         raise ValueError(
-            f"target_logical_error must be a finite number > 0, got {shown(target_logical_error)}"
+            f"target_logical_error must be a finite number in (0, 1], got {shown(target_logical_error)}"
         )
     base = profile.suppression_base
     if base >= 1.0:

@@ -1,7 +1,9 @@
 import json
 import math
+import random
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -131,6 +133,17 @@ class TestQecDistance:
         assert payload == b""
         err = capsys.readouterr().err
         assert err.startswith("error: target_logical_error must be a finite number") and value in err
+
+    @pytest.mark.parametrize("value, shown", [
+        ("1.5", "1.5"), (repr(math.nextafter(1, 2)), "1.0000000000000002"), ("1e300", "1e+300"),
+    ])
+    def test_target_above_one_is_usage_error(self, value, shown, tmp_path, capsys):
+        code, payload = run_cli(["qec", "distance", "--target-logical-error", value], tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            f"error: target_logical_error must be a finite number in (0, 1], got {shown}\n"
+        )
 
     @pytest.mark.parametrize("command", [
         ["qec", "distance"],
@@ -530,6 +543,55 @@ class TestFrameExec:
         assert payload == b""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
+
+    @pytest.mark.parametrize("lines", [[], ['{"op":"pauli","p":"X","q":0}']], ids=["empty", "one-qubit"])
+    def test_negative_num_qubits_names_the_frame_size_limit(self, lines, tmp_path, capsys):
+        circuit = self.write_circuit(tmp_path, lines)
+        code, payload = run_cli(["frame", "exec", circuit, "--num-qubits", "-1"], tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            "error: num_qubits must be between 0 and 1048576 (the frame-size limit), got -1\n"
+        )
+
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, capsys):
+        lines = [b'{"op":"pauli","p":"X","q":0}'] * 6000
+        lines[4999] = b'{"op":"pauli","p":"X","q":0,"note":"\xff"}'
+        path = tmp_path / "circuit.jsonl"
+        path.write_bytes(b"\n".join(lines) + b"\n")
+        code, payload = run_cli(["frame", "exec", str(path)], tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == "error: line 5000: not UTF-8 text\n"
+
+    def test_peak_memory_per_instruction(self, tmp_path):
+        """The packed circuit takes 9 bytes an instruction, and it is freed
+        before the report is formatted, so the two do not stack."""
+        rng = random.Random(20101022)
+        lines = []
+        for _ in range(20_000):  # 30% Paulis, 35% H/S/S_dagger, 20% CNOTs, 15% measurements
+            r, q = rng.random(), rng.randrange(1000)
+            if r < 0.30:
+                lines.append(f'{{"op":"pauli","p":"{rng.choice("XYZ")}","q":{q}}}')
+            elif r < 0.65:
+                lines.append(f'{{"op":"clifford","g":"{rng.choice(("H", "S", "S_dagger"))}","q":{q}}}')
+            elif r < 0.85:
+                lines.append(f'{{"op":"clifford","g":"CNOT","q":[{q},{(q + rng.randrange(1, 1000)) % 1000}]}}')
+            else:
+                basis, raw = rng.choice("XYZ"), rng.choice((1, -1))
+                lines.append(f'{{"op":"measure","basis":"{basis}","q":{q},"raw":{raw}}}')
+        circuit = self.write_circuit(tmp_path, lines)
+        argv = ["frame", "exec", circuit, "-o", str(tmp_path / "out.json")]
+        assert cli.main(argv) == 0  # once first, so one-off allocations are not counted
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            assert cli.main(argv) == 0
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 19.9 bytes with 4-byte columns; 38.7 with 8-byte ones and the circuit held to the end.
+        assert (peak - before) / len(lines) < 28
 
     def test_measure_without_raw_names_its_line(self, tmp_path, capsys):
         circuit = self.write_circuit(tmp_path, ['{"op":"measure","basis":"Z","q":0}'])

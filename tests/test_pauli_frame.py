@@ -422,6 +422,28 @@ class TestCircuitParsing:
         _, outcomes = pf.run_circuit(pf.PauliFrame(1), circuit)
         assert outcomes == [-1]
 
+    @pytest.mark.parametrize("line", [
+        b'{"op":"pauli","p":"X","q":0,"note":"\xff"}',  # an extra field json.loads would pass
+        b'{"op":"pauli","p":"\xff","q":0}',
+        b'{"op":"pauli","p":"X","q":0}\xc3',
+        b"\xed\xb2\x80",  # an encoded surrogate, which UTF-8 forbids
+    ], ids=["extra-field", "pauli", "after-compact", "surrogate"])
+    def test_bytes_that_are_not_utf8_are_a_parse_error(self, line, tmp_path):
+        path = tmp_path / "circuit.jsonl"
+        good = b'{"op":"pauli","p":"X","q":0}\n'
+        path.write_bytes(good + line + b"\n" + good)
+        with pytest.raises(pf.CircuitParseError, match=r"^line 2: not UTF-8 text$"):
+            pf.load_circuit(path)
+        # An earlier bad line is still the one reported.
+        path.write_bytes(b"{nope\n" + line + b"\n")
+        with pytest.raises(pf.CircuitParseError, match=r"^line 1: invalid JSON"):
+            pf.load_circuit(path)
+
+    def test_utf8_text_outside_ascii_is_read(self, tmp_path):
+        path = tmp_path / "circuit.jsonl"
+        path.write_text('{"op":"pauli","p":"X","q":0,"note":"\u00e9\u2028"}\n', encoding="utf-8")
+        assert decoded(pf.load_circuit(path)) == [("pauli", "X", (0,), None)]
+
     def test_circuit_packs_and_indexes_instructions(self):
         objects = [
             {"op": "pauli", "p": "I", "q": 4},
@@ -437,10 +459,18 @@ class TestCircuitParsing:
         assert circuit.num_qubits == 7
         assert pf.parse_circuit([]).num_qubits == 0
 
+    def test_qubit_and_arg_columns_take_four_bytes(self):
+        circuit = pf.parse_circuit(['{"op":"clifford","g":"CNOT","q":[0,1]}'])
+        assert circuit.ops.itemsize == 1
+        assert circuit.qubits.itemsize == circuit.args.itemsize == 4
+
     def test_qubit_beyond_the_frame_limit_is_a_parse_error(self):
         largest = pf.MAX_FRAME_QUBITS - 1
-        circuit = pf.parse_circuit([f'{{"op":"pauli","p":"X","q":{largest}}}'])
+        circuit = pf.parse_circuit([f'{{"op":"pauli","p":"X","q":{largest}}}',
+                                    f'{{"op":"clifford","g":"CNOT","q":[0,{largest}]}}'])
         assert circuit.num_qubits == pf.MAX_FRAME_QUBITS
+        assert decoded(circuit) == [("pauli", "X", (largest,), None),
+                                    ("clifford", "CNOT", (0, largest), None)]
         message = r"line 2: qubit index must be below 1048576 \(the frame-size limit\)"
         for q in (largest + 1, 2 ** 63, 10 ** 30):
             for line in (f'{{"op":"pauli","p":"X","q":{q}}}',
@@ -608,6 +638,8 @@ def oracle_parse(lines):
         text = line.strip()
         if not text:
             continue
+        if any("\udc80" <= char <= "\udcff" for char in text):  # bytes kept by "surrogateescape"
+            raise OracleParseError(line_number, "not UTF-8 text")
         try:
             obj = json.loads(text)
         except json.JSONDecodeError as exc:
@@ -761,6 +793,8 @@ any_lines = st.one_of(
 @example([], '{"op":"pauli","p":"X","q":\u0663}', [])
 @example([], '{"op":"pauli","p":"X","q":0}\n\n', [])
 @example([], '{"op":"pauli","p":"X","q":0,"q":1}', [])
+@example([], '{"op":"pauli","p":"X","q":0,"note":"\udcff"}', [])
+@example(['{nope'], '{"op":"pauli","p":"X","q":0}\udc80', [])
 def test_parse_circuit_matches_json_loads_oracle(before, line, after):
     lines = [*before, line, *after]
     try:

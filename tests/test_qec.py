@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import mpmath
 import pytest
@@ -187,6 +188,14 @@ class TestMinCodeDistance:
 
     def test_loose_target_gives_distance_1(self):
         assert qec.min_code_distance(DEFAULTS, 1e-2).distance == 1
+        assert qec.min_code_distance(DEFAULTS, 1.0).distance == 1
+
+    @pytest.mark.parametrize("target", [1.5, math.nextafter(1, 2), 1e300])
+    def test_rejects_target_above_one(self, target):
+        """A per-gate error target above 1 is not a probability."""
+        message = re.escape(f"target_logical_error must be a finite number in (0, 1], got {target!r}")
+        with pytest.raises(ValueError, match=message):
+            qec.min_code_distance(DEFAULTS, target)
 
     def test_unreachable_when_base_at_least_one(self):
         profile = qec.HardwareProfile(error_per_virtual_gate=6e-3, threshold=9e-3, c2=2.0)
