@@ -47,6 +47,20 @@ def _comma_floats(text: str) -> list[float]:
     return _comma_list(text, float, "number")
 
 
+def _float(text: str) -> float:
+    """``float(text)``, but a nonzero number that underflows to 0.0 is a usage error."""
+    value = float(text)
+    if value == 0:
+        from decimal import Decimal  # exact, so only a zero reads as zero
+
+        if Decimal(text) != 0:
+            raise argparse.ArgumentTypeError(f"{text} underflows a float to 0.0")
+    return value
+
+
+_float.__name__ = "float"  # argparse names the type in "invalid float value"
+
+
 def _comma_sequences(text: str) -> list[str]:
     """Upper-cased names; ``pulses.build_sequence`` checks them."""
     return _comma_list(text, lambda token: token.strip().upper(), "sequence")
@@ -193,7 +207,7 @@ def build_parser() -> argparse.ArgumentParser:
     chosen = distance.add_mutually_exclusive_group()
     chosen.add_argument(
         "--target-logical-error",
-        type=float,
+        type=_float,
         default=1e-2,
         help="target error per logical gate for the minimal-distance search (default 1e-2)",
     )

@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 
 from . import distillation, qec
-from .errors import MAX_EXACT_INT, NoFactoryCapacityError, is_int, shown
+from .errors import MAX_EXACT_INT, InfeasibleInputError, NoFactoryCapacityError, is_int, shown
 
 SECONDS_PER_DAY = 86400.0
 # Qubits sit on a 1 um pitch, so one virtual qubit occupies 1 um^2 = 1e-8 cm^2.
@@ -147,8 +147,9 @@ class ResourceReport(namedtuple(
     """Qubit/cycle/runtime budget for one application run.
 
     A workload decides the arguments; the constructor derives every other
-    field from them, the code point and the logical cycle time, and raises
-    ``ValueError`` when the runtime overflows a float.
+    field from them, the code point and the logical cycle time.  It raises
+    ``InfeasibleInputError`` when the code's CNOT outlasts the logical cycle,
+    and ``ValueError`` when the runtime overflows a float.
     Fields are declared in the report's JSON key order.
     """
 
@@ -166,6 +167,11 @@ class ResourceReport(namedtuple(
         logical_cycle_time: float,
         details: dict,
     ):
+        if code.cnot_time_s > logical_cycle_time:
+            raise InfeasibleInputError(
+                f"a CNOT at distance {code.distance} takes {code.cnot_time_s!r} s, longer than the "
+                f"{logical_cycle_time!r} s logical cycle: raise logical_cycle_time or lower the distance"
+            )
         total = app_qubits + distillation_qubits
         virtual = total * code.virtual_per_logical
         throttle = 1.0

@@ -9,10 +9,14 @@ algebra is XOR, as in CHP (Aaronson & Gottesman 2004) and Stim's frame
 simulator (Gidney 2021).  Letters appear only at the I/O boundary.
 
 Circuits come in as JSON lines, each self-contained (a measurement carries
-its own raw outcome), so every check happens while parsing.  They are held
-only as packed (op, qubit, arg) rows in parallel ``array`` columns
-(``Circuit``).  One loop of XORs over them (``_execute``) runs every frame
-update: ``run_circuit`` is the only way to change a frame.
+its own raw outcome), so every check happens while parsing.  A file is read
+16 K characters of whole lines at a time, and one ``findall`` of one pattern
+(``_LINES``) splits each chunk into lines: a line in the README's compact
+form comes out as its fields, any other through a catch-all group to
+``json.loads``.  Circuits are held only as packed (op, qubit, arg) rows in
+parallel ``array`` columns (``Circuit``).  One loop of XORs over them
+(``_execute``) runs every frame update: ``run_circuit`` is the only way to
+change a frame.
 """
 
 from __future__ import annotations
@@ -95,7 +99,7 @@ class Circuit:
     4 bytes each: every qubit is below ``MAX_FRAME_QUBITS`` and every other
     arg below 16, so 9 bytes hold an instruction.
     ``num_qubits`` is one more than the highest qubit used: the smallest
-    frame the circuit fits.  ``parse_circuit`` builds circuits.
+    frame the circuit fits.  ``parse_circuit`` and ``load_circuit`` build circuits.
     """
 
     def __init__(self) -> None:
@@ -103,20 +107,6 @@ class Circuit:
         self.qubits = array("I")
         self.args = array("I")
         self.num_qubits = 0
-
-    def _extend(self, rows: Iterable[tuple[int, int, int]]) -> None:
-        """Append packed (op, qubit, arg) rows, tracking the highest qubit."""
-        ops, qubits, args = self.ops.append, self.qubits.append, self.args.append
-        highest = self.num_qubits - 1
-        for op, qubit, arg in rows:
-            ops(op)
-            qubits(qubit)
-            args(arg)
-            if qubit > highest:
-                highest = qubit
-            if op == _CNOT and arg > highest:
-                highest = arg
-        self.num_qubits = highest + 1
 
     def __len__(self) -> int:
         return len(self.ops)
@@ -236,89 +226,107 @@ def _line_row(obj) -> tuple[int, int, int]:
     raise ValueError(f"unknown op {op!r}")
 
 
-# A line in the README's compact form (no spaces, fields in the README's
-# order, an optional newline), for ``_compact_row``.  A qubit is ``[0-9]``
-# digits, not ``\d``, which also matches digits that JSON rejects.
+# One circuit line and its newline, for ``_pack``: the README's compact form
+# (no spaces, fields in the README's order) fills one group per field, and any
+# other line fills only the last group.  A qubit is ``[0-9]`` digits, not
+# ``\d``, which also matches digits that JSON rejects.
 _QUBIT = "(0|[1-9][0-9]{0,6})"
-_COMPACT_LINE = re.compile(
-    r'\{"op":"(?:pauli","p":"([IXYZ])","q":' + _QUBIT
+_LINES = re.compile(
+    r'(?:\{"op":"(?:pauli","p":"([IXYZ])","q":' + _QUBIT
     + r'|clifford","g":"(?:(S_dagger|[HSXYZ])","q":' + _QUBIT
     + r'|CNOT","q":\[' + _QUBIT + "," + _QUBIT + r"\])"
-    + r'|measure","basis":"([XYZ])","q":' + _QUBIT + r',"raw":(-?1))\}\n?'
-).fullmatch
-
-
-def _compact_row(line: str) -> tuple[int, int, int] | None:
-    """The packed row of a line in the README's compact form, or None.
-
-    Never raises.  None means the line is in another form, names a qubit at
-    or above the frame limit, or is a CNOT on one qubit: ``_line_row``
-    decides those lines and words their errors.
-    """
-    match = _COMPACT_LINE(line)
-    if match is None:
-        return None
-    pauli, qubit, gate, gate_qubit, control, target, basis, measured, raw = match.groups()
-    if pauli:
-        row = _PAULI, int(qubit), _CODE[pauli]
-    elif gate:
-        op, arg = _GATE_OPS[gate]
-        row = op, int(gate_qubit), arg
-    elif control:
-        row = _CNOT, int(control), int(target)
-        if row[1] == row[2] or row[2] >= MAX_FRAME_QUBITS:
-            return None
-    else:
-        row = _MEASURE, int(measured), _CODE[basis] | _RAW_CODE[int(raw)] << 2
-    return row if row[1] < MAX_FRAME_QUBITS else None
-
+    + r'|measure","basis":"([XYZ])","q":' + _QUBIT + r',"raw":(-?1))\}|(.*))\n'
+)
+_CHUNK = 1 << 14  # characters ``load_circuit`` reads at a time
 
 # A byte that is not UTF-8, as ``load_circuit``'s "surrogateescape" decoding
-# keeps it.  The compact pattern is ASCII, so only the ``json.loads`` path looks.
+# keeps it.  The compact form is ASCII, so only the ``json.loads`` path looks.
 _UNDECODED_BYTE = re.compile("[\udc80-\udcff]").search
 
 
-def _line_rows(lines: Iterable[str]) -> Iterable[tuple[int, int, int]]:
-    """The packed row of each non-blank JSON line; a bad line raises ``CircuitParseError``.
+def _pack(circuit: Circuit, lines: Iterable[tuple[str, ...]], line_number: int) -> int:
+    """Append the rows of ``_LINES`` matches to ``circuit``; return the last line's number.
 
-    A line in the README's compact form goes straight to its row
-    (``_compact_row``); any other is read by ``json.loads(line.strip())``, so
-    every line is accepted or rejected as that call would take it, except
-    that a line holding a byte that is not UTF-8 is refused before the call.
+    A compact line is packed from its groups.  Any other non-blank line is
+    read by ``json.loads(line.strip())``, so every line is accepted or
+    rejected as that call would take it, except that a line holding a byte
+    that is not UTF-8 is refused before the call.  A bad line raises
+    ``CircuitParseError``, worded by ``_line_row``'s checks.
     """
-    for line_number, line in enumerate(lines, start=1):
-        row = _compact_row(line)
-        if row is not None:
-            yield row
-            continue
-        text = line.strip()
-        if not text:
-            continue
-        if _UNDECODED_BYTE(text):  # checked first: ``json.loads`` takes a lone surrogate
-            raise CircuitParseError(line_number, "not UTF-8 text")
-        try:
-            obj = json.loads(text)
-        except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
-            raise CircuitParseError(line_number, f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-        try:
-            row = _line_row(obj)
-        except KeyError as exc:
-            raise CircuitParseError(line_number, f"missing field {exc}") from exc
-        except (TypeError, ValueError) as exc:
-            raise CircuitParseError(line_number, str(exc)) from exc
-        yield row
+    ops, qubits, args = circuit.ops.append, circuit.qubits.append, circuit.args.append
+    highest = circuit.num_qubits - 1
+    try:
+        for pauli, qubit, gate, gate_qubit, control, target, basis, measured, raw, other in lines:
+            line_number += 1
+            if pauli:
+                op, q, arg = _PAULI, int(qubit), _CODE[pauli]
+            elif gate:
+                (op, arg), q = _GATE_OPS[gate], int(gate_qubit)
+            elif control:
+                op, q, arg = _CNOT, int(control), int(target)
+                if arg == q or arg >= MAX_FRAME_QUBITS:
+                    _gate_op("CNOT", [_qubit(q), _qubit(arg)])
+                if arg > highest:
+                    highest = arg
+            elif basis:
+                op, q, arg = _MEASURE, int(measured), _CODE[basis] | _RAW_CODE[int(raw)] << 2
+            else:
+                text = other.strip()
+                if not text:
+                    continue
+                if _UNDECODED_BYTE(text):  # checked first: ``json.loads`` takes a lone surrogate
+                    raise ValueError("not UTF-8 text")
+                try:
+                    obj = json.loads(text)
+                except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
+                    raise ValueError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
+                op, q, arg = _line_row(obj)
+                if op == _CNOT and arg > highest:
+                    highest = arg
+            if q > highest:  # a qubit at the frame limit is above every one before it
+                highest = _qubit(q)
+            ops(op)
+            qubits(q)
+            args(arg)
+    except KeyError as exc:
+        raise CircuitParseError(line_number, f"missing field {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise CircuitParseError(line_number, str(exc)) from exc
+    circuit.num_qubits = highest + 1
+    return line_number
 
 
 def parse_circuit(lines: Iterable[str]) -> Circuit:
-    """Parse JSON-lines circuit text, one instruction per non-blank line."""
+    """Parse JSON-lines circuit text, one instruction per non-blank item.
+
+    Each item is one line, so one holding a newline before its end goes
+    whole to ``json.loads``.
+    """
     circuit = Circuit()
-    circuit._extend(_line_rows(lines))
+    line_number = 0
+    for line in lines:
+        if "\n" in line[:-1]:
+            matches = [("",) * (_LINES.groups - 1) + (line,)]
+        else:
+            matches = _LINES.findall(line.removesuffix("\n") + "\n")
+        line_number = _pack(circuit, matches, line_number)
     return circuit
 
 
 def load_circuit(path: str | os.PathLike) -> Circuit:
+    """Parse a circuit file a chunk of whole lines at a time, one ``findall`` each."""
+    circuit = Circuit()
+    line_number, rest = 0, ""
     with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
-        return parse_circuit(handle)
+        # A line longer than a chunk widens the next read, so it takes time linear in its length.
+        while chunk := handle.read(_CHUNK + len(rest)):
+            chunk = rest + chunk
+            end = chunk.rfind("\n") + 1
+            line_number = _pack(circuit, _LINES.findall(chunk, 0, end), line_number)
+            rest = chunk[end:]
+    if rest:
+        _pack(circuit, _LINES.findall(rest + "\n"), line_number)
+    return circuit
 
 
 def run_circuit(frame: PauliFrame, circuit: Circuit) -> tuple[PauliFrame, list[int]]:

@@ -105,6 +105,23 @@ class TestQecDistance:
             f"exactly), got {distance}\n"
         )
 
+    @pytest.mark.parametrize("command", [
+        ["estimate", "shor", "--bits", "1024"],
+        ["estimate", "sim", "--particles", "61"],
+    ], ids=["estimate-shor", "estimate-sim"])
+    def test_a_cnot_longer_than_the_logical_cycle_is_infeasible(self, command, tmp_path, capsys):
+        # 13 * ceil(37 / 4) = 130 lattice steps of 256 ns outlast the 30 us cycle; 117 do not.
+        code, payload = run_cli([*command, "--distance", "37"], tmp_path)
+        assert code == 3
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            "error: a CNOT at distance 37 takes 3.328e-05 s, longer than the 3e-05 s logical "
+            "cycle: raise logical_cycle_time or lower the distance\n"
+        )
+        code, payload = run_cli([*command, "--distance", "35"], tmp_path)
+        assert code == 0
+        assert json.loads(payload)["code_distance"] == 35
+
     @pytest.mark.parametrize("value", ["1e-30", "1e-300"])
     def test_report_rate_that_underflows_is_null(self, value, tmp_path, capsys):
         code, payload = run_cli(["qec", "distance", "--error-per-gate", value], tmp_path)
@@ -138,6 +155,27 @@ class TestQecDistance:
         ("1.5", "1.5"), (repr(math.nextafter(1, 2)), "1.0000000000000002"), ("1e300", "1e+300"),
     ])
     def test_target_above_one_is_usage_error(self, value, shown, tmp_path, capsys):
+        code, payload = run_cli(["qec", "distance", "--target-logical-error", value], tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            f"error: target_logical_error must be a finite number in (0, 1], got {shown}\n"
+        )
+
+    @pytest.mark.parametrize("value", ["1e-400", "-1e-400", "2e-324"])
+    def test_target_that_underflows_a_float_is_usage_error(self, value, capsys):
+        with pytest.raises(SystemExit) as exited:
+            cli.main(["qec", "distance", f"--target-logical-error={value}"])
+        assert exited.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            f"qparch qec distance: error: argument --target-logical-error: "
+            f"{value} underflows a float to 0.0"
+        )
+
+    @pytest.mark.parametrize("value, shown", [("0", "0.0"), ("0.0", "0.0"), ("-0", "-0.0")])
+    def test_target_of_zero_keeps_the_range_message(self, value, shown, tmp_path, capsys):
         code, payload = run_cli(["qec", "distance", "--target-logical-error", value], tmp_path)
         assert code == 2
         assert payload == b""

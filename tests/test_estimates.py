@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qparch import distillation as dist
 from qparch import estimates as est
 from qparch import qec
-from qparch.errors import NoFactoryCapacityError
+from qparch.errors import InfeasibleInputError, NoFactoryCapacityError
 
 PROFILE = qec.HardwareProfile()
 CODE = qec.code_point(PROFILE, 31)
@@ -331,6 +331,21 @@ def assert_follows_the_chain(report, profile, distance):
     )
 
 
+def refuses_a_cnot_longer_than_the_cycle(code, cycle_time, estimate, *args):
+    """True, after checking the refusal, when the code's CNOT outlasts the logical cycle."""
+    cnot_time = 13 * math.ceil(code.distance / 4) * qec.HardwareProfile().lattice_cycle_time
+    assert code.cnot_time_s == cnot_time
+    if cnot_time <= cycle_time:
+        return False
+    with pytest.raises(InfeasibleInputError) as refused:
+        estimate(*args)
+    assert str(refused.value) == (
+        f"a CNOT at distance {code.distance} takes {cnot_time!r} s, longer than the "
+        f"{cycle_time!r} s logical cycle: raise logical_cycle_time or lower the distance"
+    )
+    return True
+
+
 odd_distances = st.integers(0, 100).map(lambda k: 2 * k + 1)
 cycle_times = st.floats(1e-6, 1e-3)
 
@@ -344,11 +359,16 @@ cycle_times = st.floats(1e-6, 1e-3)
     cycle_time=cycle_times,
 )
 @example(bits=4096, spare=100000 - 6 * 4096, level=2, distance=31, cycle_time=30e-6)
+@example(bits=1024, spare=None, level=2, distance=37, cycle_time=30e-6)
 def test_shor_report_fields_follow_the_chain(bits, spare, level, distance, cycle_time):
     profile = qec.HardwareProfile(logical_cycle_time=cycle_time)
     machine = None if spare is None else est.ShorWorkload(bits=bits).app_qubits + spare
     workload = est.ShorWorkload(bits=bits, machine_logical_qubits=machine)
-    report = est.shor_estimate(workload, profile, qec.code_point(profile, distance), level)
+    code = qec.code_point(profile, distance)
+    if refuses_a_cnot_longer_than_the_cycle(code, cycle_time, est.shor_estimate, workload, profile,
+                                            code, level):
+        return
+    report = est.shor_estimate(workload, profile, code, level)
     assert report.consumption_rate == workload.consumption_rate
     assert report.production_rate == dist.factory_rate(report.distillation_qubits, level)
     assert_follows_the_chain(report, profile, distance)
@@ -362,11 +382,16 @@ def test_shor_report_fields_follow_the_chain(bits, spare, level, distance, cycle
     distance=odd_distances,
     cycle_time=cycle_times,
 )
+@example(particles=61, bits_precision=12, timesteps=1, distance=37, cycle_time=30e-6)
 def test_sim_report_fields_follow_the_chain(particles, bits_precision, timesteps, distance,
                                            cycle_time):
     profile = qec.HardwareProfile(logical_cycle_time=cycle_time)
     workload = est.SimWorkload(particles, bits_precision, timesteps)
-    report = est.sim_estimate(workload, profile, qec.code_point(profile, distance))
+    code = qec.code_point(profile, distance)
+    if refuses_a_cnot_longer_than_the_cycle(code, cycle_time, est.sim_estimate, workload, profile,
+                                            code):
+        return
+    report = est.sim_estimate(workload, profile, code)
     assert report.consumption_rate is None
     assert report.throttle_factor == 1.0
     assert_follows_the_chain(report, profile, distance)

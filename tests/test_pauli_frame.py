@@ -385,7 +385,13 @@ class TestCircuitParsing:
         assert len(lines) == 3 + 13
         for line in lines:
             for text in (line, line + "\n"):
-                assert pf._compact_row(text) == pf._line_row(json.loads(line)), text
+                # parse_circuit gives _LINES each item with one newline, as load_circuit gives each line.
+                (match,) = pf._LINES.findall(text.removesuffix("\n") + "\n")
+                assert match[-1] == "", text  # the catch-all group, which goes to json.loads
+                circuit = pf.Circuit()
+                assert pf._pack(circuit, [match], 0) == 1
+                row = circuit.ops[0], circuit.qubits[0], circuit.args[0]
+                assert row == pf._line_row(json.loads(line)), text
 
     def test_invalid_json_reports_line_number(self):
         with pytest.raises(pf.CircuitParseError, match="line 2"):
@@ -832,3 +838,69 @@ def test_frame_exec_exits_0_with_json_or_2_with_one_error_line(before, line, aft
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()
+
+
+def assert_load_matches_oracle(path):
+    """``load_circuit(path)`` against ``oracle_parse`` of the file's lines as text-mode iteration yields them."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as handle:
+        lines = list(handle)
+    try:
+        expected = oracle_parse(lines)
+    except OracleParseError as exc:
+        with pytest.raises(pf.CircuitParseError) as got:
+            pf.load_circuit(path)
+        assert (got.value.line_number, str(got.value)) == (exc.line_number, str(exc))
+        return
+    circuit = pf.load_circuit(path)
+    assert decoded(circuit) == expected
+    assert circuit.num_qubits == max((q for row in expected for q in row[2]), default=-1) + 1
+
+
+# Lines that must read alike wherever a chunk boundary falls in or beside them.
+BOUNDARY_LINES = {
+    "bad-json": b"{nope",
+    "bad-compact": b'{"op":"pauli","p":"X","q":1048576}',
+    "one-qubit-cnot": b'{"op":"clifford","g":"CNOT","q":[5,5]}',
+    "compact": b'{"op":"measure","basis":"Y","q":12,"raw":-1}',
+    "spaced": b'{"op": "clifford", "g": "CNOT", "q": [3, 4]}',
+    "multibyte": '{"op":"pauli","p":"Z","q":2,"note":"é€\U0001f600"}'.encode(),
+    "undecodable": b'{"op":"pauli","p":"X","q":0,"note":"\xe2\x82"}',
+    "blank": b"",
+    "whitespace": " \t\x0c 　".encode(),
+}
+
+
+@pytest.mark.parametrize("ending", [b"\n", b"\r\n", b"\r"], ids=["lf", "crlf", "cr"])
+@pytest.mark.parametrize("line", BOUNDARY_LINES.values(), ids=BOUNDARY_LINES)
+def test_load_circuit_reads_alike_at_every_chunk_boundary(line, ending, tmp_path, monkeypatch):
+    path = tmp_path / "circuit.jsonl"
+    first = b'{"op":"clifford","g":"CNOT","q":[0,1]}'
+    # The long head puts the file object's first 8192-byte read boundary just
+    # after the first byte of the line's first multi-byte sequence.
+    split = next((i for i, byte in enumerate(line) if byte >= 0x80), 0) + 1
+    for head_size in (len(first) + len(ending), 8192 - split):
+        head = first + b" " * (head_size - len(first) - len(ending)) + ending
+        for tail in (ending + first + ending, ending + first, ending, b""):
+            path.write_bytes(head + line + tail)
+            # The first chunk is exactly _CHUNK characters; "\r\n" reads as one.
+            for boundary in range(len(head) - 3, len(head) + len(line) + 3):
+                monkeypatch.setattr(pf, "_CHUNK", boundary)
+                assert_load_matches_oracle(path)
+
+
+file_lines = st.one_of(
+    valid_lines, altered_lines, any_lines, padding,
+).map(lambda text: text.encode("utf-8", "surrogatepass")) | st.sampled_from(
+    [*BOUNDARY_LINES.values(), b"\xff", b'{"op":"pauli","p":"X","q":0}\xc3']
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(file_lines, max_size=8), st.sampled_from((b"\n", b"\r\n", b"\r")), st.booleans(),
+       st.integers(1, 48))
+def test_load_circuit_matches_the_oracle_at_any_chunk_size(lines, ending, final_newline, chunk):
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as patch:
+        path = Path(tmp) / "circuit.jsonl"
+        path.write_bytes(ending.join(lines) + (ending if final_newline else b""))
+        patch.setattr(pf, "_CHUNK", chunk)
+        assert_load_matches_oracle(path)
