@@ -44,17 +44,16 @@ def _comma_ints(text: str) -> list[int]:
 
 
 def _comma_floats(text: str) -> list[float]:
-    return _comma_list(text, float, "number")
+    return _comma_list(text, _float, "number")
 
 
 def _float(text: str) -> float:
     """``float(text)``, but a nonzero number that underflows to 0.0 is a usage error."""
     value = float(text)
-    if value == 0:
-        from decimal import Decimal  # exact, so only a zero reads as zero
-
-        if Decimal(text) != 0:
-            raise argparse.ArgumentTypeError(f"{text} underflows a float to 0.0")
+    # A number is zero exactly when its digits before the exponent are all 0;
+    # ``int`` reads any decimal digit ``float`` takes, such as "\u0661" (Arabic-Indic 1).
+    if value == 0 and any(c.isdecimal() and int(c) for c in text.lower().partition("e")[0]):
+        raise argparse.ArgumentTypeError(f"{text} underflows a float to 0.0")
     return value
 
 
@@ -212,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="target error per logical gate for the minimal-distance search (default 1e-2)",
     )
     chosen.add_argument("--distance", type=int, help="evaluate one explicit code distance instead")
-    distance.add_argument("--error-per-gate", type=float, help="override the profile's error per virtual gate")
+    distance.add_argument("--error-per-gate", type=_float, help="override the profile's error per virtual gate")
     distance.set_defaults(handler=_cmd_qec_distance)
 
     estimate = subparsers.add_parser("estimate", help="application resource budgets")
@@ -246,10 +245,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list from 8h,cp,udd (default all)")
     sweep.add_argument("--pulse-errors", type=_comma_floats, default=[0.0],
                        help="comma list of relative pulse errors")
-    sweep.add_argument("--tau", type=float, default=1e-9, help="base delay in seconds (default 1e-9)")
+    sweep.add_argument("--tau", type=_float, default=1e-9, help="base delay in seconds (default 1e-9)")
     sweep.add_argument("--samples", type=int, default=20000)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--t2-star", type=float, default=2e-9,
+    sweep.add_argument("--t2-star", type=_float, default=2e-9,
                        help="ensemble dephasing time in seconds; 0 disables dephasing")
     sweep.add_argument("--baseline", action="store_true",
                        help="append a pulse-free evolution row of equal duration")

@@ -4,17 +4,21 @@ A frame stores the Pauli correction that *would* have been applied to each
 qubit.  Pauli gates fold into the frame instead of running on hardware;
 implemented Clifford gates conjugate it; measurement outcomes are
 reinterpreted against it.  Phases are discarded throughout, so each qubit's
-Pauli is an (x, z) bit pair, I=(0,0), X=(1,0), Z=(0,1), Y=(1,1), and all frame
-algebra is XOR, as in CHP (Aaronson & Gottesman 2004) and Stim's frame
-simulator (Gidney 2021).  Letters appear only at the I/O boundary.
+Pauli is an (x, z) bit pair, as in CHP (Aaronson & Gottesman 2004) and Stim's
+frame simulator (Gidney 2021).  A frame keeps the pair as one 2-bit code
+``x | z << 1`` (I=0, X=1, Z=2, Y=3), so a Pauli folds in by one XOR and a
+gate or a measurement is an XOR or a lookup in a small table.  Letters appear
+only at the I/O boundary.
 
 Circuits come in as JSON lines, each self-contained (a measurement carries
 its own raw outcome), so every check happens while parsing.  A file is read
-16 K characters of whole lines at a time, and one ``findall`` of one pattern
-(``_LINES``) splits each chunk into lines: a line in the README's compact
-form comes out as its fields, any other through a catch-all group to
-``json.loads``.  Circuits are held only as packed (op, qubit, arg) rows in
-parallel ``array`` columns (``Circuit``).  One loop of XORs over them
+as bytes, 16 K bytes of whole lines at a time, and one ``findall`` of one
+bytes pattern (``_LINES``) splits each chunk into lines at ``\n``, ``\r\n``
+or ``\r``, the line breaks of text mode.  A line in the README's compact
+form comes out as its fields, all four forms sharing one qubit group; any
+other line comes out through a catch-all group, is decoded as UTF-8 and goes
+to ``json.loads``.  Circuits are held only as packed (op, qubit, arg) rows in
+parallel ``array`` columns (``Circuit``).  One loop over the rows
 (``_execute``) runs every frame update: ``run_circuit`` is the only way to
 change a frame.
 """
@@ -48,7 +52,7 @@ _GATE_OPS = {"H": (_H, 0), "S": (_S, 0), "S_dagger": (_S, 1),
 _RAW = (1, -1)  # a measurement's raw outcome by raw code
 _RAW_CODE = {raw: code for code, raw in enumerate(_RAW)}
 # A frame holds at most this many qubits, so a circuit line names a qubit
-# below it.  A frame at the limit takes about 17 MB (two lists of bits) and
+# below it.  A frame at the limit takes about 8 MB (one list of codes) and
 # its JSON report about 10 MB; the paper's largest machines have 1e5 logical
 # qubits.  A larger qubit or --num-qubits is an input error, not a MemoryError.
 MAX_FRAME_QUBITS = 2 ** 20
@@ -99,7 +103,10 @@ class Circuit:
     4 bytes each: every qubit is below ``MAX_FRAME_QUBITS`` and every other
     arg below 16, so 9 bytes hold an instruction.
     ``num_qubits`` is one more than the highest qubit used: the smallest
-    frame the circuit fits.  ``parse_circuit`` and ``load_circuit`` build circuits.
+    frame the circuit fits.  ``load_circuit`` builds a circuit from a file's
+    bytes and ``parse_circuit`` from lines of text; both match each line
+    with ``_LINES``, whose compact forms share one qubit group, so a compact
+    line's row comes straight from its groups.
     """
 
     def __init__(self) -> None:
@@ -112,40 +119,49 @@ class Circuit:
         return len(self.ops)
 
 
-def _execute(x: list[int], z: list[int], circuit: Circuit) -> list[int]:
-    """Run a packed circuit on the frame bits ``x`` and ``z`` in place.
+# Images of a code under each Clifford that moves it: H swaps x and z, and
+# S (or S_dagger) adds x to z.
+_H_IMAGE = tuple(code >> 1 | (code & 1) << 1 for code in range(4))
+_S_IMAGE = tuple(code ^ (code & 1) << 1 for code in range(4))
+# Whether the Paulis of two codes anticommute: an odd symplectic product x*z' + z*x'.
+_ANTICOMMUTES = tuple(
+    tuple((a & 1) & (b >> 1) ^ (a >> 1) & (b & 1) for b in range(4)) for a in range(4)
+)
+
+
+def _execute(codes: list[int], circuit: Circuit) -> list[int]:
+    """Run a packed circuit on the frame's codes in place.
 
     The circuit must fit the frame.  Returns the reinterpreted outcomes.
     """
     outcomes = []
     for op, q, arg in zip(circuit.ops, circuit.qubits, circuit.args):
         if op == _PAULI:
-            x[q] ^= arg & 1
-            z[q] ^= arg >> 1
+            codes[q] ^= arg
         elif op == _CNOT:
-            x[arg] ^= x[q]
-            z[q] ^= z[arg]
+            codes[arg] ^= codes[q] & 1  # x moves from control to target
+            codes[q] ^= codes[arg] & 2  # z moves from target to control
         elif op == _H:
-            x[q], z[q] = z[q], x[q]
+            codes[q] = _H_IMAGE[codes[q]]
         elif op == _S:
-            z[q] ^= x[q]
+            codes[q] = _S_IMAGE[codes[q]]
         elif op == _MEASURE:
+            # The outcome flips when the frame anticommutes with the basis; then reset to I.
             raw = _RAW[arg >> 2]
-            # The outcome flips when the frame anticommutes with the basis,
-            # i.e. on an odd symplectic product x*bz + z*bx; then reset to I.
-            bx, bz = arg & 1, arg >> 1 & 1
-            outcomes.append(-raw if x[q] & bz ^ z[q] & bx else raw)
-            x[q] = z[q] = 0
+            outcomes.append(-raw if _ANTICOMMUTES[codes[q]][arg & 3] else raw)
+            codes[q] = 0
         # _PAULI_GATE: X, Y and Z gates commute with every Pauli up to phase.
     return outcomes
 
 
 class PauliFrame:
-    """Per-qubit Pauli corrections tracked in classical memory as (x, z) bits.
+    """Per-qubit Pauli corrections tracked in classical memory as 2-bit codes.
 
-    A frame is a value type: ``run_circuit`` returns an updated copy and
-    leaves its input alone.  Nothing here touches a quantum state; the engine
-    only rewrites bookkeeping.
+    ``codes`` is one list holding the code ``x | z << 1`` of each qubit's
+    Pauli (I=0, X=1, Z=2, Y=3); ``letters`` spells it out.  A frame is a
+    value type: ``run_circuit`` returns an updated copy and leaves its input
+    alone.  Nothing here touches a quantum state; the engine only rewrites
+    bookkeeping.
     """
 
     def __init__(self, num_qubits: int = 0, letters: Sequence[str] | None = None):
@@ -161,29 +177,26 @@ class PauliFrame:
                 f"got {shown(num_qubits)}"
             )
         if letters is not None:
-            codes = [_pauli_code(letter) for letter in letters]
-            self.x = [code & 1 for code in codes]
-            self.z = [code >> 1 for code in codes]
+            self.codes = [_pauli_code(letter) for letter in letters]
         else:
-            self.x = [0] * num_qubits
-            self.z = [0] * num_qubits
+            self.codes = [0] * num_qubits
 
     @property
     def num_qubits(self) -> int:
-        return len(self.x)
+        return len(self.codes)
 
     @property
     def letters(self) -> list[str]:
         """The frame as one letter from {I, X, Y, Z} per qubit."""
-        return [_LETTER_OF_CODE[x | z << 1] for x, z in zip(self.x, self.z)]
+        return [_LETTER_OF_CODE[code] for code in self.codes]
 
     def copy(self) -> "PauliFrame":
         frame = PauliFrame()
-        frame.x, frame.z = self.x.copy(), self.z.copy()
+        frame.codes = self.codes.copy()
         return frame
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PauliFrame) and (self.x, self.z) == (other.x, other.z)
+        return isinstance(other, PauliFrame) and self.codes == other.codes
 
     def __repr__(self) -> str:
         return f"PauliFrame({''.join(self.letters)!r})"
@@ -226,51 +239,64 @@ def _line_row(obj) -> tuple[int, int, int]:
     raise ValueError(f"unknown op {op!r}")
 
 
-# One circuit line and its newline, for ``_pack``: the README's compact form
-# (no spaces, fields in the README's order) fills one group per field, and any
-# other line fills only the last group.  A qubit is ``[0-9]`` digits, not
-# ``\d``, which also matches digits that JSON rejects.
-_QUBIT = "(0|[1-9][0-9]{0,6})"
-_LINES = re.compile(
-    r'(?:\{"op":"(?:pauli","p":"([IXYZ])","q":' + _QUBIT
-    + r'|clifford","g":"(?:(S_dagger|[HSXYZ])","q":' + _QUBIT
-    + r'|CNOT","q":\[' + _QUBIT + "," + _QUBIT + r"\])"
-    + r'|measure","basis":"([XYZ])","q":' + _QUBIT + r',"raw":(-?1))\}|(.*))\n'
-)
-_CHUNK = 1 << 14  # characters ``load_circuit`` reads at a time
+# ``_CODE``, ``_GATE_OPS`` and a measurement's raw arg, keyed by the bytes
+# ``_LINES`` captures.
+_CODE_OF_BYTES = {letter.encode(): code for letter, code in _CODE.items()}
+_GATE_OPS_OF_BYTES = {kind.encode(): op for kind, op in _GATE_OPS.items()}
+_RAW_ARG_OF_BYTES = {str(raw).encode(): code << 2 for raw, code in _RAW_CODE.items()}
 
-# A byte that is not UTF-8, as ``load_circuit``'s "surrogateescape" decoding
-# keeps it.  The compact form is ASCII, so only the ``json.loads`` path looks.
+# One circuit line and its line break, for ``_pack``.  A break is ``\n``,
+# ``\r\n`` or ``\r``, as text mode reads them.  A line in the README's compact
+# form (no spaces, fields in the README's order) fills its kind's group (a
+# Pauli, a single-qubit gate, ``CNOT`` or a basis) and the qubit group that
+# all four share; conditionals on the ``CNOT`` and basis groups demand a
+# CNOT's ``[control,target]`` and a measurement's raw outcome.  Any other
+# line fills only the last group.
+_QUBIT = rb"(0|[1-9][0-9]{0,6})"
+_LINES = re.compile(
+    rb'(?:\{"op":"(?:pauli","p":"([IXYZ])|clifford","g":"(?:(S_dagger|[HSXYZ])|(CNOT))'
+    + rb'|measure","basis":"([XYZ]))","q":(?(3)\[)' + _QUBIT + rb"(?(3)," + _QUBIT + rb"\])"
+    + rb'(?(4),"raw":(-?1))\}|([^\r\n]*))(?:\r\n?|\n)'
+)
+_CHUNK = 1 << 14  # bytes ``load_circuit`` reads at a time
+
+# A byte that is not UTF-8, as "surrogateescape" decoding keeps it.  The
+# compact form is ASCII, so only the ``json.loads`` path looks.
 _UNDECODED_BYTE = re.compile("[\udc80-\udcff]").search
 
 
-def _pack(circuit: Circuit, lines: Iterable[tuple[str, ...]], line_number: int) -> int:
+def _pack(circuit: Circuit, lines: Iterable[tuple[bytes, ...]], line_number: int) -> int:
     """Append the rows of ``_LINES`` matches to ``circuit``; return the last line's number.
 
     A compact line is packed from its groups.  Any other non-blank line is
-    read by ``json.loads(line.strip())``, so every line is accepted or
-    rejected as that call would take it, except that a line holding a byte
-    that is not UTF-8 is refused before the call.  A bad line raises
+    decoded as UTF-8, keeping bad bytes by "surrogateescape", and read by
+    ``json.loads(line.strip())``, so every line is accepted or rejected as
+    that call would take it, except that a line holding a byte that is not
+    UTF-8 is refused before the call.  A bad line raises
     ``CircuitParseError``, worded by ``_line_row``'s checks.
     """
     ops, qubits, args = circuit.ops.append, circuit.qubits.append, circuit.args.append
     highest = circuit.num_qubits - 1
     try:
-        for pauli, qubit, gate, gate_qubit, control, target, basis, measured, raw, other in lines:
+        for pauli, gate, cnot, basis, qubit, target, raw, other in lines:
             line_number += 1
-            if pauli:
-                op, q, arg = _PAULI, int(qubit), _CODE[pauli]
-            elif gate:
-                (op, arg), q = _GATE_OPS[gate], int(gate_qubit)
-            elif control:
-                op, q, arg = _CNOT, int(control), int(target)
-                if arg == q or arg >= MAX_FRAME_QUBITS:
-                    _gate_op("CNOT", [_qubit(q), _qubit(arg)])
-                if arg > highest:
-                    highest = arg
-            elif basis:
-                op, q, arg = _MEASURE, int(measured), _CODE[basis] | _RAW_CODE[int(raw)] << 2
+            if qubit:
+                q = int(qubit)
+                if pauli:
+                    op, arg = _PAULI, _CODE_OF_BYTES[pauli]
+                elif gate:
+                    op, arg = _GATE_OPS_OF_BYTES[gate]
+                elif basis:
+                    op, arg = _MEASURE, _CODE_OF_BYTES[basis] | _RAW_ARG_OF_BYTES[raw]
+                else:
+                    op, arg = _CNOT, int(target)
+                    if arg == q or arg >= MAX_FRAME_QUBITS:
+                        _gate_op("CNOT", [_qubit(q), _qubit(arg)])
+                    if arg > highest:
+                        highest = arg
             else:
+                if isinstance(other, bytes):  # a str is a whole ``parse_circuit`` item
+                    other = other.decode("utf-8", "surrogateescape")
                 text = other.strip()
                 if not text:
                     continue
@@ -299,33 +325,40 @@ def _pack(circuit: Circuit, lines: Iterable[tuple[str, ...]], line_number: int) 
 def parse_circuit(lines: Iterable[str]) -> Circuit:
     """Parse JSON-lines circuit text, one instruction per non-blank item.
 
-    Each item is one line, so one holding a newline before its end goes
-    whole to ``json.loads``.
+    Each item is one line, so one holding a line break before its end goes
+    whole to ``json.loads``, as does one holding a surrogate, which UTF-8
+    cannot encode.
     """
     circuit = Circuit()
     line_number = 0
     for line in lines:
-        if "\n" in line[:-1]:
-            matches = [("",) * (_LINES.groups - 1) + (line,)]
+        text = line.removesuffix("\n")
+        try:
+            data = None if "\n" in text or "\r" in text else text.encode()
+        except UnicodeEncodeError:
+            data = None
+        if data is None:
+            matches = [(b"",) * (_LINES.groups - 1) + (line,)]
         else:
-            matches = _LINES.findall(line.removesuffix("\n") + "\n")
+            matches = _LINES.findall(data + b"\n")
         line_number = _pack(circuit, matches, line_number)
     return circuit
 
 
 def load_circuit(path: str | os.PathLike) -> Circuit:
-    """Parse a circuit file a chunk of whole lines at a time, one ``findall`` each."""
+    """Parse a circuit file's bytes a chunk of whole lines at a time, one ``findall`` each."""
     circuit = Circuit()
-    line_number, rest = 0, ""
-    with open(path, "r", encoding="utf-8", errors="surrogateescape") as handle:
+    line_number, rest = 0, b""
+    with open(path, "rb") as handle:
         # A line longer than a chunk widens the next read, so it takes time linear in its length.
         while chunk := handle.read(_CHUNK + len(rest)):
             chunk = rest + chunk
-            end = chunk.rfind("\n") + 1
+            # A final "\r" waits for the next read, which may start with its "\n".
+            end = max(chunk.rfind(b"\n"), chunk.rfind(b"\r", 0, -1)) + 1
             line_number = _pack(circuit, _LINES.findall(chunk, 0, end), line_number)
             rest = chunk[end:]
     if rest:
-        _pack(circuit, _LINES.findall(rest + "\n"), line_number)
+        _pack(circuit, _LINES.findall(rest + b"\n"), line_number)
     return circuit
 
 
@@ -341,4 +374,4 @@ def run_circuit(frame: PauliFrame, circuit: Circuit) -> tuple[PauliFrame, list[i
             f"qubit {circuit.num_qubits - 1} out of range for {frame.num_qubits}-qubit frame"
         )
     result = frame.copy()
-    return result, _execute(result.x, result.z, circuit)
+    return result, _execute(result.codes, circuit)

@@ -33,6 +33,12 @@ MAX_SAMPLES = 2 ** 20
 
 IDENTITY2 = np.eye(2, dtype=complex)
 
+# A delay in float seconds is rounded to within 2**-53 of the 8*tau window it
+# sits in, which turns the Larmor phase by up to 2*pi*8*tau/larmor_period *
+# 2**-53 rad.  Past this bound the sequence built is not the one asked for.
+# At the default Larmor period it admits tau up to about 7.17 ms.
+PHASE_RESOLUTION = 1e-6  # rad
+
 # Uhrig pulse-center fractions for 4 pulses: sin^2(j*pi/10), j = 1..4.
 UDD_FRACTIONS = tuple(math.sin(j * math.pi / 10) ** 2 for j in range(1, 5))
 
@@ -296,6 +302,18 @@ def _check_larmor_period(larmor_period) -> None:
         raise ValueError(f"larmor_period must be positive and finite, got {shown(larmor_period)}")
 
 
+def _check_timing_resolution(window: float, larmor_period: float) -> None:
+    """Refuse an 8*tau window whose rounding moves the Larmor phase past ``PHASE_RESOLUTION``."""
+    phase_error = 2 * math.pi * window / larmor_period * 2 ** -53
+    if phase_error > PHASE_RESOLUTION:
+        largest = PHASE_RESOLUTION * 2 ** 53 * larmor_period / (16 * math.pi)
+        raise ValueError(
+            f"tau is too long to time: rounding the 8*tau window turns the Larmor phase by up to "
+            f"{phase_error:.4g} rad, past the {PHASE_RESOLUTION:g} rad resolution bound; at "
+            f"larmor_period {larmor_period!r} s, tau must be at most {largest:.3g} s"
+        )
+
+
 def build_sequence(
     kind: str,
     tau: float,
@@ -332,6 +350,7 @@ def build_sequence(
     periods = [d / larmor_period for d in delays]
     if not all(map(math.isfinite, periods)):
         raise ValueError("tau is too large: its delays are not a finite number of Larmor periods")
+    _check_timing_resolution(window, larmor_period)
     if min(delays) < 0:
         raise ValueError("tau too small to fit pulses")
 
@@ -354,8 +373,10 @@ def build_sequence(
 
 
 def free_evolution(duration: float, larmor_period: float = DEFAULT_LARMOR_PERIOD) -> PulseSequence:
-    """Pulse-free baseline of the given duration."""
-    return PulseSequence((free_precession(duration),), larmor_period)
+    """Pulse-free baseline of the given duration, the 8*tau window of a sequence."""
+    sequence = PulseSequence((free_precession(duration),), larmor_period)
+    _check_timing_resolution(duration, larmor_period)
+    return sequence
 
 
 def _axis_rotation_segments(phi: float, theta: float, larmor_period: float) -> list[PulseSegment]:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import random
@@ -162,17 +163,42 @@ class TestQecDistance:
             f"error: target_logical_error must be a finite number in (0, 1], got {shown}\n"
         )
 
-    @pytest.mark.parametrize("value", ["1e-400", "-1e-400", "2e-324"])
-    def test_target_that_underflows_a_float_is_usage_error(self, value, capsys):
+    @pytest.mark.parametrize("command, flag, value", [
+        pytest.param("qec distance", "--target-logical-error", "1e-400", id="1e-400"),
+        pytest.param("qec distance", "--target-logical-error", "-1e-400", id="-1e-400"),
+        pytest.param("qec distance", "--target-logical-error", "2e-324", id="2e-324"),
+        pytest.param("qec distance", "--error-per-gate", "1e-400", id="error-per-gate"),
+        pytest.param("pulse sweep", "--t2-star", "1e-400", id="t2-star"),
+        pytest.param("pulse sweep", "--tau", "2e-324", id="tau"),
+        pytest.param("pulse sweep", "--pulse-errors", "0,-1e-400", id="pulse-errors"),
+    ])
+    def test_target_that_underflows_a_float_is_usage_error(self, command, flag, value, capsys):
         with pytest.raises(SystemExit) as exited:
-            cli.main(["qec", "distance", f"--target-logical-error={value}"])
+            cli.main([*command.split(), f"{flag}={value}"])
         assert exited.value.code == 2
         out, err = capsys.readouterr()
         assert out == ""
         assert err.splitlines()[-1] == (
-            f"qparch qec distance: error: argument --target-logical-error: "
-            f"{value} underflows a float to 0.0"
+            f"qparch {command}: error: argument {flag}: "
+            f"{value.split(',')[-1]} underflows a float to 0.0"
         )
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.builds(
+        lambda sign, whole, fraction, exponent: f"{sign}{whole}.{fraction}e{exponent}",
+        st.sampled_from(["", "-", "+"]), st.text("00019\u0660\u0661", min_size=1, max_size=3),
+        st.text("0001", max_size=3), st.integers(-420, 3),
+    ))
+    @example("\u0661.e-400")
+    @example("\u0660.\u0660e-5")
+    def test_a_float_option_reads_zero_exactly_when_decimal_does(self, text):
+        from decimal import Decimal  # the exact reading, as an oracle
+
+        if float(text) == 0 and Decimal(text) != 0:
+            with pytest.raises(argparse.ArgumentTypeError, match="underflows a float to 0.0"):
+                cli._float(text)
+        else:
+            assert cli._float(text) == float(text)
 
     @pytest.mark.parametrize("value, shown", [("0", "0.0"), ("0.0", "0.0"), ("-0", "-0.0")])
     def test_target_of_zero_keeps_the_range_message(self, value, shown, tmp_path, capsys):
@@ -485,14 +511,17 @@ class TestPulseSweep:
         assert err.startswith("error: a segment's rotation overflows")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("flags, profile", [
-        (["--sequences", "udd", "--tau", "1e100"], {}),
-        (["--sequences", "8h"], {"larmor_period": 1e-300}),
-        (["--sequences", "8h", "--pulse-errors", "1e17"], {}),
+    @pytest.mark.parametrize("flags, profile, reason", [
+        (["--sequences", "udd", "--tau", "1e100"], {}, "tau is too long to time"),
+        (["--sequences", "8h"], {"larmor_period": 1e-300}, "tau is too long to time"),
+        (["--sequences", "8h", "--pulse-errors", "1e17"], {},
+         "a segment's rotation overflows or is too large to resolve"),
     ], ids=["udd-tau-1e100", "8h-larmor-1e-300", "8h-pulse-error-1e17"])
-    def test_unresolvable_larmor_phase_is_usage_error(self, flags, profile, tmp_path, capsys):
-        # Noiseless, so a resolved answer is a rounding error from 0; from 2**52 rad
-        # on, a precession phase or a tilted pulse's angle holds no fractional radian.
+    def test_unresolvable_larmor_phase_is_usage_error(self, flags, profile, reason, tmp_path,
+                                                      capsys):
+        # Noiseless, so a resolved answer is a rounding error from 0.  A sequence
+        # whose 8*tau window rounds past the timing resolution is refused as it is
+        # built; from 2**52 rad on, a tilted pulse's angle holds no fractional radian.
         path = write_profile(tmp_path, **profile)
         code, payload = run_cli(
             ["pulse", "sweep", "--samples", "4", "--t2-star", "0", *flags, "--profile", path],
@@ -501,8 +530,24 @@ class TestPulseSweep:
         assert code == 2
         assert payload == b""
         err = capsys.readouterr().err
-        assert err.startswith("error: a segment's rotation overflows or is too large to resolve")
+        assert err.startswith(f"error: {reason}")
         assert "larmor_period" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("sequence", ["8h", "cp", "udd"])
+    def test_tau_is_bounded_by_the_timing_resolution(self, sequence, tmp_path, capsys):
+        flags = ["pulse", "sweep", "--samples", "4", "--t2-star", "0", "--sequences", sequence]
+        code, payload = run_cli([*flags, "--tau", "1e3"], tmp_path)
+        assert (code, payload) == (2, b"")
+        assert capsys.readouterr().err == (
+            "error: tau is too long to time: rounding the 8*tau window turns the Larmor phase "
+            "by up to 0.1395 rad, past the 1e-06 rad resolution bound; at larmor_period 4e-11 s, "
+            "tau must be at most 0.00717 s\n"
+        )
+        code, payload = run_cli([*flags, "--tau", "7e-3", "--baseline"], tmp_path)
+        assert code == 0
+        header, row, baseline = payload.decode().splitlines()
+        assert header == cli.PULSE_CSV_HEADER and baseline.startswith("free,")
+        assert 0 <= float(row.split(",")[-1]) <= 1e-13
 
     @pytest.mark.parametrize("samples", [2 ** 20 + 1, 2 ** 62, 10 ** 30],
                              ids=["limit+1", "2**62", "10**30"])
@@ -795,7 +840,7 @@ PULSE_SWEEP = st.builds(
         "--sequences": st.lists(st.sampled_from(["8h", "CP", "udd", "x", ""]), min_size=1,
                                 max_size=3).map(",".join),
         "--pulse-errors": PULSE_ERROR_LISTS,
-        "--tau": mostly(st.floats(1e-10, 1e-8), ["1e-300", "1e300"]),
+        "--tau": mostly(st.floats(1e-10, 1e-8), ["1e-300", "1e300", "1e3"]),
         "--t2-star": mostly(st.floats(1e-9, 1e-7), ["0", "1e-300", "1e300"]),
         "--seed": mostly(st.integers(0, 2 ** 40), ["0", str(2 ** 32), str(2 ** 200)]),
     })),

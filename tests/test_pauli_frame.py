@@ -384,10 +384,10 @@ class TestCircuitParsing:
         lines = readme + [checks.format_instruction(shape) for shape in shapes]
         assert len(lines) == 3 + 13
         for line in lines:
-            for text in (line, line + "\n"):
-                # parse_circuit gives _LINES each item with one newline, as load_circuit gives each line.
-                (match,) = pf._LINES.findall(text.removesuffix("\n") + "\n")
-                assert match[-1] == "", text  # the catch-all group, which goes to json.loads
+            # load_circuit gives _LINES each line's bytes with its line break.
+            for text in (line.encode() + ending for ending in (b"\n", b"\r\n", b"\r")):
+                (match,) = pf._LINES.findall(text)
+                assert match[-1] == b"", text  # the catch-all group, which goes to json.loads
                 circuit = pf.Circuit()
                 assert pf._pack(circuit, [match], 0) == 1
                 row = circuit.ops[0], circuit.qubits[0], circuit.args[0]
@@ -800,6 +800,10 @@ any_lines = st.one_of(
 @example([], '{"op":"pauli","p":"X","q":0}\n\n', [])
 @example([], '{"op":"pauli","p":"X","q":0,"q":1}', [])
 @example([], '{"op":"pauli","p":"X","q":0,"note":"\udcff"}', [])
+# Surrogates UTF-8 cannot encode: json.loads takes the first, and the second
+# is two undecodable bytes, not the "\u00e9" they would decode to.
+@example([], '{"op":"pauli","p":"X","q":0,"note":"\ud800"}', [])
+@example([], '{"op":"pauli","p":"X","q":0,"note":"\udcc3\udca9"}', [])
 @example(['{nope'], '{"op":"pauli","p":"X","q":0}\udc80', [])
 def test_parse_circuit_matches_json_loads_oracle(before, line, after):
     lines = [*before, line, *after]
@@ -886,6 +890,25 @@ def test_load_circuit_reads_alike_at_every_chunk_boundary(line, ending, tmp_path
             for boundary in range(len(head) - 3, len(head) + len(line) + 3):
                 monkeypatch.setattr(pf, "_CHUNK", boundary)
                 assert_load_matches_oracle(path)
+
+
+def test_a_file_of_lone_carriage_returns_is_packed_a_chunk_at_a_time(tmp_path, monkeypatch):
+    line = b'{"op":"pauli","p":"X","q":0}'
+    path = tmp_path / "circuit.jsonl"
+    path.write_bytes((line + b"\r") * 100)
+    packed = []
+    pack = pf._pack
+
+    def spy(circuit, lines, line_number):
+        packed.append(len(lines))
+        return pack(circuit, lines, line_number)
+
+    monkeypatch.setattr(pf, "_pack", spy)
+    monkeypatch.setattr(pf, "_CHUNK", 4 * len(line))
+    assert len(pf.load_circuit(path)) == 100
+    # A chunk is the carried rest (at most one line) and a read of _CHUNK bytes
+    # plus the rest's length, so it holds under 7 lines.
+    assert sum(packed) == 100 and max(packed) <= 6
 
 
 file_lines = st.one_of(

@@ -391,6 +391,29 @@ class TestProcessInfidelity:
             with pytest.raises(ValueError, match="tau is too large: its delays are not a finite"):
                 P.build_sequence(kind, tau, LARMOR)
 
+    @settings(max_examples=80, deadline=None)
+    @given(st.sampled_from(("8H", "CP", "UDD")), st.floats(1e-9, 7.5e-3))
+    @example("UDD", 7e-3)
+    @example("UDD", 0.007167701424028323)  # the largest tau admitted at this period
+    @example("CP", 0.006324299975138389)
+    def test_every_admitted_noiseless_sequence_is_exact_within_a_stated_bound(self, kind, tau):
+        largest = P.PHASE_RESOLUTION * 2 ** 53 * LARMOR / (16 * math.pi)
+        try:
+            sequence = P.build_sequence(kind, tau, LARMOR)
+        except ValueError as exc:
+            assert tau > largest * (1 - 1e-12) and str(exc).startswith("tau is too long to time")
+            with pytest.raises(ValueError, match="^tau is too long to time"):
+                P.free_evolution(8 * tau, LARMOR)
+            return
+        assert tau < largest * (1 + 1e-12)
+        P.free_evolution(8 * tau, LARMOR)
+        # Each rounding of a center, a delay or a delay's phase turns the Larmor
+        # phase by at most PHASE_RESOLUTION.  Five delays take under 20 of them,
+        # so the phase is off by under 2e-5 rad and the infidelity by under
+        # (2e-5 / 2) ** 2 = 1e-10.  The largest seen is 3.0e-12 (UDD at the largest tau).
+        noise = P.NoiseModel(t2_star=None, pulse_error=0.0, samples=1, seed=0)
+        assert P.process_infidelity(sequence, noise).infidelity <= 1e-10
+
     def test_standard_error(self):
         noise = P.NoiseModel(t2_star=2e-9, pulse_error=0.01, samples=500, seed=4)
         result = P.process_infidelity(P.build_sequence("CP", 1e-9, LARMOR), noise)
