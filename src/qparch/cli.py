@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 
 from . import distillation, qec
@@ -171,21 +172,26 @@ def _cmd_frame_exec(args: argparse.Namespace) -> int:
     from . import pauli_frame
 
     circuit = pauli_frame.load_circuit(args.circuit)
-    needed = circuit.num_qubits
-    # The constructor checks the size's range before it is compared with the circuit.
-    frame = pauli_frame.PauliFrame(needed if args.num_qubits is None else args.num_qubits)
-    if frame.num_qubits < needed:
-        raise ValueError(
-            f"--num-qubits {frame.num_qubits} is smaller than the {needed} qubits the circuit uses"
-        )
+    # The constructor checks the size's range, and ``run_circuit`` that the circuit fits.
+    frame = pauli_frame.PauliFrame(circuit.num_qubits if args.num_qubits is None else args.num_qubits)
     final, outcomes = pauli_frame.run_circuit(frame, circuit)
     del circuit, frame  # free the columns before the report is formatted
     _write_json({"outcomes": outcomes, "frame": final.letters}, args.output)
     return EXIT_OK
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Reads a token of "-" and a digit, or "-." and a digit, as a number; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # Private: argparse 3.10 to 3.13 ``match`` each token against it, and their
+        # r"^-\d+$|^-\d*\.\d+$" takes "-1e-3" or "-0.01,0,0.01" for an unknown option.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="qparch",
         description="Resource estimation and control-layer simulation for a layered quantum computer.",
     )

@@ -12,14 +12,6 @@ class InfeasibleInputError(ValueError):
     """A model input that is syntactically valid but has no feasible solution."""
 
 
-class UnreachableTargetError(InfeasibleInputError):
-    """No finite code distance can reach the requested logical error rate."""
-
-
-class NoFactoryCapacityError(InfeasibleInputError):
-    """The machine has no logical qubits left over for distillation factories."""
-
-
 class RateUnderflowError(ValueError):
     """A logical error rate too small for a float: it underflows to 0.0."""
 

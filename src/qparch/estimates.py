@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 
 from . import distillation, qec
-from .errors import MAX_EXACT_INT, InfeasibleInputError, NoFactoryCapacityError, is_int, shown
+from .errors import MAX_EXACT_INT, InfeasibleInputError, is_int, shown
 
 SECONDS_PER_DAY = 86400.0
 # Qubits sit on a 1 um pitch, so one virtual qubit occupies 1 um^2 = 1e-8 cm^2.
@@ -74,7 +74,7 @@ class ShorWorkload(namedtuple("ShorWorkload", "bits machine_logical_qubits", def
             self.machine_logical_qubits is not None
             and self.machine_logical_qubits - self.app_qubits < distillation.LEVEL1_CROSS_SECTION
         ):
-            raise NoFactoryCapacityError(
+            raise InfeasibleInputError(
                 "no factory capacity: machine has "
                 f"{self.machine_logical_qubits} logical qubits but the algorithm "
                 f"needs {self.app_qubits} application qubits plus "

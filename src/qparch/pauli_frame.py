@@ -17,10 +17,10 @@ bytes pattern (``_LINES``) splits each chunk into lines at ``\n``, ``\r\n``
 or ``\r``, the line breaks of text mode.  A line in the README's compact
 form comes out as its fields, all four forms sharing one qubit group; any
 other line comes out through a catch-all group, is decoded as UTF-8 and goes
-to ``json.loads``.  Circuits are held only as packed (op, qubit, arg) rows in
-parallel ``array`` columns (``Circuit``).  One loop over the rows
-(``_execute``) runs every frame update: ``run_circuit`` is the only way to
-change a frame.
+to ``json.loads``, as every item of text given to ``parse_circuit`` does.
+Circuits are held only as packed (op, qubit, arg) rows in parallel ``array``
+columns (``Circuit``).  One loop over the rows (``_execute``) runs every
+frame update: ``run_circuit`` is the only way to change a frame.
 """
 
 from __future__ import annotations
@@ -104,9 +104,9 @@ class Circuit:
     arg below 16, so 9 bytes hold an instruction.
     ``num_qubits`` is one more than the highest qubit used: the smallest
     frame the circuit fits.  ``load_circuit`` builds a circuit from a file's
-    bytes and ``parse_circuit`` from lines of text; both match each line
-    with ``_LINES``, whose compact forms share one qubit group, so a compact
-    line's row comes straight from its groups.
+    bytes, matching each line with ``_LINES``, whose compact forms share one
+    qubit group, so a compact line's row comes straight from its groups;
+    ``parse_circuit`` builds one from lines of text.
     """
 
     def __init__(self) -> None:
@@ -325,23 +325,11 @@ def _pack(circuit: Circuit, lines: Iterable[tuple[bytes, ...]], line_number: int
 def parse_circuit(lines: Iterable[str]) -> Circuit:
     """Parse JSON-lines circuit text, one instruction per non-blank item.
 
-    Each item is one line, so one holding a line break before its end goes
-    whole to ``json.loads``, as does one holding a surrogate, which UTF-8
-    cannot encode.
+    Each item is read whole by ``json.loads``, as ``load_circuit`` reads a
+    line that is not in compact form.
     """
     circuit = Circuit()
-    line_number = 0
-    for line in lines:
-        text = line.removesuffix("\n")
-        try:
-            data = None if "\n" in text or "\r" in text else text.encode()
-        except UnicodeEncodeError:
-            data = None
-        if data is None:
-            matches = [(b"",) * (_LINES.groups - 1) + (line,)]
-        else:
-            matches = _LINES.findall(data + b"\n")
-        line_number = _pack(circuit, matches, line_number)
+    _pack(circuit, ((b"",) * (_LINES.groups - 1) + (line,) for line in lines), 0)
     return circuit
 
 
@@ -366,12 +354,13 @@ def run_circuit(frame: PauliFrame, circuit: Circuit) -> tuple[PauliFrame, list[i
     """Execute a circuit against a frame, returning (final frame, outcomes).
 
     The input frame is not mutated.  A circuit that does not fit the frame
-    raises ``IndexError`` before anything runs; nothing else can fail, since
+    raises ``ValueError`` before anything runs; nothing else can fail, since
     each measurement carries the raw outcome it reinterprets.
     """
     if circuit.num_qubits > frame.num_qubits:
-        raise IndexError(
-            f"qubit {circuit.num_qubits - 1} out of range for {frame.num_qubits}-qubit frame"
+        raise ValueError(
+            f"the circuit uses {circuit.num_qubits} qubits, "
+            f"more than the {frame.num_qubits}-qubit frame"
         )
     result = frame.copy()
     return result, _execute(result.codes, circuit)

@@ -88,7 +88,7 @@ def free_precession(duration: float) -> PulseSegment:
 
 
 def pulse(axis, nominal_angle: float, duration: float) -> PulseSegment:
-    return PulseSegment(kind="pulse", duration=duration, axis=tuple(axis), nominal_angle=nominal_angle)
+    return PulseSegment(kind="pulse", duration=duration, axis=axis, nominal_angle=nominal_angle)
 
 
 def hadamard_pulse(larmor_period: float = DEFAULT_LARMOR_PERIOD, polarity: int = 1) -> PulseSegment:
@@ -337,6 +337,8 @@ def build_sequence(
     _check_larmor_period(larmor_period)
 
     window = 8 * tau
+    # Every delay is at most the window, so this also keeps each delay a finite number of periods.
+    _check_timing_resolution(window, larmor_period)
     width = _composite_x_duration(larmor_period)
     if name == "UDD":
         centers = [window * f for f in UDD_FRACTIONS]
@@ -347,15 +349,11 @@ def build_sequence(
     for previous, current in zip(centers, centers[1:]):
         delays.append(current - previous - width)
     delays.append(window - centers[-1] - width / 2)
-    periods = [d / larmor_period for d in delays]
-    if not all(map(math.isfinite, periods)):
-        raise ValueError("tau is too large: its delays are not a finite number of Larmor periods")
-    _check_timing_resolution(window, larmor_period)
     if min(delays) < 0:
         raise ValueError("tau too small to fit pulses")
 
     if name == "8H":
-        ticks = [round(p) for p in periods]
+        ticks = [round(d / larmor_period) for d in delays]
         delays = [t * larmor_period for t in ticks]
         # Two drive-polarity pairs: the sign flip halfway reverses the
         # first-order response to both pulse-angle error and the dephasing

@@ -13,7 +13,7 @@ import math
 import os
 from collections import namedtuple
 
-from .errors import MAX_EXACT_INT, RateUnderflowError, UnreachableTargetError, is_int, is_real, shown
+from .errors import MAX_EXACT_INT, InfeasibleInputError, RateUnderflowError, is_int, is_real, shown
 
 # Virtual qubits per logical qubit, modeled as round(coeff * d^2).  The
 # coefficient is calibrated so that footprint(31) = 6240, the reference
@@ -57,7 +57,7 @@ class HardwareProfile(namedtuple(
         if not self.threshold < 1:
             raise ValueError(f"threshold must be below 1, got {self.threshold}")
         if not self.error_per_virtual_gate < self.threshold:
-            raise UnreachableTargetError(
+            raise InfeasibleInputError(
                 f"unreachable target: error_per_virtual_gate {self.error_per_virtual_gate} "
                 f"is at or above the threshold {self.threshold}"
             )
@@ -202,7 +202,7 @@ def code_point(profile: HardwareProfile, distance: int) -> CodePoint:
 def min_code_distance(profile: HardwareProfile, target_logical_error: float) -> CodePoint:
     """Smallest odd distance whose logical error rate meets the target.
 
-    Raises UnreachableTargetError when the suppression base is >= 1, in which
+    Raises InfeasibleInputError when the suppression base is >= 1, in which
     case increasing the distance never helps.
     """
     if not (is_real(target_logical_error) and 0 < target_logical_error <= 1):
@@ -211,7 +211,7 @@ def min_code_distance(profile: HardwareProfile, target_logical_error: float) -> 
         )
     base = profile.suppression_base
     if base >= 1.0:
-        raise UnreachableTargetError(
+        raise InfeasibleInputError(
             "unreachable target: c2 * error_per_virtual_gate / threshold = "
             f"{base:.4g} >= 1, so no finite distance reaches the target"
         )

@@ -200,7 +200,9 @@ class TestQecDistance:
         else:
             assert cli._float(text) == float(text)
 
-    @pytest.mark.parametrize("value, shown", [("0", "0.0"), ("0.0", "0.0"), ("-0", "-0.0")])
+    @pytest.mark.parametrize("value, shown", [
+        ("0", "0.0"), ("0.0", "0.0"), ("-0", "-0.0"), ("-1e-5", "-1e-05"), ("-5E-1", "-0.5"),
+    ])
     def test_target_of_zero_keeps_the_range_message(self, value, shown, tmp_path, capsys):
         code, payload = run_cli(["qec", "distance", "--target-logical-error", value], tmp_path)
         assert code == 2
@@ -468,6 +470,15 @@ class TestPulseSweep:
             "error: unknown sequence kind: 'XY8' (choose from 8H, CP, UDD)\n"
         )
 
+    @pytest.mark.parametrize("errors, shown", [
+        ("-0.01,0,0.01", ["-0.01", "0.0", "0.01"]), ("-1e-3", ["-0.001"]), ("-.5E-2", ["-0.005"]),
+    ], ids=["symmetric", "exponent", "point-exponent"])
+    def test_a_negative_pulse_error_is_a_value_not_an_option(self, errors, shown, tmp_path):
+        flags = ["pulse", "sweep", "--samples", "4", "--sequences", "8h", "--pulse-errors", errors]
+        code, payload = run_cli(flags, tmp_path)
+        assert code == 0
+        assert [row.split(",")[1] for row in payload.decode().splitlines()[1:]] == shown
+
     def test_sequence_names_are_stripped_and_upper_cased(self, tmp_path):
         flags = ["pulse", "sweep", "--samples", "4", "--pulse-errors", "0,0.01", "--baseline"]
         spaced = run_cli([*flags, "--sequences", " 8h , Cp ,udd"], tmp_path, "spaced")
@@ -495,7 +506,9 @@ class TestPulseSweep:
         assert code == 2
         assert payload == b""
         assert capsys.readouterr().err == (
-            "error: tau is too large: its delays are not a finite number of Larmor periods\n"
+            "error: tau is too long to time: rounding the 8*tau window turns the Larmor phase by up to "
+            "inf rad, past the 1e-06 rad resolution bound; at larmor_period 4e-11 s, tau must be at "
+            "most 0.00717 s\n"
         )
 
     @pytest.mark.parametrize("flags", [["--t2-star", "1e-300"], ["--pulse-errors", "1e308"]])
@@ -605,7 +618,8 @@ class TestFrameExec:
         ('{"op":"clifford","g":"CNOT","q":[0,1.0]}', [], "line 2"),
         ('{"op":"measure","basis":"Z","q":0,"raw":1.0}', [], "line 2"),
         ('{"op":"clifford","g":"MZ","q":0}', [], "line 2"),
-        ('{"op":"pauli","p":"X","q":2}', ["--num-qubits", "2"], "--num-qubits 2"),
+        ('{"op":"pauli","p":"X","q":2}', ["--num-qubits", "2"],
+         "error: the circuit uses 3 qubits, more than the 2-qubit frame\n"),
         ('{"op":"measure","basis":"Q","q":0,"raw":1}', [], "line 2"),
         ('{"op":"pauli","p":"X","q":100000000000000}', [],
          "line 2: qubit index must be below 1048576 (the frame-size limit)"),

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from qparch import distillation as dist
 from qparch import estimates as est
 from qparch import qec
-from qparch.errors import InfeasibleInputError, NoFactoryCapacityError
+from qparch.errors import InfeasibleInputError
 
 PROFILE = qec.HardwareProfile()
 CODE = qec.code_point(PROFILE, 31)
@@ -84,7 +84,7 @@ class TestShorEstimate:
         assert constrained.runtime_seconds == unconstrained.runtime_seconds
 
     def test_machine_without_factory_capacity(self):
-        with pytest.raises(NoFactoryCapacityError, match="no factory capacity"):
+        with pytest.raises(InfeasibleInputError, match="no factory capacity"):
             est.shor_estimate(
                 est.ShorWorkload(bits=1024, machine_logical_qubits=6144), PROFILE, CODE
             )
@@ -92,7 +92,7 @@ class TestShorEstimate:
     def test_machine_must_fit_one_distillation_circuit(self):
         app = est.ShorWorkload(bits=1024).app_qubits
         spare = dist.LEVEL1_CROSS_SECTION
-        with pytest.raises(NoFactoryCapacityError, match="one distillation circuit"):
+        with pytest.raises(InfeasibleInputError, match="one distillation circuit"):
             est.ShorWorkload(bits=1024, machine_logical_qubits=app + spare - 1)
         report = est.shor_estimate(
             est.ShorWorkload(bits=1024, machine_logical_qubits=app + spare), PROFILE, CODE

@@ -41,6 +41,7 @@ PARAMETERS = {
     "NoiseModel.samples": (lambda v: pulses.NoiseModel(samples=v), True),
     "NoiseModel.seed": (lambda v: pulses.NoiseModel(seed=v), True),
     "pulse.axis": (lambda v: pulses.pulse((v, 0.0, 0.0), 1.0, 1e-11), False),
+    "pulse.axis-whole": (lambda v: pulses.pulse(v, 1.0, 1e-11), False),
     "pulse.nominal_angle": (lambda v: pulses.pulse((1, 0, 0), v, 1e-11), False),
     "pulse.duration": (lambda v: pulses.pulse((1, 0, 0), 1.0, v), False),
     "free_precession.duration": (pulses.free_precession, False),

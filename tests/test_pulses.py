@@ -388,7 +388,7 @@ class TestProcessInfidelity:
     @pytest.mark.parametrize("tau", [1e300, 1e308, 1.7e308])
     def test_build_sequence_rejects_tau_beyond_finite_larmor_periods(self, tau):
         for kind in ("8H", "CP", "UDD"):
-            with pytest.raises(ValueError, match="tau is too large: its delays are not a finite"):
+            with pytest.raises(ValueError, match="tau is too long to time: .* up to inf rad"):
                 P.build_sequence(kind, tau, LARMOR)
 
     @settings(max_examples=80, deadline=None)

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qparch import pulses, qec
-from qparch.errors import UnreachableTargetError
+from qparch.errors import InfeasibleInputError
 
 DEFAULTS = qec.HardwareProfile()
 
@@ -199,7 +199,7 @@ class TestMinCodeDistance:
 
     def test_unreachable_when_base_at_least_one(self):
         profile = qec.HardwareProfile(error_per_virtual_gate=6e-3, threshold=9e-3, c2=2.0)
-        with pytest.raises(UnreachableTargetError, match="unreachable target"):
+        with pytest.raises(InfeasibleInputError, match="unreachable target"):
             qec.min_code_distance(profile, 1e-9)
 
     def test_matches_brute_force_scan_over_targets(self):
