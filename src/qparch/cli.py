@@ -181,13 +181,14 @@ def _cmd_frame_exec(args: argparse.Namespace) -> int:
 
 
 class _ArgumentParser(argparse.ArgumentParser):
-    """Reads a token of "-" and a digit, or "-." and a digit, as a number; subparsers inherit it."""
+    """Reads a token of "-" and a digit, "-." and a digit, or "-inf", "-infinity" or
+    "-nan" in any case, as a number; subparsers inherit it."""
 
     def __init__(self, *args, **kwargs):
         super().__init__(*args, **kwargs)
         # Private: argparse 3.10 to 3.13 ``match`` each token against it, and their
-        # r"^-\d+$|^-\d*\.\d+$" takes "-1e-3" or "-0.01,0,0.01" for an unknown option.
-        self._negative_number_matcher = re.compile(r"-\.?\d")
+        # r"^-\d+$|^-\d*\.\d+$" takes "-1e-3", "-0.01,0,0.01" or "-inf" for an unknown option.
+        self._negative_number_matcher = re.compile(r"-(\.?\d|(inf(inity)?|nan)\b)", re.IGNORECASE)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -359,7 +359,7 @@ def run_circuit(frame: PauliFrame, circuit: Circuit) -> tuple[PauliFrame, list[i
     """
     if circuit.num_qubits > frame.num_qubits:
         raise ValueError(
-            f"the circuit uses {circuit.num_qubits} qubits, "
+            f"the circuit uses {circuit.num_qubits} qubit{'s' * (circuit.num_qubits != 1)}, "
             f"more than the {frame.num_qubits}-qubit frame"
         )
     result = frame.copy()

@@ -8,7 +8,7 @@ for 1/sqrt(8) of a Larmor period: the net rotation axis tilts to
 (X + Z)/sqrt(2) and the net angle is pi.  Composite X gates, the
 eight-pulse decoupling block, Carr-Purcell and Uhrig reference sequences,
 and the error-compensating virtual gate are all built from these pulses plus
-timed free precession.
+timed free precession: a segment with no drive axis.
 
 Noise model: a quasi-static per-shot detuning (Gaussian, sigma =
 sqrt(2)/T2*, giving the Gaussian free-induction envelope) plus a systematic
@@ -20,7 +20,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from collections.abc import Callable, Sized
+from collections.abc import Callable, Iterable, Sized
 
 import numpy as np
 
@@ -43,10 +43,10 @@ PHASE_RESOLUTION = 1e-6  # rad
 UDD_FRACTIONS = tuple(math.sin(j * math.pi / 10) ** 2 for j in range(1, 5))
 
 
-class PulseSegment(namedtuple("PulseSegment", "kind duration axis nominal_angle")):
-    """One timed element: free precession, or a drive pulse.
+class PulseSegment(namedtuple("PulseSegment", "duration axis nominal_angle")):
+    """One timed element: a drive pulse, or free precession when ``axis`` is None.
 
-    For pulses, ``axis`` is the drive axis on the Bloch sphere and
+    For a pulse, ``axis`` is the drive axis on the Bloch sphere and
     ``nominal_angle`` the rotation the drive alone would produce over the
     segment's duration; the background Z precession acts concurrently and is
     folded into the same exponential.
@@ -54,17 +54,18 @@ class PulseSegment(namedtuple("PulseSegment", "kind duration axis nominal_angle"
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, duration: float, axis: tuple[float, float, float] | None = None,
+    def __new__(cls, duration: float, axis: tuple[float, float, float] | None = None,
                 nominal_angle: float | None = None):
-        if kind not in ("free_precession", "pulse"):
-            raise ValueError(f"unknown segment kind: {kind!r}")
         if not (is_real(duration) and duration >= 0):
             raise ValueError(
                 f"segment duration must be finite and non-negative, got {shown(duration)}"
             )
-        if kind == "pulse":
-            if axis is None or nominal_angle is None:
-                raise ValueError("pulse segments need an axis and a nominal angle")
+        if (axis is None) != (nominal_angle is None):
+            raise ValueError(
+                "a segment takes an axis and a nominal angle together (a pulse) or neither "
+                "(free precession)"
+            )
+        if axis is not None:
             if not isinstance(axis, Sized) or len(axis) != 3:
                 raise ValueError(f"pulse axis must have three components, got {shown(axis)}")
             if not all(map(is_real, axis)):
@@ -77,18 +78,7 @@ class PulseSegment(namedtuple("PulseSegment", "kind duration axis nominal_angle"
                     "nominal_angle must be finite and non-negative (flip the axis instead), "
                     f"got {shown(nominal_angle)}"
                 )
-        else:
-            if axis is not None or nominal_angle is not None:
-                raise ValueError("free precession takes no axis or angle")
-        return super().__new__(cls, kind, duration, axis, nominal_angle)
-
-
-def free_precession(duration: float) -> PulseSegment:
-    return PulseSegment(kind="free_precession", duration=duration)
-
-
-def pulse(axis, nominal_angle: float, duration: float) -> PulseSegment:
-    return PulseSegment(kind="pulse", duration=duration, axis=axis, nominal_angle=nominal_angle)
+        return super().__new__(cls, duration, axis, nominal_angle)
 
 
 def hadamard_pulse(larmor_period: float = DEFAULT_LARMOR_PERIOD, polarity: int = 1) -> PulseSegment:
@@ -105,7 +95,7 @@ def hadamard_pulse(larmor_period: float = DEFAULT_LARMOR_PERIOD, polarity: int =
         raise ValueError(f"polarity must be the integer +1 or -1, got {shown(polarity)}")
     duration = larmor_period / math.sqrt(8)
     drive_angle = 2 * math.pi / math.sqrt(8)
-    return pulse((float(polarity), 0.0, 0.0), drive_angle, duration)
+    return PulseSegment(duration, (float(polarity), 0.0, 0.0), drive_angle)
 
 
 def z_axis_pulse(angle: float, larmor_period: float = DEFAULT_LARMOR_PERIOD) -> PulseSegment:
@@ -118,7 +108,7 @@ def z_axis_pulse(angle: float, larmor_period: float = DEFAULT_LARMOR_PERIOD) -> 
     _check_larmor_period(larmor_period)
     if not (is_real(angle) and 0 <= angle < 4 * math.pi):
         raise ValueError("angle must lie in [0, 4*pi)")
-    return pulse((0.0, 0.0, 1.0), angle, larmor_period)
+    return PulseSegment(larmor_period, (0.0, 0.0, 1.0), angle)
 
 
 class PulseSequence(namedtuple("PulseSequence", "segments larmor_period")):
@@ -127,7 +117,12 @@ class PulseSequence(namedtuple("PulseSequence", "segments larmor_period")):
     __slots__ = ()
 
     def __new__(cls, segments, larmor_period: float = DEFAULT_LARMOR_PERIOD):
+        if not isinstance(segments, Iterable):
+            raise ValueError(f"segments must be an iterable of PulseSegment, got {shown(segments)}")
         self = super().__new__(cls, tuple(segments), larmor_period)
+        for segment in self.segments:
+            if not isinstance(segment, PulseSegment):
+                raise ValueError(f"a sequence holds only PulseSegment records, got {shown(segment)}")
         _check_larmor_period(self.larmor_period)
         if self.segments and not self.duration > 0:
             raise ValueError("non-empty sequences must have positive total duration")
@@ -143,16 +138,17 @@ def _segment_rotation(
 ) -> Callable[[np.ndarray], tuple]:
     """The function from a block of detunings to the segment's Cayley-Klein pair
     (a, b) of exp(-i (v . sigma) / 2) = [[a, b], [-b*, a*]], where v = (vx, vy,
-    c0 + c1 * detuning).  Free precession is the case angle = 0, scale = 1.
+    c0 + c1 * detuning).  Free precession is the case angle = 0, scale = 1,
+    and a segment of duration 0 is the identity.
     """
-    if segment.kind == "pulse" and segment.duration == 0:
+    if segment.duration == 0:
         return lambda detunings: (1.0, None)
     ax, ay, az = segment.axis or (0.0, 0.0, 0.0)
     angle = segment.nominal_angle or 0.0
     # The systematic pulse error scales the whole rotation the pulse enacts
     # (drive plus the precession it rides on), a relative deviation of the
     # segment's net rotation angle.
-    scale = 1 + pulse_error if segment.kind == "pulse" else 1.0
+    scale = 1.0 if segment.axis is None else 1 + pulse_error
     vx, vy = scale * angle * ax, scale * angle * ay
     c0 = scale * (angle * az + 2 * math.pi / larmor_period * segment.duration)
     c1 = scale * segment.duration
@@ -243,7 +239,7 @@ def _compose(
             u = functools.reduce(_step, map(pairs.__getitem__, order), (1.0, 0.0))
             del pairs  # freed before the next block's pairs are made
             # u stays scalar when no segment varies with the detuning (none,
-            # or only zero-length pulses): written as (2, 1) columns then.
+            # or only zero-length ones): written as (2, 1) columns then.
             result[:, start:start + len(block)] = np.reshape(u, (2, -1))
     # A non-finite rotation or an unresolved Larmor phase turns its pair into
     # NaN, which every later product carries to the result.
@@ -288,13 +284,9 @@ def _composite_x_segments(theta: float, larmor_period: float, polarity: int) -> 
     delay = theta * larmor_period / (2 * math.pi)
     return [
         hadamard_pulse(larmor_period, polarity),
-        free_precession(delay),
+        PulseSegment(delay),
         hadamard_pulse(larmor_period, polarity),
     ]
-
-
-def _composite_x_duration(larmor_period: float) -> float:
-    return larmor_period * (0.5 + 2 / math.sqrt(8))
 
 
 def _check_larmor_period(larmor_period) -> None:
@@ -339,7 +331,7 @@ def build_sequence(
     window = 8 * tau
     # Every delay is at most the window, so this also keeps each delay a finite number of periods.
     _check_timing_resolution(window, larmor_period)
-    width = _composite_x_duration(larmor_period)
+    width = sum(segment.duration for segment in _composite_x_segments(math.pi, larmor_period, 1))
     if name == "UDD":
         centers = [window * f for f in UDD_FRACTIONS]
     else:
@@ -364,15 +356,15 @@ def build_sequence(
 
     segments: list[PulseSegment] = []
     for delay, polarity in zip(delays, polarities):
-        segments.append(free_precession(delay))
+        segments.append(PulseSegment(delay))
         segments.extend(_composite_x_segments(math.pi, larmor_period, polarity))
-    segments.append(free_precession(delays[4]))
+    segments.append(PulseSegment(delays[4]))
     return PulseSequence(tuple(segments), larmor_period)
 
 
 def free_evolution(duration: float, larmor_period: float = DEFAULT_LARMOR_PERIOD) -> PulseSequence:
     """Pulse-free baseline of the given duration, the 8*tau window of a sequence."""
-    sequence = PulseSequence((free_precession(duration),), larmor_period)
+    sequence = PulseSequence((PulseSegment(duration),), larmor_period)
     _check_timing_resolution(duration, larmor_period)
     return sequence
 
@@ -389,12 +381,12 @@ def _axis_rotation_segments(phi: float, theta: float, larmor_period: float) -> l
     omega = 2 * math.pi / larmor_period
     segments: list[PulseSegment] = []
     if phi > 0:
-        segments.append(free_precession((2 * math.pi - phi) / omega))
+        segments.append(PulseSegment((2 * math.pi - phi) / omega))
     segments.append(hadamard_pulse(larmor_period))
     segments.append(z_axis_pulse(theta % (4 * math.pi), larmor_period))
     segments.append(hadamard_pulse(larmor_period))
     if phi > 0:
-        segments.append(free_precession(phi / omega))
+        segments.append(PulseSegment(phi / omega))
     return segments
 
 

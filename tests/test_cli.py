@@ -479,6 +479,22 @@ class TestPulseSweep:
         assert code == 0
         assert [row.split(",")[1] for row in payload.decode().splitlines()[1:]] == shown
 
+    @pytest.mark.parametrize("value", ["-inf", "-INF", "-Infinity", "-nan", "-NaN"])
+    @pytest.mark.parametrize("command, option, rest", [
+        (["qec", "distance"], "--target-logical-error", ""),
+        (["pulse", "sweep", "--samples", "4"], "--tau", ""),
+        (["pulse", "sweep", "--samples", "4"], "--pulse-errors", ",0"),
+    ], ids=["target-logical-error", "tau", "pulse-errors"])
+    def test_a_negative_non_finite_value_is_a_value_not_an_option(
+        self, command, option, rest, value, tmp_path, capsys
+    ):
+        spaced = run_cli([*command, option, value + rest], tmp_path), capsys.readouterr().err
+        joined = run_cli([*command, f"{option}={value}{rest}"], tmp_path), capsys.readouterr().err
+        assert spaced == joined
+        (code, payload), err = spaced
+        assert (code, payload) == (2, b"")
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_sequence_names_are_stripped_and_upper_cased(self, tmp_path):
         flags = ["pulse", "sweep", "--samples", "4", "--pulse-errors", "0,0.01", "--baseline"]
         spaced = run_cli([*flags, "--sequences", " 8h , Cp ,udd"], tmp_path, "spaced")
@@ -640,6 +656,16 @@ class TestFrameExec:
         assert payload == b""
         err = capsys.readouterr().err
         assert err.startswith("error: ") and expected in err
+
+    @pytest.mark.parametrize("qubit, size, expected", [
+        (0, "0", "error: the circuit uses 1 qubit, more than the 0-qubit frame\n"),
+        (2, "2", "error: the circuit uses 3 qubits, more than the 2-qubit frame\n"),
+    ], ids=["one-qubit", "three-qubits"])
+    def test_frame_size_message_agrees_in_number(self, qubit, size, expected, tmp_path, capsys):
+        circuit = self.write_circuit(tmp_path, [f'{{"op":"pauli","p":"X","q":{qubit}}}'])
+        code, payload = run_cli(["frame", "exec", circuit, "--num-qubits", size], tmp_path)
+        assert (code, payload) == (2, b"")
+        assert capsys.readouterr().err == expected
 
     @pytest.mark.parametrize("lines", [[], ['{"op":"pauli","p":"X","q":0}']], ids=["empty", "one-qubit"])
     def test_negative_num_qubits_names_the_frame_size_limit(self, lines, tmp_path, capsys):

@@ -43,7 +43,7 @@ def test_a_container_holding_a_huge_int_is_named_by_its_type():
                           ((HUGE,), "must have three components")):
         message = f"^pulse axis {problem}, got a tuple holding an integer too long to print$"
         with pytest.raises(ValueError, match=message):
-            pulses.pulse(axis, 1.0, 1e-11)
+            pulses.PulseSegment(1e-11, axis, 1.0)
     for call in (lambda: distillation.distillation_volume([HUGE]),
                  lambda: estimates.ShorWorkload(bits=[HUGE]),
                  lambda: pulses.hadamard_pulse(polarity=[HUGE]),

@@ -40,11 +40,12 @@ PARAMETERS = {
     "NoiseModel.pulse_error": (lambda v: pulses.NoiseModel(pulse_error=v), False),
     "NoiseModel.samples": (lambda v: pulses.NoiseModel(samples=v), True),
     "NoiseModel.seed": (lambda v: pulses.NoiseModel(seed=v), True),
-    "pulse.axis": (lambda v: pulses.pulse((v, 0.0, 0.0), 1.0, 1e-11), False),
-    "pulse.axis-whole": (lambda v: pulses.pulse(v, 1.0, 1e-11), False),
-    "pulse.nominal_angle": (lambda v: pulses.pulse((1, 0, 0), v, 1e-11), False),
-    "pulse.duration": (lambda v: pulses.pulse((1, 0, 0), 1.0, v), False),
-    "free_precession.duration": (pulses.free_precession, False),
+    "PulseSegment.axis": (lambda v: pulses.PulseSegment(1e-11, (v, 0.0, 0.0), 1.0), False),
+    "PulseSegment.axis-whole": (lambda v: pulses.PulseSegment(1e-11, v, 1.0), False),
+    "PulseSegment.nominal_angle": (lambda v: pulses.PulseSegment(1e-11, (1, 0, 0), v), False),
+    "PulseSegment.duration-pulse": (lambda v: pulses.PulseSegment(v, (1, 0, 0), 1.0), False),
+    "PulseSegment.duration": (pulses.PulseSegment, False),
+    "PulseSequence.segments": (pulses.PulseSequence, False),
     "hadamard_pulse.larmor_period": (pulses.hadamard_pulse, False),
     "hadamard_pulse.polarity": (lambda v: pulses.hadamard_pulse(polarity=v), True),
     "z_axis_pulse.angle": (pulses.z_axis_pulse, False),

@@ -34,7 +34,7 @@ NON_UNITARY_IDS = ["scaled", "nan", "inf", "huge"]
 def oracle_unitary(segment, larmor_period, detuning=0.0, pulse_error=0.0):
     """Independent propagator: exponentiate the documented Hamiltonian directly."""
     drift = 2 * math.pi / larmor_period + detuning
-    if segment.kind == "free_precession":
+    if segment.axis is None:
         v = np.array([0.0, 0.0, drift * segment.duration])
     elif segment.duration == 0:
         return np.eye(2, dtype=complex)
@@ -67,7 +67,7 @@ def segment_unitary(segment, detuning=0.0, pulse_error=0.0):
 
 class TestSegmentUnitary:
     def test_full_larmor_turn_is_identity_up_to_phase(self):
-        seg = P.free_precession(LARMOR)
+        seg = P.PulseSegment(LARMOR)
         u = segment_unitary(seg)
         assert phase_distance(u, np.eye(2)) < 1e-12
 
@@ -79,7 +79,7 @@ class TestSegmentUnitary:
     def test_zero_duration_pulse_is_identity(self):
         # A sequence needs a positive duration, so the zero-length pulse sits
         # beside a whole Larmor turn, which is -I.
-        seq = P.PulseSequence((P.pulse((1.0, 0.0, 0.0), math.pi, 0.0), P.free_precession(LARMOR)),
+        seq = P.PulseSequence((P.PulseSegment(0.0, (1.0, 0.0, 0.0), math.pi), P.PulseSegment(LARMOR)),
                               larmor_period=LARMOR)
         assert np.allclose(P.sequence_unitary(seq, pulse_error=0.3), -np.eye(2))
 
@@ -88,7 +88,7 @@ class TestSegmentUnitary:
         for _ in range(50):
             axis = rng.normal(size=3)
             axis /= np.linalg.norm(axis)
-            seg = P.pulse(tuple(axis), rng.uniform(0, 2 * math.pi), rng.uniform(0, 1e-10))
+            seg = P.PulseSegment(rng.uniform(0, 1e-10), tuple(axis), rng.uniform(0, 2 * math.pi))
             u = segment_unitary(seg, rng.normal(0, 1e9), rng.uniform(-0.02, 0.02))
             assert np.max(np.abs(u.conj().T @ u - np.eye(2))) < 1e-10
 
@@ -96,11 +96,11 @@ class TestSegmentUnitary:
         rng = np.random.default_rng(5)
         for _ in range(30):
             if rng.random() < 0.4:
-                seg = P.free_precession(rng.uniform(0, 5e-10))
+                seg = P.PulseSegment(rng.uniform(0, 5e-10))
             else:
                 axis = rng.normal(size=3)
                 axis /= np.linalg.norm(axis)
-                seg = P.pulse(tuple(axis), rng.uniform(0, 2 * math.pi), rng.uniform(0, 1e-10))
+                seg = P.PulseSegment(rng.uniform(0, 1e-10), tuple(axis), rng.uniform(0, 2 * math.pi))
             detuning = rng.normal(0, 1e9)
             err = rng.uniform(-0.02, 0.02)
             got = segment_unitary(seg, detuning, err)
@@ -109,24 +109,41 @@ class TestSegmentUnitary:
 
     def test_segment_validation(self):
         with pytest.raises(ValueError):
-            P.pulse((1.0, 1.0, 0.0), math.pi, 1e-11)
+            P.PulseSegment(1e-11, (1.0, 1.0, 0.0), math.pi)
         for axis in ((1.0, 0.0), (1.0, 0.0, 0.0, 0.0)):
             with pytest.raises(ValueError, match=r"axis must have three components, got \(1\.0, 0\.0"):
-                P.pulse(axis, math.pi, 1e-11)
+                P.PulseSegment(1e-11, axis, math.pi)
         for axis in (5, 1.0, object()):
             with pytest.raises(ValueError, match="axis must have three components, got "):
-                P.PulseSegment(kind="pulse", duration=1e-11, axis=axis, nominal_angle=1.0)
+                P.PulseSegment(duration=1e-11, axis=axis, nominal_angle=1.0)
+        for axis, angle in (((1.0, 0.0, 0.0), None), (None, 1.0)):
+            with pytest.raises(ValueError, match="an axis and a nominal angle together"):
+                P.PulseSegment(1e-11, axis, angle)
         with pytest.raises(ValueError):
-            P.PulseSegment(kind="pulse", duration=1e-11)
-        with pytest.raises(ValueError):
-            P.free_precession(-1e-12)
+            P.PulseSegment(-1e-12)
+
+    def test_a_segment_without_an_axis_is_free_precession(self):
+        assert P.PulseSegment._fields == ("duration", "axis", "nominal_angle")
+        assert P.PulseSegment(LARMOR) == (LARMOR, None, None)
+
+    @pytest.mark.parametrize("segments, message", [
+        (None, "segments must be an iterable of PulseSegment, got None"),
+        (1e-11, "segments must be an iterable of PulseSegment, got 1e-11"),
+        ([1e-11], "a sequence holds only PulseSegment records, got 1e-11"),
+        ([P.PulseSegment(1e-11), (1e-11, None, None)],
+         "a sequence holds only PulseSegment records, got (1e-11, None, None)"),
+        ("ab", "a sequence holds only PulseSegment records, got 'a'"),
+    ], ids=["none", "float", "float-item", "plain-tuple", "str"])
+    def test_anything_but_segments_is_refused_by_name(self, segments, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            P.PulseSequence(segments, larmor_period=LARMOR)
 
     @pytest.mark.parametrize("field, build", [
-        ("duration", P.free_precession),
-        ("duration", lambda v: P.pulse((1.0, 0.0, 0.0), math.pi, v)),
-        ("nominal_angle", lambda v: P.pulse((1.0, 0.0, 0.0), v, 1e-11)),
-        ("axis", lambda v: P.pulse((v, 0.0, 0.0), math.pi, 1e-11)),
-        ("larmor_period", lambda v: P.PulseSequence((P.free_precession(1e-9),), larmor_period=v)),
+        ("duration", P.PulseSegment),
+        ("duration", lambda v: P.PulseSegment(v, (1.0, 0.0, 0.0), math.pi)),
+        ("nominal_angle", lambda v: P.PulseSegment(1e-11, (1.0, 0.0, 0.0), v)),
+        ("axis", lambda v: P.PulseSegment(1e-11, (v, 0.0, 0.0), math.pi)),
+        ("larmor_period", lambda v: P.PulseSequence((P.PulseSegment(1e-9),), larmor_period=v)),
     ], ids=["free-duration", "pulse-duration", "nominal-angle", "axis", "larmor-period"])
     @pytest.mark.parametrize("value", [math.nan, math.inf, True, 10 ** 400, "1e-11", 1e-11j],
                              ids=["nan", "inf", "bool", "int-beyond-float", "str", "complex"])
@@ -190,7 +207,7 @@ class TestCompositeX:
 class TestBuildSequence:
     def test_8h_has_eight_pulses_over_eight_tau(self):
         seq = P.build_sequence("8H", 1e-9, LARMOR)
-        assert sum(seg.kind == "pulse" for seg in seq.segments) == 8
+        assert sum(seg.axis is not None for seg in seq.segments) == 8
         assert seq.duration == pytest.approx(8e-9, rel=0.02)
         # every inter-gate delay (the free segments outside the composite
         # gates) is a whole number of Larmor periods
@@ -200,7 +217,7 @@ class TestBuildSequence:
 
     def test_cp_pulse_centers_symmetric(self):
         seq = P.build_sequence("CP", 1e-9, LARMOR)
-        assert sum(seg.kind == "pulse" for seg in seq.segments) == 8
+        assert sum(seg.axis is not None for seg in seq.segments) == 8
         assert seq.duration == pytest.approx(8e-9, rel=1e-12)
         centers = gate_centers(seq)
         assert len(centers) == 4
@@ -251,7 +268,7 @@ def gate_centers(seq):
     i = 0
     while i < len(segments):
         seg = segments[i]
-        if seg.kind == "pulse":
+        if seg.axis is not None:
             width = seg.duration + segments[i + 1].duration + segments[i + 2].duration
             centers.append(t + width / 2)
             t += width
@@ -268,7 +285,7 @@ def inter_gate_delays(seq):
     segments = list(seq.segments)
     i = 0
     while i < len(segments):
-        if segments[i].kind == "pulse":
+        if segments[i].axis is not None:
             i += 3
         else:
             delays.append(segments[i].duration)
@@ -483,8 +500,8 @@ unit_axes = (
 )
 segment_lists = st.lists(
     st.one_of(
-        st.builds(P.free_precession, st.floats(0.0, 5e-10)),
-        st.builds(P.pulse, unit_axes, st.floats(0.0, 2 * math.pi), st.floats(0.0, 1e-10)),
+        st.builds(P.PulseSegment, st.floats(0.0, 5e-10)),
+        st.builds(P.PulseSegment, st.floats(0.0, 1e-10), unit_axes, st.floats(0.0, 2 * math.pi)),
     ),
     max_size=8,
 )
@@ -502,7 +519,7 @@ class TestCompositionProperties:
     @settings(max_examples=60, deadline=None)
     @given(segment_lists, st.floats(-2e9, 2e9), pulse_errors)
     # A tilted rotation whose squares underflow: k = sin(n/2)/n must stay 1/2 at n = 0.
-    @example([P.pulse(_unit_axis((0.0, 1.0, 0.0)), 3.4446008499403967e-214, 3.4446008499403967e-214)],
+    @example([P.PulseSegment(3.4446008499403967e-214, _unit_axis((0.0, 1.0, 0.0)), 3.4446008499403967e-214)],
              0.0, 0.0)
     def test_sequence_unitary_matches_dense_product(self, segments, detuning, pulse_error):
         seq = custom_sequence(segments)
@@ -557,7 +574,7 @@ def oracle_compose(segments, larmor_period, detunings, pulse_error):
     omega = 2 * math.pi / larmor_period
     a, b = one, zero
     for segment in segments:
-        if segment.kind == "free_precession":
+        if segment.axis is None:
             a2, b2 = rotation(0.0, 0.0, omega * segment.duration, segment.duration)
         elif segment.duration == 0:
             a2, b2 = one, zero
@@ -589,12 +606,12 @@ def dense_compose(segments, larmor_period, detunings, pulse_error):
     multiplied with ``@``, one (samples, 2, 2) stack per segment."""
     u = np.broadcast_to(np.eye(2, dtype=complex), (len(detunings), 2, 2))
     for segment in segments:
-        if segment.kind == "pulse" and segment.duration == 0:
+        if segment.axis is not None and segment.duration == 0:
             continue  # the identity
         drift = 2 * math.pi / larmor_period + detunings
         v = np.zeros((len(detunings), 3))
         v[:, 2] = drift * segment.duration
-        if segment.kind == "pulse":
+        if segment.axis is not None:
             v = (1 + pulse_error) * (v + segment.nominal_angle * np.array(segment.axis))
         angle = np.linalg.norm(v, axis=1)
         half_sin = np.divide(np.sin(angle / 2), angle, out=np.full_like(angle, 0.5), where=angle > 0)
@@ -608,13 +625,13 @@ BLOCK = P._BLOCK
 # Segments a composition can meet: free precession, driven rotations about
 # +Z and -Z, zero-length pulses, and tilted axes with a y component.
 distinct_segments = st.one_of(
-    st.builds(P.free_precession, st.floats(0.0, 5e-10)),
+    st.builds(P.PulseSegment, st.floats(0.0, 5e-10)),
     st.builds(P.z_axis_pulse, st.floats(0.0, 4 * math.pi, exclude_max=True)),
-    st.builds(P.pulse, st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]),
-              st.floats(0.0, 2 * math.pi), st.floats(0.0, 1e-10)),
-    st.builds(P.pulse, unit_axes, st.floats(0.0, 2 * math.pi), st.just(0.0)),
-    st.builds(P.pulse, unit_axes.filter(lambda a: abs(a[1]) > 0.1),
-              st.floats(0.0, 2 * math.pi), st.floats(1e-12, 1e-10)),
+    st.builds(P.PulseSegment, st.floats(0.0, 1e-10),
+              st.sampled_from([(0.0, 0.0, 1.0), (0.0, 0.0, -1.0)]), st.floats(0.0, 2 * math.pi)),
+    st.builds(P.PulseSegment, st.just(0.0), unit_axes, st.floats(0.0, 2 * math.pi)),
+    st.builds(P.PulseSegment, st.floats(1e-12, 1e-10),
+              unit_axes.filter(lambda a: abs(a[1]) > 0.1), st.floats(0.0, 2 * math.pi)),
 )
 
 
@@ -640,8 +657,8 @@ class TestBlockedComposition:
     )
     # No segment varies with the detuning, so the product stays scalar.
     @example([], 2 * BLOCK + 3, 7, 0.01, 1.0)
-    @example([P.pulse((1.0, 0.0, 0.0), math.pi, 0.0), P.pulse((0.0, 0.0, -1.0), 1.0, 0.0),
-              P.pulse(_unit_axis((1.0, 2.0, 3.0)), 2.0, 0.0)], BLOCK + 1, 7, 0.01, 1.0)
+    @example([P.PulseSegment(0.0, (1.0, 0.0, 0.0), math.pi), P.PulseSegment(0.0, (0.0, 0.0, -1.0), 1.0),
+              P.PulseSegment(0.0, _unit_axis((1.0, 2.0, 3.0)), 2.0)], BLOCK + 1, 7, 0.01, 1.0)
     def test_matches_per_segment_loop_exactly(self, segments, samples, seed, pulse_error, theta):
         noise = P.NoiseModel(t2_star=2e-9, pulse_error=pulse_error, samples=samples, seed=seed)
         detunings = P.detuning_samples(noise)
@@ -658,6 +675,40 @@ class TestBlockedComposition:
         target = rot_x(theta)
         fidelities = P.process_infidelity(sequence, noise, target).fidelities
         assert fidelities.tobytes() == oracle_fidelities(sequence, noise, target).tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            st.just(P.PulseSegment(0.0)),
+            st.builds(P.PulseSegment, st.just(0.0), unit_axes, st.floats(0.0, 1e300)),
+        ),
+        repeating_segment_lists(),
+        st.integers(0, 12),
+        st.floats(-1e300, 1e300),
+        pulse_errors,
+        st.lists(st.floats(-1e12, 1e12), min_size=1, max_size=5),
+    )
+    def test_a_zero_length_segment_is_the_exact_identity(
+        self, zero, segments, position, any_error, pulse_error, detunings
+    ):
+        detunings = np.array(detunings)
+        a, b = P._compose((zero,), LARMOR, detunings, any_error)
+        assert (a == 1).all() and (b == 0).all()
+        # Put anywhere in a sequence, it leaves the product exactly as it was
+        # (== treats 0.0 and -0.0 as equal: only the sign of a zero may differ).
+        inserted = (*segments[:position], zero, *segments[position:])
+        got = P._compose(inserted, LARMOR, detunings, pulse_error)
+        assert np.array_equal(got, P._compose(tuple(segments), LARMOR, detunings, pulse_error))
+
+    def test_free_precession_and_a_pulse_of_equal_duration_stay_distinct(self):
+        # A Z pulse of angle 0 differs from free precession only in taking the pulse error.
+        free, pulse = P.PulseSegment(1e-11), P.PulseSegment(1e-11, (0.0, 0.0, 1.0), 0.0)
+        detunings = P.detuning_samples(P.NoiseModel(t2_star=2e-9, samples=5, seed=1))
+        for segments in ((free, pulse), (pulse, free), (free, pulse, free, pulse)):
+            got = P._compose(segments, LARMOR, detunings, 0.1)
+            assert np.array_equal(got, oracle_compose(segments, LARMOR, detunings, 0.1))
+        assert not np.allclose(P._compose((free, pulse), LARMOR, detunings, 0.1),
+                               P._compose((free, free), LARMOR, detunings, 0.1))
 
     def test_bb1_full_size_matches_per_segment_loop(self):
         sequence = P.bb1_virtual_gate(math.pi, 1e-9, LARMOR)
@@ -679,14 +730,14 @@ class TestBlockedComposition:
                 segment_unitary(P.hadamard_pulse(LARMOR), **flags)
             # Rotations about Z alone whose Larmor phase, a scalar, is not finite.
             with pytest.raises(ValueError, match="a segment's rotation overflows"):
-                segment_unitary(P.free_precession(1e300), **flags)
+                segment_unitary(P.PulseSegment(1e300), **flags)
             with pytest.raises(ValueError, match="a segment's rotation overflows"):
                 segment_unitary(P.z_axis_pulse(1.0, LARMOR), pulse_error=1e308)
 
     def test_larmor_phase_from_2_to_52_rad_is_unresolved(self):
         # With a Larmor period of 2 pi a free precession's phase equals its duration.
         def unitary(duration):
-            sequence = P.PulseSequence((P.free_precession(duration),), larmor_period=2 * math.pi)
+            sequence = P.PulseSequence((P.PulseSegment(duration),), larmor_period=2 * math.pi)
             return P.sequence_unitary(sequence)
 
         assert np.isfinite(unitary(2.0 ** 53 - 2)).all()
@@ -713,7 +764,7 @@ def mp_pair(segment, detuning, pulse_error):
         drift = 2 * mpmath.pi / mpmath.mpf(LARMOR) + mpmath.mpf(detuning)
         v = [mpmath.mpf(0)] * 3
         scale = mpmath.mpf(1)
-        if segment.kind == "pulse":
+        if segment.axis is not None:
             scale += mpmath.mpf(pulse_error)
             v = [mpmath.mpf(segment.nominal_angle) * mpmath.mpf(c) for c in segment.axis]
         v[2] += drift * mpmath.mpf(segment.duration)
@@ -731,7 +782,7 @@ class TestPairAccuracy:
     SIGMA = math.sqrt(2) / 2e-9  # the detuning width at T2* = 2 ns
 
     @pytest.mark.parametrize("segment, pulse_error", [
-        *[(P.free_precession(t), 0.0) for t in (0.0, 1e-12, 3.7e-11, 2.5e-10, 7.77e-10, 1e-9, 1.999e-9, 2e-9)],
+        *[(P.PulseSegment(t), 0.0) for t in (0.0, 1e-12, 3.7e-11, 2.5e-10, 7.77e-10, 1e-9, 1.999e-9, 2e-9)],
         *[(segment, error) for error in (0.0, 0.01) for segment in (
             P.hadamard_pulse(LARMOR, 1), P.hadamard_pulse(LARMOR, -1),
             P.z_axis_pulse(1.0, LARMOR), P.z_axis_pulse(math.pi, LARMOR), P.z_axis_pulse(3.9, LARMOR))],
