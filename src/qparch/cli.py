@@ -176,7 +176,7 @@ def _cmd_frame_exec(args: argparse.Namespace) -> int:
     frame = pauli_frame.PauliFrame(circuit.num_qubits if args.num_qubits is None else args.num_qubits)
     final, outcomes = pauli_frame.run_circuit(frame, circuit)
     del circuit, frame  # free the columns before the report is formatted
-    _write_json({"outcomes": outcomes, "frame": final.letters}, args.output)
+    _write_output(pauli_frame.format_report(final, outcomes), args.output)
     return EXIT_OK
 
 

@@ -18,9 +18,9 @@ or ``\r``, the line breaks of text mode.  A line in the README's compact
 form comes out as its fields, all four forms sharing one qubit group; any
 other line comes out through a catch-all group, is decoded as UTF-8 and goes
 to ``json.loads``, as every item of text given to ``parse_circuit`` does.
-Circuits are held only as packed (op, qubit, arg) rows in parallel ``array``
-columns (``Circuit``).  One loop over the rows (``_execute``) runs every
-frame update: ``run_circuit`` is the only way to change a frame.
+Circuits are held only packed, one action byte per instruction (``Circuit``),
+and one loop (``_execute``) runs every frame update, a single-qubit one by one
+table lookup: ``run_circuit`` is the only way to change a frame.
 """
 
 from __future__ import annotations
@@ -38,19 +38,12 @@ MEASUREMENT_BASES = ("X", "Y", "Z")
 _LETTER_OF_CODE = "IXZY"  # a Pauli's code is x | z << 1
 _CODE = {letter: code for code, letter in enumerate(_LETTER_OF_CODE)}
 
-# Op codes of a packed circuit, and what each keeps in the ``args`` column.
-_PAULI = 0  # fold a Pauli into the frame; arg: its code
-_CNOT = 1  # the qubit column holds the control; arg: the target
-_H = 2  # arg: 0
-_S = 3  # arg: 0 for S, 1 for S_dagger, which act alike on the frame
-_MEASURE = 4  # arg: basis code | raw code << 2
-_PAULI_GATE = 5  # an implemented X, Y or Z gate, which leaves the frame alone; arg: its code
-
-# (op, arg) of each single-qubit Clifford gate kind.
-_GATE_OPS = {"H": (_H, 0), "S": (_S, 0), "S_dagger": (_S, 1),
-             "X": (_PAULI_GATE, 1), "Z": (_PAULI_GATE, 2), "Y": (_PAULI_GATE, 3)}
+# A packed instruction's action names what its line said: 0-3 fold the Pauli
+# of that code; 4-6 are H, S and S_dagger; 7-9 the implemented X, Z and Y
+# gates; 10-15 a measurement, 8 + 2 * basis code + raw code; 16 a CNOT.
+_GATE_ACTIONS = {"H": 4, "S": 5, "S_dagger": 6, "X": 7, "Z": 8, "Y": 9}
+_CNOT = 16
 _RAW = (1, -1)  # a measurement's raw outcome by raw code
-_RAW_CODE = {raw: code for code, raw in enumerate(_RAW)}
 # A frame holds at most this many qubits, so a circuit line names a qubit
 # below it.  A frame at the limit takes about 8 MB (one list of codes) and
 # its JSON report about 10 MB; the paper's largest machines have 1e5 logical
@@ -65,8 +58,8 @@ def _pauli_code(letter: str) -> int:
         raise ValueError(f"invalid Pauli {letter!r}") from None
 
 
-def _gate_op(kind: str, targets: Sequence[int]) -> tuple[int, int, int]:
-    """Check a Clifford gate on checked qubits; return its packed (op, qubit, arg)."""
+def _gate_row(kind: str, targets: Sequence[int]) -> tuple[int, int, int | None]:
+    """Check a Clifford gate on checked qubits; return its (action, qubit, target or None)."""
     if kind == "CNOT":
         if len(targets) != 2:
             raise ValueError("CNOT takes exactly two targets")
@@ -74,16 +67,16 @@ def _gate_op(kind: str, targets: Sequence[int]) -> tuple[int, int, int]:
             raise ValueError("CNOT control and target must be distinct")
         return _CNOT, targets[0], targets[1]
     try:
-        op, arg = _GATE_OPS[kind]
+        action = _GATE_ACTIONS[kind]
     except (KeyError, TypeError):
         raise ValueError(f"unknown Clifford gate kind: {kind!r}") from None
     if len(targets) != 1:
         raise ValueError(f"{kind} takes exactly one target")
-    return op, targets[0], arg
+    return action, targets[0], None
 
 
-def _measure_arg(fields: Mapping) -> int:
-    """Check ``raw`` if given, then ``basis``, then that ``raw`` is given; return the packed arg."""
+def _measure_action(fields: Mapping) -> int:
+    """Check ``raw`` if given, then ``basis``, then that ``raw`` is given; return the action."""
     raw = fields.get("raw")
     if raw is not None and (not is_int(raw) or raw not in _RAW):
         raise ValueError(f"raw outcome must be the integer +1 or -1, got {raw!r}")
@@ -92,16 +85,16 @@ def _measure_arg(fields: Mapping) -> int:
         raise ValueError(f"measurement basis must be X, Y or Z, got {basis!r}")
     if raw is None:
         raise ValueError("measurement has no raw outcome")
-    return _CODE[basis] | _RAW_CODE[raw] << 2
+    return 8 + 2 * _CODE[basis] + _RAW.index(raw)
 
 
 class Circuit:
-    """A circuit packed into parallel columns, one entry per instruction.
+    """A circuit packed into three columns.
 
-    ``ops`` holds the op code (1 byte), ``qubits`` the qubit acted on (a
-    CNOT's control) and ``args`` the op's argument (see the op codes above),
-    4 bytes each: every qubit is below ``MAX_FRAME_QUBITS`` and every other
-    arg below 16, so 9 bytes hold an instruction.
+    ``actions`` holds each instruction's action (1 byte, see above) and
+    ``qubits`` the qubit it acts on (a CNOT's control), 4 bytes since every
+    qubit is below ``MAX_FRAME_QUBITS``; ``targets`` holds only the CNOTs'
+    targets, in order, so an instruction takes 5 bytes and a CNOT 4 more.
     ``num_qubits`` is one more than the highest qubit used: the smallest
     frame the circuit fits.  ``load_circuit`` builds a circuit from a file's
     bytes, matching each line with ``_LINES``, whose compact forms share one
@@ -110,23 +103,26 @@ class Circuit:
     """
 
     def __init__(self) -> None:
-        self.ops = array("B")
+        self.actions = array("B")
         self.qubits = array("I")
-        self.args = array("I")
+        self.targets = array("I")
         self.num_qubits = 0
 
     def __len__(self) -> int:
-        return len(self.ops)
+        return len(self.actions)
 
 
-# Images of a code under each Clifford that moves it: H swaps x and z, and
-# S (or S_dagger) adds x to z.
-_H_IMAGE = tuple(code >> 1 | (code & 1) << 1 for code in range(4))
-_S_IMAGE = tuple(code ^ (code & 1) << 1 for code in range(4))
-# Whether the Paulis of two codes anticommute: an odd symplectic product x*z' + z*x'.
-_ANTICOMMUTES = tuple(
-    tuple((a & 1) & (b >> 1) ^ (a >> 1) & (b & 1) for b in range(4)) for a in range(4)
-)
+# The image of each code under each single-qubit action below 10: a Pauli
+# folds in by XOR, H swaps x and z, S and S_dagger add x to z, and an
+# implemented X, Z or Y gate commutes with every Pauli up to phase.
+_IMAGES = (*(tuple(code ^ pauli for code in range(4)) for pauli in range(4)),
+           tuple(code >> 1 | (code & 1) << 1 for code in range(4)),
+           *[tuple(code ^ (code & 1) << 1 for code in range(4))] * 2, *[(0, 1, 2, 3)] * 3)
+# A measurement's outcome by frame code: its raw outcome, flipped when the
+# frame anticommutes with the basis (an odd symplectic product x*z' + z*x'),
+# that is, when the frame's Pauli is neither I nor the basis.
+_OUTCOMES = {8 + 2 * basis + raw_code: tuple(raw if code in (0, basis) else -raw for code in range(4))
+             for basis in (1, 2, 3) for raw_code, raw in enumerate(_RAW)}
 
 
 def _execute(codes: list[int], circuit: Circuit) -> list[int]:
@@ -135,22 +131,17 @@ def _execute(codes: list[int], circuit: Circuit) -> list[int]:
     The circuit must fit the frame.  Returns the reinterpreted outcomes.
     """
     outcomes = []
-    for op, q, arg in zip(circuit.ops, circuit.qubits, circuit.args):
-        if op == _PAULI:
-            codes[q] ^= arg
-        elif op == _CNOT:
-            codes[arg] ^= codes[q] & 1  # x moves from control to target
-            codes[q] ^= codes[arg] & 2  # z moves from target to control
-        elif op == _H:
-            codes[q] = _H_IMAGE[codes[q]]
-        elif op == _S:
-            codes[q] = _S_IMAGE[codes[q]]
-        elif op == _MEASURE:
-            # The outcome flips when the frame anticommutes with the basis; then reset to I.
-            raw = _RAW[arg >> 2]
-            outcomes.append(-raw if _ANTICOMMUTES[codes[q]][arg & 3] else raw)
+    images, outcome_of, append, targets = _IMAGES, _OUTCOMES, outcomes.append, iter(circuit.targets)
+    for action, q in zip(circuit.actions, circuit.qubits):
+        if action < 10:
+            codes[q] = images[action][codes[q]]
+        elif action == _CNOT:
+            t = next(targets)
+            codes[t] ^= codes[q] & 1  # x moves from control to target
+            codes[q] ^= codes[t] & 2  # z moves from target to control
+        else:  # a measurement, which then resets the qubit to I
+            append(outcome_of[action][codes[q]])
             codes[q] = 0
-        # _PAULI_GATE: X, Y and Z gates commute with every Pauli up to phase.
     return outcomes
 
 
@@ -168,9 +159,13 @@ class PauliFrame:
         if not is_int(num_qubits):
             raise ValueError(f"num_qubits must be an integer, got {shown(num_qubits)}")
         if letters is not None:
-            if num_qubits and num_qubits != len(letters):
+            try:
+                size = len(letters)
+            except TypeError:
+                raise ValueError(f"letters must be a sequence of Paulis, got {shown(letters)}") from None
+            if num_qubits and num_qubits != size:
                 raise ValueError("num_qubits does not match the letter array length")
-            num_qubits = len(letters)
+            num_qubits = size
         if not 0 <= num_qubits <= MAX_FRAME_QUBITS:
             raise ValueError(
                 f"num_qubits must be between 0 and {MAX_FRAME_QUBITS} (the frame-size limit), "
@@ -220,30 +215,29 @@ def _qubit(value) -> int:
     return value
 
 
-def _line_row(obj) -> tuple[int, int, int]:
-    """Check one decoded circuit line; return its packed (op, qubit, arg)."""
+def _line_row(obj) -> tuple[int, int, int | None]:
+    """Check one decoded circuit line; return its (action, qubit, target or None)."""
     if not isinstance(obj, dict) or "op" not in obj:
         raise ValueError("instruction must be an object with an 'op' field")
     op = obj["op"]
     if op == "pauli":
-        code = _pauli_code(obj["p"])
-        return _PAULI, _qubit(obj["q"]), code
+        return _pauli_code(obj["p"]), _qubit(obj["q"]), None
     if op == "clifford":
         targets = obj["q"]
         kind = obj["g"]
         targets = list(map(_qubit, targets)) if isinstance(targets, list) else [_qubit(targets)]
-        return _gate_op(kind, targets)
+        return _gate_row(kind, targets)
     if op == "measure":
-        arg = _measure_arg(obj)
-        return _MEASURE, _qubit(obj["q"]), arg
+        return _measure_action(obj), _qubit(obj["q"]), None
     raise ValueError(f"unknown op {op!r}")
 
 
-# ``_CODE``, ``_GATE_OPS`` and a measurement's raw arg, keyed by the bytes
-# ``_LINES`` captures.
+# The action of a Pauli, of a gate kind and of a measurement's basis and raw
+# outcome, keyed by the bytes ``_LINES`` captures.
 _CODE_OF_BYTES = {letter.encode(): code for letter, code in _CODE.items()}
-_GATE_OPS_OF_BYTES = {kind.encode(): op for kind, op in _GATE_OPS.items()}
-_RAW_ARG_OF_BYTES = {str(raw).encode(): code << 2 for raw, code in _RAW_CODE.items()}
+_GATE_OF_BYTES = {kind.encode(): action for kind, action in _GATE_ACTIONS.items()}
+_MEASURE_OF_BYTES = {f"{basis}{raw}".encode(): _measure_action({"basis": basis, "raw": raw})
+                     for basis in MEASUREMENT_BASES for raw in _RAW}
 
 # One circuit line and its line break, for ``_pack``.  A break is ``\n``,
 # ``\r\n`` or ``\r``, as text mode reads them.  A line in the README's compact
@@ -275,7 +269,7 @@ def _pack(circuit: Circuit, lines: Iterable[tuple[bytes, ...]], line_number: int
     UTF-8 is refused before the call.  A bad line raises
     ``CircuitParseError``, worded by ``_line_row``'s checks.
     """
-    ops, qubits, args = circuit.ops.append, circuit.qubits.append, circuit.args.append
+    actions, qubits, targets = circuit.actions.append, circuit.qubits.append, circuit.targets.append
     highest = circuit.num_qubits - 1
     try:
         for pauli, gate, cnot, basis, qubit, target, raw, other in lines:
@@ -283,20 +277,23 @@ def _pack(circuit: Circuit, lines: Iterable[tuple[bytes, ...]], line_number: int
             if qubit:
                 q = int(qubit)
                 if pauli:
-                    op, arg = _PAULI, _CODE_OF_BYTES[pauli]
+                    action = _CODE_OF_BYTES[pauli]
                 elif gate:
-                    op, arg = _GATE_OPS_OF_BYTES[gate]
+                    action = _GATE_OF_BYTES[gate]
                 elif basis:
-                    op, arg = _MEASURE, _CODE_OF_BYTES[basis] | _RAW_ARG_OF_BYTES[raw]
+                    action = _MEASURE_OF_BYTES[basis + raw]
                 else:
-                    op, arg = _CNOT, int(target)
-                    if arg == q or arg >= MAX_FRAME_QUBITS:
-                        _gate_op("CNOT", [_qubit(q), _qubit(arg)])
-                    if arg > highest:
-                        highest = arg
+                    action, t = _CNOT, int(target)
+                    if t == q or t >= MAX_FRAME_QUBITS:
+                        _gate_row("CNOT", [_qubit(q), _qubit(t)])
+                    if t > highest:
+                        highest = t
+                    targets(t)
             else:
-                if isinstance(other, bytes):  # a str is a whole ``parse_circuit`` item
+                if isinstance(other, bytes):  # otherwise a whole ``parse_circuit`` item
                     other = other.decode("utf-8", "surrogateescape")
+                elif not isinstance(other, str):
+                    raise ValueError(f"a circuit line must be text, got {shown(other)}")
                 text = other.strip()
                 if not text:
                     continue
@@ -306,14 +303,14 @@ def _pack(circuit: Circuit, lines: Iterable[tuple[bytes, ...]], line_number: int
                     obj = json.loads(text)
                 except ValueError as exc:  # a JSONDecodeError, or an int too long to convert
                     raise ValueError(f"invalid JSON ({getattr(exc, 'msg', exc)})") from exc
-                op, q, arg = _line_row(obj)
-                if op == _CNOT and arg > highest:
-                    highest = arg
+                action, q, t = _line_row(obj)
+                if t is not None:
+                    highest = max(highest, t)
+                    targets(t)
             if q > highest:  # a qubit at the frame limit is above every one before it
                 highest = _qubit(q)
-            ops(op)
+            actions(action)
             qubits(q)
-            args(arg)
     except KeyError as exc:
         raise CircuitParseError(line_number, f"missing field {exc}") from exc
     except (TypeError, ValueError) as exc:
@@ -328,6 +325,8 @@ def parse_circuit(lines: Iterable[str]) -> Circuit:
     Each item is read whole by ``json.loads``, as ``load_circuit`` reads a
     line that is not in compact form.
     """
+    if not isinstance(lines, Iterable):
+        raise ValueError(f"circuit lines must be an iterable of text, got {shown(lines)}")
     circuit = Circuit()
     _pack(circuit, ((b"",) * (_LINES.groups - 1) + (line,) for line in lines), 0)
     return circuit
@@ -357,6 +356,9 @@ def run_circuit(frame: PauliFrame, circuit: Circuit) -> tuple[PauliFrame, list[i
     raises ``ValueError`` before anything runs; nothing else can fail, since
     each measurement carries the raw outcome it reinterprets.
     """
+    if not isinstance(frame, PauliFrame) or not isinstance(circuit, Circuit):
+        raise ValueError(f"run_circuit takes a PauliFrame and a Circuit, "
+                         f"got a {type(frame).__name__} and a {type(circuit).__name__}")
     if circuit.num_qubits > frame.num_qubits:
         raise ValueError(
             f"the circuit uses {circuit.num_qubits} qubit{'s' * (circuit.num_qubits != 1)}, "
@@ -364,3 +366,12 @@ def run_circuit(frame: PauliFrame, circuit: Circuit) -> tuple[PauliFrame, list[i
         )
     result = frame.copy()
     return result, _execute(result.codes, circuit)
+
+
+def format_report(frame: PauliFrame, outcomes: Sequence[int]) -> str:
+    """The ``frame exec`` report, ``json.dumps({"outcomes": outcomes, "frame": frame.letters},
+    indent=2) + "\\n"`` written by its known shape, without the pure-Python encoder."""
+    outcome_items = ",\n    ".join(map(str, outcomes))
+    letter_items = '",\n    "'.join(map(_LETTER_OF_CODE.__getitem__, frame.codes))
+    return ('{\n  "outcomes": ' + (f"[\n    {outcome_items}\n  ]" if outcomes else "[]")
+            + ',\n  "frame": ' + (f'[\n    "{letter_items}"\n  ]' if frame.codes else "[]") + "\n}\n")

@@ -620,6 +620,17 @@ class TestFrameExec:
         assert result["outcomes"] == []
         assert result["frame"] == ["I", "I"]
 
+    def test_a_frame_larger_than_the_circuit_is_written_to_a_file_as_json_writes_it(self, tmp_path, capsys):
+        circuit = self.write_circuit(tmp_path, [
+            '{"op":"pauli","p":"Y","q":1}', '{"op":"clifford","g":"CNOT","q":[1,2]}',
+            '{"op":"measure","basis":"X","q":2,"raw":1}', '{"op":"measure","basis":"Z","q":0,"raw":-1}',
+        ])
+        out = tmp_path / "report.json"
+        assert cli.main(["frame", "exec", circuit, "--num-qubits", "5", "-o", str(out)]) == 0
+        assert capsys.readouterr() == ("", "")
+        expected = {"outcomes": [1, -1], "frame": ["I", "Y", "I", "I", "I"]}
+        assert out.read_text(encoding="utf-8") == json.dumps(expected, indent=2) + "\n"
+
     def test_malformed_line_names_line_number(self, tmp_path, capsys):
         circuit = self.write_circuit(
             tmp_path, ['{"op":"pauli","p":"X","q":0}', "not json"]
@@ -688,8 +699,8 @@ class TestFrameExec:
         assert capsys.readouterr().err == "error: line 5000: not UTF-8 text\n"
 
     def test_peak_memory_per_instruction(self, tmp_path):
-        """The packed circuit takes 9 bytes an instruction, and it is freed
-        before the report is formatted, so the two do not stack."""
+        """The packed circuit takes 5 bytes an instruction and 4 more per CNOT,
+        and it is freed before the report is formatted, so the two do not stack."""
         rng = random.Random(20101022)
         lines = []
         for _ in range(20_000):  # 30% Paulis, 35% H/S/S_dagger, 20% CNOTs, 15% measurements
@@ -713,7 +724,8 @@ class TestFrameExec:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 19.9 bytes with 4-byte columns; 38.7 with 8-byte ones and the circuit held to the end.
+        # 14.9 bytes with an action byte and a CNOT-only target column; 19.9 with 1+4+4-byte
+        # op/qubit/arg columns; 38.7 with 8-byte ones and the circuit held to the end.
         assert (peak - before) / len(lines) < 28
 
     def test_measure_without_raw_names_its_line(self, tmp_path, capsys):

@@ -60,6 +60,7 @@ PARAMETERS = {
     "sequence_unitary.detuning": (lambda v: pulses.sequence_unitary(SEQUENCE, v), False),
     "sequence_unitary.pulse_error": (lambda v: pulses.sequence_unitary(SEQUENCE, 0.0, v), False),
     "PauliFrame.num_qubits": (pauli_frame.PauliFrame, True),
+    "PauliFrame.letters": (lambda v: pauli_frame.PauliFrame(letters=v), False),
 }
 
 BAD = {"True": True, "nan": math.nan, "inf": math.inf, "10**400": 10 ** 400,

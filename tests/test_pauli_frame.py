@@ -345,6 +345,16 @@ class TestRunCircuit:
             pf.run_circuit(frame, pf.parse_circuit([line(qubit)]))
         assert frame.letters == ["X", "Z"]
 
+    @pytest.mark.parametrize("frame, circuit, names", [
+        (None, lambda: pf.parse_circuit([]), "NoneType and a Circuit"),
+        (pf.PauliFrame(1), lambda: ['{"op":"pauli","p":"X","q":0}'], "PauliFrame and a list"),
+        (["I"], lambda: pf.parse_circuit([]), "list and a Circuit"),
+    ], ids=["no-frame", "lines-for-circuit", "letters-for-frame"])
+    def test_a_wrong_frame_or_circuit_type_is_named(self, frame, circuit, names):
+        with pytest.raises(ValueError, match=re.escape(
+                f"run_circuit takes a PauliFrame and a Circuit, got a {names}")):
+            pf.run_circuit(frame, circuit())
+
     def test_frame_methods_reject_negative_qubits(self):
         # Every line kind that changes a frame checks its qubit before the frame is touched.
         frame = pf.PauliFrame(2)
@@ -390,8 +400,21 @@ class TestCircuitParsing:
                 assert match[-1] == b"", text  # the catch-all group, which goes to json.loads
                 circuit = pf.Circuit()
                 assert pf._pack(circuit, [match], 0) == 1
-                row = circuit.ops[0], circuit.qubits[0], circuit.args[0]
+                row = circuit.actions[0], circuit.qubits[0], (circuit.targets or [None])[0]
                 assert row == pf._line_row(json.loads(line)), text
+
+    @pytest.mark.parametrize("item", [5, None, ["{}"], {"op": "pauli"}], ids=["int", "none", "list", "dict"])
+    def test_an_item_that_is_not_text_names_its_line(self, item):
+        with pytest.raises(pf.CircuitParseError, match=re.escape(
+                f"line 2: a circuit line must be text, got {item!r}")) as raised:
+            pf.parse_circuit(['{"op":"pauli","p":"X","q":0}', item])
+        assert raised.value.line_number == 2
+
+    @pytest.mark.parametrize("lines", [None, 5, 1.5], ids=["none", "int", "float"])
+    def test_lines_that_are_not_iterable_are_a_value_error(self, lines):
+        with pytest.raises(ValueError, match=re.escape(
+                f"circuit lines must be an iterable of text, got {lines!r}")):
+            pf.parse_circuit(lines)
 
     def test_invalid_json_reports_line_number(self):
         with pytest.raises(pf.CircuitParseError, match="line 2"):
@@ -460,15 +483,20 @@ class TestCircuitParsing:
             {"op": "measure", "basis": "X", "q": 5, "raw": -1},
         ]
         circuit = pf.parse_circuit(map(json.dumps, objects))
-        assert len(circuit) == len(circuit.ops) == len(circuit.qubits) == len(circuit.args) == 6
+        assert len(circuit) == len(circuit.actions) == len(circuit.qubits) == 6
+        assert list(circuit.targets) == [6]
         assert decoded(circuit) == [expected_row(obj) for obj in objects]
         assert circuit.num_qubits == 7
         assert pf.parse_circuit([]).num_qubits == 0
 
-    def test_qubit_and_arg_columns_take_four_bytes(self):
-        circuit = pf.parse_circuit(['{"op":"clifford","g":"CNOT","q":[0,1]}'])
-        assert circuit.ops.itemsize == 1
-        assert circuit.qubits.itemsize == circuit.args.itemsize == 4
+    def test_an_instruction_takes_an_action_byte_and_a_qubit_and_a_cnot_its_target(self):
+        lines = ['{"op":"clifford","g":"CNOT","q":[0,1]}', '{"op":"pauli","p":"X","q":2}',
+                 '{"op":"clifford","g":"CNOT","q":[3,2]}', '{"op":"measure","basis":"Z","q":1,"raw":1}']
+        circuit = pf.parse_circuit(lines)
+        assert circuit.actions.itemsize == 1
+        assert circuit.qubits.itemsize == circuit.targets.itemsize == 4
+        assert len(circuit.targets) == sum('"CNOT"' in line for line in lines) == 2
+        assert len(pf.parse_circuit(lines[1::2]).targets) == 0
 
     def test_qubit_beyond_the_frame_limit_is_a_parse_error(self):
         largest = pf.MAX_FRAME_QUBITS - 1
@@ -494,6 +522,11 @@ class TestCircuitParsing:
         with pytest.raises(ValueError, match=re.escape(f"num_qubits must be an integer, got {size!r}")):
             pf.PauliFrame(size)
 
+    @pytest.mark.parametrize("letters", [True, 1.5, 10 ** 400, iter("XZ")], ids=["bool", "float", "huge", "iterator"])
+    def test_letters_that_are_not_a_sequence_are_named(self, letters):
+        with pytest.raises(ValueError, match=re.escape(f"letters must be a sequence of Paulis, got {letters!r}")):
+            pf.PauliFrame(letters=letters)
+
     def test_letter_frame_size_is_bounded(self):
         class Letters:  # as long as a frame beyond the limit, without its memory
             def __len__(self):
@@ -516,29 +549,35 @@ class TestCircuitParsing:
 
 # How a packed circuit encodes each instruction, kept here so that the
 # parser is checked against the README's format, not against its own tables.
-# A Pauli's code is x | z << 1: I=0, X=1, Z=2, Y=3.
-PAULI_OP, CNOT_OP, H_OP, S_OP, MEASURE_OP, PAULI_GATE_OP = range(6)
+# A Pauli's code is x | z << 1: I=0, X=1, Z=2, Y=3.  Each action byte names
+# what its line said: 0-3 a Pauli by code, 4-6 H, S and S_dagger, 7-9 the X,
+# Z and Y gates, 10-15 a measurement (8 + 2 * basis code + raw code) and 16
+# a CNOT, whose target is the next entry of the ``targets`` column.
 CODE_LETTER = "IXZY"
-SINGLE_QUBIT_ROWS = {
-    **{(PAULI_OP, code): ("pauli", letter) for code, letter in enumerate(CODE_LETTER)},
-    (H_OP, 0): ("clifford", "H"),
-    (S_OP, 0): ("clifford", "S"),
-    (S_OP, 1): ("clifford", "S_dagger"),
-    **{(PAULI_GATE_OP, code): ("clifford", CODE_LETTER[code]) for code in (1, 2, 3)},
+RAW_OF_CODE = (1, -1)
+CNOT_ACTION = 16
+ACTION_ROWS = {
+    **{code: ("pauli", letter, None) for code, letter in enumerate(CODE_LETTER)},
+    4: ("clifford", "H", None),
+    5: ("clifford", "S", None),
+    6: ("clifford", "S_dagger", None),
+    **{6 + code: ("clifford", CODE_LETTER[code], None) for code in (1, 2, 3)},
+    **{8 + 2 * code + raw_code: ("measure", CODE_LETTER[code], raw)
+       for code in (1, 2, 3) for raw_code, raw in enumerate(RAW_OF_CODE)},
 }
-RAW_OF_CODE = (1, -1)  # measurement arg: basis code | raw code << 2
 
 
 def decoded(circuit):
     """The packed columns as (op, name, targets, raw) tuples, through the table above."""
     rows = []
-    for op, q, arg in zip(circuit.ops, circuit.qubits, circuit.args):
-        if op == CNOT_OP:
-            rows.append(("clifford", "CNOT", (q, arg), None))
-        elif op == MEASURE_OP:
-            rows.append(("measure", CODE_LETTER[arg & 3], (q,), RAW_OF_CODE[arg >> 2]))
+    targets = iter(circuit.targets)
+    for action, q in zip(circuit.actions, circuit.qubits, strict=True):
+        if action == CNOT_ACTION:
+            rows.append(("clifford", "CNOT", (q, next(targets)), None))
         else:
-            rows.append((*SINGLE_QUBIT_ROWS[op, arg], (q,), None))
+            op, name, raw = ACTION_ROWS[action]
+            rows.append((op, name, (q,), raw))
+    assert next(targets, None) is None, "a target left over"
     return rows
 
 
@@ -826,6 +865,16 @@ def test_frame_exec_exits_0_with_json_or_2_with_one_error_line(before, line, aft
         assert out.getvalue() == ""
         assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
         assert "Traceback" not in err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from((1, -1))), st.lists(st.sampled_from("IXYZ")))
+@example([], [])
+@example([1], [])
+@example([], ["Y"])
+def test_the_report_is_the_json_encoders_text(outcomes, letters):
+    report = pf.format_report(pf.PauliFrame(letters=letters), outcomes)
+    assert report == json.dumps({"outcomes": outcomes, "frame": letters}, indent=2) + "\n"
 
 
 def assert_load_matches_oracle(path):
