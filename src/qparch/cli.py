@@ -15,8 +15,7 @@ import os
 import re
 import sys
 
-from . import distillation, qec
-from .errors import InfeasibleInputError, RateUnderflowError
+from .errors import InfeasibleInputError
 
 PROFILE_ENV_VAR = "QPARCH_PROFILE"
 PULSE_CSV_HEADER = "sequence,pulse_error,tau_s,samples,seed,infidelity"
@@ -66,7 +65,9 @@ def _comma_sequences(text: str) -> list[str]:
     return _comma_list(text, lambda token: token.strip().upper(), "sequence")
 
 
-def _load_profile(path: str | None) -> qec.HardwareProfile:
+def _load_profile(path: str | None):
+    from . import qec
+
     path = path or os.environ.get(PROFILE_ENV_VAR)
     if path:
         return qec.HardwareProfile.from_json(path)
@@ -85,7 +86,14 @@ def _write_json(value, path: str | None) -> None:
     _write_output(json.dumps(value, indent=2) + "\n", path)
 
 
+def _given(args: argparse.Namespace, *names: str) -> dict:
+    """The options among ``names`` given on the command line; their layers default the rest."""
+    return {name: getattr(args, name) for name in names if hasattr(args, name)}
+
+
 def _cmd_qec_distance(args: argparse.Namespace) -> int:
+    from . import qec
+
     profile = _load_profile(args.profile)
     if args.error_per_gate is not None:
         values = {**profile._asdict(), "error_per_virtual_gate": args.error_per_gate}
@@ -94,50 +102,32 @@ def _cmd_qec_distance(args: argparse.Namespace) -> int:
     if args.distance is not None:
         result = {"requested": qec.code_point(profile, args.distance)._asdict()}
     else:
-        minimal = qec.min_code_distance(profile, args.target_logical_error)
-        try:
-            report = qec.code_point(profile, qec.DEFAULT_REPORT_DISTANCE)._asdict()
-        except RateUnderflowError:  # the search succeeded; only the pinned rate is below a float
-            report = None
-        result = {
-            "target_logical_error": args.target_logical_error,
-            "minimal": minimal._asdict(),
-            "report_distance": qec.DEFAULT_REPORT_DISTANCE,
-            "report": report,
-        }
+        result = qec.distance_report(profile, args.target_logical_error)
     _write_json(result, args.output)
     return EXIT_OK
 
 
-def _cmd_estimate_shor(args: argparse.Namespace) -> int:
-    from . import estimates
+def _cmd_estimate(args: argparse.Namespace) -> int:
+    """One report as JSON, or a factoring sweep's reports, one per bit size, as CSV."""
+    from . import estimates, qec
 
     profile = _load_profile(args.profile)
-    code = qec.code_point(profile, args.distance)
-    if len(args.bits) == 1:
-        workload = estimates.ShorWorkload(
-            bits=args.bits[0], machine_logical_qubits=args.machine_logical_qubits
-        )
-        report = estimates.shor_estimate(workload, profile, code, level=args.level)
-        _write_json(report._asdict(), args.output)
+    code = qec.code_point(profile, **_given(args, "distance"))
+    level = _given(args, "level")
+    if args.subcommand == "sim":
+        workload = estimates.SimWorkload(**_given(args, *estimates.SimWorkload._fields))
+        reports = [estimates.sim_estimate(workload, profile, code, **level)]
     else:
-        reports = estimates.shor_sweep(
-            args.bits, args.machine_logical_qubits, profile=profile, code=code, level=args.level
-        )
+        reports = [
+            estimates.shor_estimate(
+                estimates.ShorWorkload(bits, args.machine_logical_qubits), profile, code, **level
+            )
+            for bits in args.bits
+        ]
+    if len(reports) == 1:
+        _write_json(reports[0]._asdict(), args.output)
+    else:
         _write_output(estimates.sweep_to_csv(reports), args.output)
-    return EXIT_OK
-
-
-def _cmd_estimate_sim(args: argparse.Namespace) -> int:
-    from . import estimates
-
-    profile = _load_profile(args.profile)
-    code = qec.code_point(profile, args.distance)
-    # Only the given fields: ``SimWorkload`` holds the defaults.
-    fields = {k: v for k, v in vars(args).items() if k in estimates.SimWorkload._fields}
-    workload = estimates.SimWorkload(**fields)
-    report = estimates.sim_estimate(workload, profile, code, level=args.level)
-    _write_json(report._asdict(), args.output)
     return EXIT_OK
 
 
@@ -206,6 +196,13 @@ def build_parser() -> argparse.ArgumentParser:
         sub.add_argument("--profile", help=f"hardware profile JSON (default: ${PROFILE_ENV_VAR} or built-in)")
         add_output(sub)
 
+    def add_code_choice(sub: argparse.ArgumentParser) -> None:
+        """``--distance`` and ``--level``; an omitted one takes its layer's default."""
+        sub.add_argument("--distance", type=int, default=argparse.SUPPRESS,
+                         help="code distance (default: the pinned reporting distance)")
+        sub.add_argument("--level", type=int, default=argparse.SUPPRESS,
+                         help="distillation level (default: the distillation layer's)")
+
     qec_parser = subparsers.add_parser("qec", help="surface-code sizing")
     qec_sub = qec_parser.add_subparsers(dest="subcommand", required=True)
     distance = qec_sub.add_parser("distance", help="code distance selection and logical error rates")
@@ -215,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--target-logical-error",
         type=_float,
         default=1e-2,
-        help="target error per logical gate for the minimal-distance search (default 1e-2)",
+        help="target error per logical gate for the minimal-distance search (default %(default)s)",
     )
     chosen.add_argument("--distance", type=int, help="evaluate one explicit code distance instead")
     distance.add_argument("--error-per-gate", type=_float, help="override the profile's error per virtual gate")
@@ -230,19 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
                       help="key size in bits; a comma list emits a CSV sweep")
     shor.add_argument("--machine-logical-qubits", type=int,
                       help="fixed machine size; omitted = factory sized to demand")
-    shor.add_argument("--distance", type=int, default=qec.DEFAULT_REPORT_DISTANCE)
-    shor.add_argument("--level", type=int, default=distillation.DEFAULT_DISTILLATION_LEVEL,
-                      help="distillation level (default 2)")
-    shor.set_defaults(handler=_cmd_estimate_shor)
+    add_code_choice(shor)
+    shor.set_defaults(handler=_cmd_estimate)
 
     sim = estimate_sub.add_parser("sim", help="molecular-simulation budget")
     add_common(sim)
     sim.add_argument("--particles", type=int, required=True)
     sim.add_argument("--bits-precision", type=int, default=argparse.SUPPRESS)
     sim.add_argument("--timesteps", type=int, default=argparse.SUPPRESS)
-    sim.add_argument("--distance", type=int, default=qec.DEFAULT_REPORT_DISTANCE)
-    sim.add_argument("--level", type=int, default=distillation.DEFAULT_DISTILLATION_LEVEL)
-    sim.set_defaults(handler=_cmd_estimate_sim)
+    add_code_choice(sim)
+    sim.set_defaults(handler=_cmd_estimate)
 
     pulse = subparsers.add_parser("pulse", help="pulse-level simulation")
     pulse_sub = pulse.add_subparsers(dest="subcommand", required=True)
@@ -252,7 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="comma list from 8h,cp,udd (default all)")
     sweep.add_argument("--pulse-errors", type=_comma_floats, default=[0.0],
                        help="comma list of relative pulse errors")
-    sweep.add_argument("--tau", type=_float, default=1e-9, help="base delay in seconds (default 1e-9)")
+    sweep.add_argument("--tau", type=_float, default=1e-9, help="base delay in seconds (default %(default)s)")
     sweep.add_argument("--samples", type=int, default=20000)
     sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument("--t2-star", type=_float, default=2e-9,

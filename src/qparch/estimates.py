@@ -147,10 +147,11 @@ class ResourceReport(namedtuple(
     """Qubit/cycle/runtime budget for one application run.
 
     A workload decides the arguments; the constructor derives every other
-    field from them, the code point and the logical cycle time.  It raises
-    ``InfeasibleInputError`` when the code's CNOT outlasts the logical cycle,
-    and ``ValueError`` when the runtime overflows a float.
-    Fields are declared in the report's JSON key order.
+    field from them, the profile, the code point and the distillation level:
+    the factory's production rate and the runtime at the profile's logical
+    cycle time.  It raises ``InfeasibleInputError`` when the code's CNOT
+    outlasts the logical cycle, and ``ValueError`` when the runtime overflows
+    a float.  Fields are declared in the report's JSON key order.
     """
 
     __slots__ = ()
@@ -161,12 +162,14 @@ class ResourceReport(namedtuple(
         distillation_qubits: int,
         toffoli_depth: float,
         logical_cycles: float,
-        production_rate: float,
         consumption_rate: float | None,
+        profile: qec.HardwareProfile,
         code: qec.CodePoint,
-        logical_cycle_time: float,
+        level: int,
         details: dict,
     ):
+        production_rate = distillation.factory_rate(distillation_qubits, level)
+        logical_cycle_time = profile.logical_cycle_time
         if code.cnot_time_s > logical_cycle_time:
             raise InfeasibleInputError(
                 f"a CNOT at distance {code.distance} takes {code.cnot_time_s!r} s, longer than the "
@@ -235,10 +238,10 @@ def shor_estimate(
         distillation_qubits=factory_area,
         toffoli_depth=toffoli_depth,
         logical_cycles=logical_cycles,
-        production_rate=distillation.factory_rate(factory_area, level),
         consumption_rate=consumption,
+        profile=profile,
         code=code,
-        logical_cycle_time=profile.logical_cycle_time,
+        level=level,
         details={
             "application": "shor",
             "bits": workload.bits,
@@ -270,10 +273,10 @@ def sim_estimate(
         distillation_qubits=workload.distillation_qubits,
         toffoli_depth=logical_cycles / distillation.TOFFOLI_DEPTH_CYCLES,
         logical_cycles=logical_cycles,
-        production_rate=distillation.factory_rate(workload.distillation_qubits, level),
         consumption_rate=None,
+        profile=profile,
         code=code,
-        logical_cycle_time=profile.logical_cycle_time,
+        level=level,
         details={
             "application": "molecular_simulation",
             "particles": workload.particles,
@@ -288,26 +291,6 @@ def sim_estimate(
             },
         },
     )
-
-
-def shor_sweep(
-    bit_sizes: list[int],
-    machine_logical_qubits: int | None = None,
-    *,
-    profile: qec.HardwareProfile,
-    code: qec.CodePoint,
-    level: int = distillation.DEFAULT_DISTILLATION_LEVEL,
-) -> list[ResourceReport]:
-    """One factoring report per bit size, in input order."""
-    return [
-        shor_estimate(
-            ShorWorkload(bits=bits, machine_logical_qubits=machine_logical_qubits),
-            profile=profile,
-            code=code,
-            level=level,
-        )
-        for bits in bit_sizes
-    ]
 
 
 def sweep_to_csv(reports: list[ResourceReport]) -> str:

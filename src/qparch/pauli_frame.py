@@ -155,17 +155,18 @@ class PauliFrame:
     bookkeeping.
     """
 
-    def __init__(self, num_qubits: int = 0, letters: Sequence[str] | None = None):
+    def __init__(self, num_qubits: int = 0, letters: str | list[str] | tuple[str, ...] | None = None):
         if not is_int(num_qubits):
             raise ValueError(f"num_qubits must be an integer, got {shown(num_qubits)}")
         if letters is not None:
-            try:
-                size = len(letters)
-            except TypeError:
-                raise ValueError(f"letters must be a sequence of Paulis, got {shown(letters)}") from None
-            if num_qubits and num_qubits != size:
+            # A dict would give its keys and a set an arbitrary order.
+            if not isinstance(letters, (str, list, tuple)):
+                raise ValueError(
+                    f"letters must be a str, list or tuple of Paulis, got a {type(letters).__name__}"
+                )
+            if num_qubits and num_qubits != len(letters):
                 raise ValueError("num_qubits does not match the letter array length")
-            num_qubits = size
+            num_qubits = len(letters)
         if not 0 <= num_qubits <= MAX_FRAME_QUBITS:
             raise ValueError(
                 f"num_qubits must be between 0 and {MAX_FRAME_QUBITS} (the frame-size limit), "

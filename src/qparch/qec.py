@@ -170,8 +170,8 @@ def footprint(distance: int) -> int:
     return round(FOOTPRINT_COEFF * distance * distance)
 
 
-def code_point(profile: HardwareProfile, distance: int) -> CodePoint:
-    """Assemble the CodePoint for an explicitly chosen distance.
+def code_point(profile: HardwareProfile, distance: int = DEFAULT_REPORT_DISTANCE) -> CodePoint:
+    """Assemble the CodePoint for a chosen distance, by default the pinned reporting one.
 
     A logical gate lasts its lattice steps times the lattice refresh time; a
     measurement takes one refresh.  Raises ``ValueError`` when the CNOT time
@@ -225,3 +225,16 @@ def min_code_distance(profile: HardwareProfile, target_logical_error: float) -> 
     while profile.c1 * base ** exponent > target_logical_error:
         exponent += 1
     return code_point(profile, 2 * exponent - 1)
+
+
+def distance_report(profile: HardwareProfile, target_logical_error: float) -> dict:
+    """The minimal code point for ``target_logical_error`` beside the one at the pinned
+    reporting distance, as ``qec distance`` prints them.  The pinned point is None when
+    only its rate underflows a float: the search itself succeeded."""
+    minimal = min_code_distance(profile, target_logical_error)
+    try:
+        report = code_point(profile)._asdict()
+    except RateUnderflowError:
+        report = None
+    return {"target_logical_error": target_logical_error, "minimal": minimal._asdict(),
+            "report_distance": DEFAULT_REPORT_DISTANCE, "report": report}

@@ -779,6 +779,19 @@ def test_stdout_matches_golden_bytes(name, argv, capsys):
     assert captured.out.encode("utf-8") == (GOLDEN / f"{name}.out").read_bytes()
 
 
+@pytest.mark.parametrize("argv", [
+    ["estimate", "shor", "--bits", "1024"],
+    ["estimate", "shor", "--bits", "512,1024", "--machine-logical-qubits", "100000"],
+    ["estimate", "sim", "--particles", "61"],
+], ids=["shor", "shor-sweep", "sim"])
+def test_omitted_distance_and_level_take_the_reference_values(argv, capsys):
+    """Without ``--distance`` and ``--level`` an estimate runs at d = 31 and level 2."""
+    assert cli.main(argv) == 0
+    omitted = capsys.readouterr()
+    assert cli.main([*argv, "--distance", "31", "--level", "2"]) == 0
+    assert capsys.readouterr() == omitted
+
+
 def reject_constant(constant):
     raise AssertionError(f"non-finite {constant} on stdout")
 
@@ -1014,9 +1027,9 @@ assert "numpy" in sys.modules and callable(process_infidelity)
         (["qec", "distance"], {"pauli_frame", "pulses"}),
         (["estimate", "shor", "--bits", "1024"], {"pauli_frame", "pulses"}),
         (["estimate", "sim", "--particles", "61"], {"pauli_frame", "pulses"}),
-        (["frame", "exec", "CIRCUIT"], {"estimates", "pulses"}),
+        (["frame", "exec", "CIRCUIT"], {"distillation", "estimates", "pulses", "qec"}),
         (["pulse", "sweep", "--sequences", "8h", "--samples", "8"],
-         {"estimates", "pauli_frame", "_keyed_normals"}),
+         {"distillation", "estimates", "pauli_frame"}),
         ([], {"cli", "distillation", "errors", "estimates", "pauli_frame", "pulses", "qec"}),
     ], ids=["qec-distance", "estimate-shor", "estimate-sim", "frame-exec", "pulse-sweep", "bare-import"])
     def test_each_command_imports_only_the_layers_it_runs(self, argv, absent, tmp_path):

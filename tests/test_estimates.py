@@ -123,10 +123,10 @@ class TestShorEstimate:
             "distillation_qubits": report.distillation_qubits,
             "toffoli_depth": report.toffoli_depth,
             "logical_cycles": report.logical_cycles,
-            "production_rate": report.production_rate,
             "consumption_rate": report.consumption_rate,
+            "profile": PROFILE,
             "code": CODE,
-            "logical_cycle_time": PROFILE.logical_cycle_time,
+            "level": dist.DEFAULT_DISTILLATION_LEVEL,
             "details": report.details,
         }
         assert est.ResourceReport(**inputs) == report
@@ -134,6 +134,8 @@ class TestShorEstimate:
             est.ResourceReport(**inputs, total_logical_qubits=report.total_logical_qubits + 1)
         with pytest.raises(TypeError):
             est.ResourceReport(**inputs, throttle_factor=0.5)
+        with pytest.raises(TypeError):
+            est.ResourceReport(**inputs, production_rate=report.production_rate)
 
     def test_copies_and_pickles_keep_the_report(self):
         report = est.shor_estimate(est.ShorWorkload(bits=1024), PROFILE, CODE)
@@ -167,18 +169,14 @@ class TestRequiredArguments:
         with pytest.raises(TypeError):
             estimate(workload, PROFILE)
 
-    def test_sweep_takes_profile_and_code_by_keyword_only(self):
-        with pytest.raises(TypeError):
-            est.shor_sweep([1024], None, PROFILE, CODE)
-
     def test_report_requires_details(self):
         report = est.shor_estimate(est.ShorWorkload(bits=1024), PROFILE, CODE)
         inputs = {
             name: getattr(report, name)
             for name in ("app_qubits", "distillation_qubits", "toffoli_depth", "logical_cycles",
-                         "production_rate", "consumption_rate")
+                         "consumption_rate")
         }
-        inputs.update(code=CODE, logical_cycle_time=PROFILE.logical_cycle_time)
+        inputs.update(profile=PROFILE, code=CODE, level=dist.DEFAULT_DISTILLATION_LEVEL)
         assert est.ResourceReport(**inputs, details=report.details) == report
         with pytest.raises(TypeError):
             est.ResourceReport(**inputs)
@@ -241,12 +239,17 @@ class TestSimEstimate:
         }
 
 
+def shor_reports(bit_sizes, machine_logical_qubits=None, level=dist.DEFAULT_DISTILLATION_LEVEL):
+    """One factoring report per bit size, in input order, as ``estimate shor`` sweeps them."""
+    return [
+        est.shor_estimate(est.ShorWorkload(bits, machine_logical_qubits), PROFILE, CODE, level)
+        for bits in bit_sizes
+    ]
+
+
 class TestShorSweep:
     def test_reference_table_reproduction(self):
-        reports = est.shor_sweep(
-            sorted(REFERENCE_FACTORY_TABLE), machine_logical_qubits=100000,
-            profile=PROFILE, code=CODE,
-        )
+        reports = shor_reports(sorted(REFERENCE_FACTORY_TABLE), machine_logical_qubits=100000)
         for report, (bits, row) in zip(reports, sorted(REFERENCE_FACTORY_TABLE.items())):
             cross_section, production, consumption = row
             assert report.distillation_qubits == cross_section == 100000 - 6 * bits
@@ -254,29 +257,25 @@ class TestShorSweep:
             assert report.consumption_rate == pytest.approx(consumption, abs=0.1)
 
     def test_throttle_onset(self):
-        reports = est.shor_sweep(
-            [512, 1024, 2048, 4096], machine_logical_qubits=100000,
-            profile=PROFILE, code=CODE,
-        )
+        reports = shor_reports([512, 1024, 2048, 4096], machine_logical_qubits=100000)
         for report in reports[:2]:
             assert report.throttle_factor == 1.0
         for report in reports[2:]:
             assert report.throttle_factor > 1.0
 
     def test_depth_monotone(self):
-        reports = est.shor_sweep([512, 1024, 2048, 4096, 8192], profile=PROFILE, code=CODE)
+        reports = shor_reports([512, 1024, 2048, 4096, 8192])
         depths = [r.toffoli_depth for r in reports]
         assert depths == sorted(depths)
 
     def test_single_size_matches_estimate(self):
-        sweep = est.shor_sweep([1024], profile=PROFILE, code=CODE)[0]
+        sweep = shor_reports([1024])[0]
         single = est.shor_estimate(est.ShorWorkload(bits=1024), PROFILE, CODE)
         assert sweep.toffoli_depth == single.toffoli_depth
         assert sweep.runtime_seconds == single.runtime_seconds
 
     def test_csv_header_and_shape(self):
-        reports = est.shor_sweep([512, 1024], machine_logical_qubits=100000,
-                                 profile=PROFILE, code=CODE)
+        reports = shor_reports([512, 1024], machine_logical_qubits=100000)
         text = est.sweep_to_csv(reports)
         lines = text.strip().split("\n")
         assert lines[0] == est.SWEEP_CSV_HEADER
@@ -307,7 +306,7 @@ def csv_module_sweep(reports):
 )
 @example(bit_sizes=[512, 1024, 2048, 4096, 8192, 16384], machine=100000, level=2)
 def test_sweep_csv_matches_the_csv_module(bit_sizes, machine, level):
-    reports = est.shor_sweep(bit_sizes, machine, profile=PROFILE, code=CODE, level=level)
+    reports = shor_reports(bit_sizes, machine, level)
     assert est.sweep_to_csv(reports) == csv_module_sweep(reports)
 
 

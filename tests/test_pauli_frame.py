@@ -522,18 +522,22 @@ class TestCircuitParsing:
         with pytest.raises(ValueError, match=re.escape(f"num_qubits must be an integer, got {size!r}")):
             pf.PauliFrame(size)
 
-    @pytest.mark.parametrize("letters", [True, 1.5, 10 ** 400, iter("XZ")], ids=["bool", "float", "huge", "iterator"])
-    def test_letters_that_are_not_a_sequence_are_named(self, letters):
-        with pytest.raises(ValueError, match=re.escape(f"letters must be a sequence of Paulis, got {letters!r}")):
+    @pytest.mark.parametrize("letters", [
+        True, 1.5, 10 ** 400, iter("XZ"), {"X": 1, "Z": 2}, {"X", "Z"}, frozenset("XZ"), range(2),
+    ], ids=["bool", "float", "huge", "iterator", "dict", "set", "frozenset", "range"])
+    def test_letters_that_are_not_a_str_list_or_tuple_are_named(self, letters):
+        """A dict would give its keys and a set an arbitrary order, so neither is a frame."""
+        message = f"letters must be a str, list or tuple of Paulis, got a {type(letters).__name__}"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             pf.PauliFrame(letters=letters)
 
-    def test_letter_frame_size_is_bounded(self):
-        class Letters:  # as long as a frame beyond the limit, without its memory
-            def __len__(self):
-                return pf.MAX_FRAME_QUBITS + 1
+    @pytest.mark.parametrize("letters", ["XZ", ["X", "Z"], ("X", "Z")], ids=["str", "list", "tuple"])
+    def test_letters_in_a_str_list_or_tuple_are_taken_in_order(self, letters):
+        assert pf.PauliFrame(letters=letters).letters == ["X", "Z"]
 
+    def test_letter_frame_size_is_bounded(self):
         with pytest.raises(ValueError, match="frame-size limit"):
-            pf.PauliFrame(letters=Letters())
+            pf.PauliFrame(letters="I" * (pf.MAX_FRAME_QUBITS + 1))
 
     @pytest.mark.parametrize("lines, line", [
         (['{"op":"measure","basis":"Z","q":0}'], 1),
