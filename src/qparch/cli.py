@@ -10,7 +10,6 @@ and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import re
 import sys
@@ -60,6 +59,12 @@ def _float(text: str) -> float:
 _float.__name__ = "float"  # argparse names the type in "invalid float value"
 
 
+def _path(text: str) -> str:
+    if not text:  # "" names no file: it is neither stdout nor "no profile given"
+        raise argparse.ArgumentTypeError("expected a file path, got ''")
+    return text
+
+
 def _comma_sequences(text: str) -> list[str]:
     """Upper-cased names; ``pulses.build_sequence`` checks them."""
     return _comma_list(text, lambda token: token.strip().upper(), "sequence")
@@ -83,6 +88,7 @@ def _write_output(text: str, path: str | None) -> None:
 
 
 def _write_json(value, path: str | None) -> None:
+    import json  # loaded only by the commands that write JSON
     _write_output(json.dumps(value, indent=2) + "\n", path)
 
 
@@ -181,94 +187,97 @@ class _ArgumentParser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"-(\.?\d|(inf(inity)?|nan)\b)", re.IGNORECASE)
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _ArgumentParser(
-        prog="qparch",
-        description="Resource estimation and control-layer simulation for a layered quantum computer.",
-    )
-    subparsers = parser.add_subparsers(dest="command", required=True)
-
-    def add_output(sub: argparse.ArgumentParser) -> None:
-        sub.add_argument("--output", "-o", default="-", help="output file (default stdout)")
-
-    def add_common(sub: argparse.ArgumentParser) -> None:
-        """``--profile``, then ``--output``: the commands whose handler loads a profile."""
-        sub.add_argument("--profile", help=f"hardware profile JSON (default: ${PROFILE_ENV_VAR} or built-in)")
-        add_output(sub)
-
-    def add_code_choice(sub: argparse.ArgumentParser) -> None:
-        """``--distance`` and ``--level``; an omitted one takes its layer's default."""
+def _add_arguments(sub: argparse.ArgumentParser, command: str, subcommand: str) -> None:
+    """Give ``sub``, the parser of the leaf ``command subcommand``, its options and handler."""
+    if command != "frame":  # the commands whose handler loads a hardware profile
+        sub.add_argument("--profile", type=_path,
+                         help=f"hardware profile JSON (default: ${PROFILE_ENV_VAR} or built-in)")
+    sub.add_argument("--output", "-o", type=_path, default="-", help="output file (default stdout)")
+    if command == "qec":
+        chosen = sub.add_mutually_exclusive_group()
+        chosen.add_argument("--target-logical-error", type=_float, default=1e-2, help="target error per "
+                            "logical gate for the minimal-distance search (default %(default)s)")
+        chosen.add_argument("--distance", type=int, help="evaluate one explicit code distance instead")
+        sub.add_argument("--error-per-gate", type=_float, help="override the profile's error per virtual gate")
+        sub.set_defaults(handler=_cmd_qec_distance)
+    elif command == "estimate":
+        if subcommand == "shor":
+            sub.add_argument("--bits", type=_comma_ints, required=True,
+                             help="key size in bits; a comma list emits a CSV sweep")
+            sub.add_argument("--machine-logical-qubits", type=int,
+                             help="fixed machine size; omitted = factory sized to demand")
+        else:
+            sub.add_argument("--particles", type=int, required=True)
+            sub.add_argument("--bits-precision", type=int, default=argparse.SUPPRESS)
+            sub.add_argument("--timesteps", type=int, default=argparse.SUPPRESS)
+        # An omitted --distance or --level takes its layer's default.
         sub.add_argument("--distance", type=int, default=argparse.SUPPRESS,
                          help="code distance (default: the pinned reporting distance)")
         sub.add_argument("--level", type=int, default=argparse.SUPPRESS,
                          help="distillation level (default: the distillation layer's)")
+        sub.set_defaults(handler=_cmd_estimate)
+    elif command == "pulse":
+        sub.add_argument("--sequences", type=_comma_sequences, default=["8H", "CP", "UDD"],
+                         help="comma list from 8h,cp,udd (default all)")
+        sub.add_argument("--pulse-errors", type=_comma_floats, default=[0.0],
+                         help="comma list of relative pulse errors")
+        sub.add_argument("--tau", type=_float, default=1e-9, help="base delay in seconds (default %(default)s)")
+        sub.add_argument("--samples", type=int, default=20000)
+        sub.add_argument("--seed", type=int, default=0)
+        sub.add_argument("--t2-star", type=_float, default=2e-9,
+                         help="ensemble dephasing time in seconds; 0 disables dephasing")
+        sub.add_argument("--baseline", action="store_true",
+                         help="append a pulse-free evolution row of equal duration")
+        sub.set_defaults(handler=_cmd_pulse_sweep)
+    else:
+        sub.add_argument("circuit", help="circuit file, one JSON instruction per line")
+        sub.add_argument("--num-qubits", type=int, help="frame size (default: inferred)")
+        sub.set_defaults(handler=_cmd_frame_exec)
 
-    qec_parser = subparsers.add_parser("qec", help="surface-code sizing")
-    qec_sub = qec_parser.add_subparsers(dest="subcommand", required=True)
-    distance = qec_sub.add_parser("distance", help="code distance selection and logical error rates")
-    add_common(distance)
-    chosen = distance.add_mutually_exclusive_group()
-    chosen.add_argument(
-        "--target-logical-error",
-        type=_float,
-        default=1e-2,
-        help="target error per logical gate for the minimal-distance search (default %(default)s)",
+
+# (command, subcommand) of each leaf: (command help, subcommand help)
+_LEAVES = {
+    ("qec", "distance"): ("surface-code sizing", "code distance selection and logical error rates"),
+    ("estimate", "shor"): ("application resource budgets", "integer-factoring budget"),
+    ("estimate", "sim"): ("application resource budgets", "molecular-simulation budget"),
+    ("pulse", "sweep"): ("pulse-level simulation", "decoupling infidelity sweep (CSV)"),
+    ("frame", "exec"): ("Pauli-frame execution", "run a JSON-lines circuit against a fresh frame"),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full command tree, the one that reports help, bad choices and unrecognized arguments."""
+    parser = _ArgumentParser(
+        prog="qparch",
+        description="Resource estimation and control-layer simulation for a layered quantum computer.",
     )
-    chosen.add_argument("--distance", type=int, help="evaluate one explicit code distance instead")
-    distance.add_argument("--error-per-gate", type=_float, help="override the profile's error per virtual gate")
-    distance.set_defaults(handler=_cmd_qec_distance)
-
-    estimate = subparsers.add_parser("estimate", help="application resource budgets")
-    estimate_sub = estimate.add_subparsers(dest="subcommand", required=True)
-
-    shor = estimate_sub.add_parser("shor", help="integer-factoring budget")
-    add_common(shor)
-    shor.add_argument("--bits", type=_comma_ints, required=True,
-                      help="key size in bits; a comma list emits a CSV sweep")
-    shor.add_argument("--machine-logical-qubits", type=int,
-                      help="fixed machine size; omitted = factory sized to demand")
-    add_code_choice(shor)
-    shor.set_defaults(handler=_cmd_estimate)
-
-    sim = estimate_sub.add_parser("sim", help="molecular-simulation budget")
-    add_common(sim)
-    sim.add_argument("--particles", type=int, required=True)
-    sim.add_argument("--bits-precision", type=int, default=argparse.SUPPRESS)
-    sim.add_argument("--timesteps", type=int, default=argparse.SUPPRESS)
-    add_code_choice(sim)
-    sim.set_defaults(handler=_cmd_estimate)
-
-    pulse = subparsers.add_parser("pulse", help="pulse-level simulation")
-    pulse_sub = pulse.add_subparsers(dest="subcommand", required=True)
-    sweep = pulse_sub.add_parser("sweep", help="decoupling infidelity sweep (CSV)")
-    add_common(sweep)
-    sweep.add_argument("--sequences", type=_comma_sequences, default=["8H", "CP", "UDD"],
-                       help="comma list from 8h,cp,udd (default all)")
-    sweep.add_argument("--pulse-errors", type=_comma_floats, default=[0.0],
-                       help="comma list of relative pulse errors")
-    sweep.add_argument("--tau", type=_float, default=1e-9, help="base delay in seconds (default %(default)s)")
-    sweep.add_argument("--samples", type=int, default=20000)
-    sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--t2-star", type=_float, default=2e-9,
-                       help="ensemble dephasing time in seconds; 0 disables dephasing")
-    sweep.add_argument("--baseline", action="store_true",
-                       help="append a pulse-free evolution row of equal duration")
-    sweep.set_defaults(handler=_cmd_pulse_sweep)
-
-    frame = subparsers.add_parser("frame", help="Pauli-frame execution")
-    frame_sub = frame.add_subparsers(dest="subcommand", required=True)
-    execute = frame_sub.add_parser("exec", help="run a JSON-lines circuit against a fresh frame")
-    add_output(execute)
-    execute.add_argument("circuit", help="circuit file, one JSON instruction per line")
-    execute.add_argument("--num-qubits", type=int, help="frame size (default: inferred)")
-    execute.set_defaults(handler=_cmd_frame_exec)
-
+    commands, subcommands = parser.add_subparsers(dest="command", required=True), {}
+    for (command, subcommand), (command_help, subcommand_help) in _LEAVES.items():
+        if command not in subcommands:
+            parsers = commands.add_parser(command, help=command_help)
+            subcommands[command] = parsers.add_subparsers(dest="subcommand", required=True)
+        _add_arguments(subcommands[command].add_parser(subcommand, help=subcommand_help), command, subcommand)
     return parser
 
 
+def _parse(argv: list[str] | None) -> argparse.Namespace:
+    """``argv`` parsed by the parser of the leaf that ``argv[0:2]`` names, built alone.
+
+    ``argv`` naming no leaf, or with arguments the leaf leaves over, goes to the full tree,
+    so help, a bad choice and unrecognized arguments read as the tree prints them.
+    """
+    argv = sys.argv[1:] if argv is None else argv
+    if tuple(argv[:2]) in _LEAVES:
+        parser = _ArgumentParser(prog=f"qparch {argv[0]} {argv[1]}")
+        _add_arguments(parser, *argv[:2])
+        args, extras = parser.parse_known_args(argv[2:], argparse.Namespace(command=argv[0], subcommand=argv[1]))
+        if not extras:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse(argv)
     try:
         return args.handler(args)
     except InfeasibleInputError as exc:

@@ -25,7 +25,6 @@ table lookup: ``run_circuit`` is the only way to change a frame.
 
 from __future__ import annotations
 
-import json
 import os
 import re
 from array import array
@@ -300,6 +299,7 @@ def _pack(circuit: Circuit, lines: Iterable[tuple[bytes, ...]], line_number: int
                     continue
                 if _UNDECODED_BYTE(text):  # checked first: ``json.loads`` takes a lone surrogate
                     raise ValueError("not UTF-8 text")
+                import json  # loaded only when a line is not in compact form
                 try:
                     obj = json.loads(text)
                 except ValueError as exc:  # a JSONDecodeError, or an int too long to convert

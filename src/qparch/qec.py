@@ -8,10 +8,9 @@ a logical qubit, and the wall-clock duration of the fundamental logical gates.
 
 from __future__ import annotations
 
-import json
 import math
 import os
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .errors import MAX_EXACT_INT, InfeasibleInputError, RateUnderflowError, is_int, is_real, shown
 
@@ -72,12 +71,21 @@ class HardwareProfile(namedtuple(
     def from_json(cls, path: str | os.PathLike) -> "HardwareProfile":
         """Read a profile from a JSON object keyed by the field names.
 
-        Missing fields take their defaults.  Unknown fields raise, so typos
-        fail fast instead of silently keeping a default.
+        Missing fields take their defaults.  Unknown and duplicate fields raise,
+        so typos fail fast instead of silently keeping a default, and no value
+        silently replaces another.
         """
+        import json  # loaded only by the commands given a profile file
+
+        names = []  # the keys of the object read last: the top-level one, which ends the text
+
+        def keep_names(pairs):
+            names[:] = (name for name, _ in pairs)
+            return dict(pairs)
+
         with open(path, "r", encoding="utf-8") as handle:
             try:
-                data = json.load(handle)
+                data = json.load(handle, object_pairs_hook=keep_names)
             except ValueError as exc:  # not JSON, or an int too long to convert
                 raise ValueError(f"hardware profile {path}: invalid JSON ({exc})") from None
         if not isinstance(data, dict):
@@ -85,6 +93,9 @@ class HardwareProfile(namedtuple(
         unknown = sorted(set(data) - set(cls._fields))
         if unknown:
             raise ValueError(f"unknown hardware profile field(s): {', '.join(unknown)}")
+        if len(names) > len(data):
+            duplicate = sorted(name for name, count in Counter(names).items() if count > 1)
+            raise ValueError(f"duplicate hardware profile field(s): {', '.join(duplicate)}")
         return cls(**data)
 
 

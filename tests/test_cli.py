@@ -264,6 +264,25 @@ class TestQecDistance:
         code, payload = run_cli(["qec", "distance", "--distance", "31"], tmp_path)
         assert json.loads(payload)["requested"]["logical_error_rate"] > 2.6e-20
 
+    def test_empty_profile_environment_variable_means_unset(self, tmp_path, monkeypatch):
+        _, built_in = run_cli(["qec", "distance", "--distance", "31"], tmp_path, "built-in")
+        monkeypatch.setenv(cli.PROFILE_ENV_VAR, "")
+        assert run_cli(["qec", "distance", "--distance", "31"], tmp_path) == (0, built_in)
+
+    @pytest.mark.parametrize("flag, named", [
+        ("--output", "--output/-o"), ("-o", "--output/-o"), ("--profile", "--profile"),
+    ])
+    def test_an_empty_path_is_usage_error(self, flag, named, tmp_path, monkeypatch, capsys):
+        """``-o ""`` is not stdout, and ``--profile ""`` neither the environment's profile nor the built-in."""
+        monkeypatch.setenv(cli.PROFILE_ENV_VAR, write_profile(tmp_path, c2=0.5))
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["qec", "distance", "--distance", "31", flag, ""])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.count("error:") == 1
+        assert err.endswith(f"error: argument {named}: expected a file path, got ''\n")
+
     @pytest.mark.parametrize("value", ["0.1", float("nan"), float("inf"), True, None, 10 ** 400],
                              ids=["string", "nan", "inf", "bool", "null", "huge-int"])
     def test_non_numeric_profile_field_is_usage_error(self, value, tmp_path, capsys):
@@ -282,6 +301,23 @@ class TestQecDistance:
         profile.write_text(json.dumps({name: 9e-3}))
         assert cli.main(["qec", "distance", "--profile", str(profile)]) == 2
         assert capsys.readouterr().err == f"error: unknown hardware profile field(s): {name}\n"
+
+    @pytest.mark.parametrize("text, names", [
+        ('{"c2": 1, "c2": 2}', "c2"),
+        ('{"c2": 0.61, "c1": 0.13, "c2": 0.61, "c1": 0.2, "c1": 0.3}', "c1, c2"),
+    ], ids=["one", "two"])
+    def test_duplicate_profile_field_is_usage_error(self, text, names, tmp_path, capsys):
+        """A field given twice is refused, even with the same value, not read as its last value."""
+        profile = tmp_path / "profile.json"
+        profile.write_text(text)
+        assert cli.main(["qec", "distance", "--profile", str(profile)]) == 2
+        assert capsys.readouterr().err == f"error: duplicate hardware profile field(s): {names}\n"
+
+    def test_a_key_repeated_inside_a_field_value_is_that_fields_error(self, tmp_path, capsys):
+        profile = tmp_path / "profile.json"
+        profile.write_text('{"c1": {"a": 1, "a": 2}}')
+        assert cli.main(["qec", "distance", "--profile", str(profile)]) == 2
+        assert capsys.readouterr().err == "error: c1 must be a finite real number > 0, got {'a': 2}\n"
 
     def test_profile_with_an_oversized_integer_names_the_file(self, tmp_path, capsys):
         profile = tmp_path / "profile.json"
@@ -792,6 +828,56 @@ def test_omitted_distance_and_level_take_the_reference_values(argv, capsys):
     assert capsys.readouterr() == omitted
 
 
+# Argument lists that name one leaf, and a few that name none; "CIRCUIT" stands for a circuit file.
+PARSE_CORPUS = [
+    [], ["-h"], ["qec"], ["qec", "-h"], ["estimate", "--help"], ["pulse", "-h"], ["frame", "-h"],
+    ["bogus"], ["estimate", "bogus"], ["--", "estimate", "shor", "--bits", "1024"],
+    ["estimate", "--", "shor", "--bits", "1024"],
+    ["qec", "distance", "-h"], ["estimate", "shor", "-h"], ["estimate", "sim", "--help"],
+    ["pulse", "sweep", "-h"], ["frame", "exec", "-h"],
+    ["estimate", "shor"], ["estimate", "sim"], ["frame", "exec"], ["qec", "distance", "-o"],
+    ["qec", "distance", "--distance", "31", "--target-logical-error", "1e-3"],
+    ["qec", "distance", "--dist", "33", "--error-per-gate=2e-3"],
+    ["estimate", "shor", "--bits", "x"],
+    ["estimate", "shor", "--bits", "1024", "extra"],
+    ["estimate", "shor", "extra", "--bits", "1024"],
+    ["estimate", "shor", "--bit", "1024"],
+    ["estimate", "shor", "--bits=1024"],
+    ["estimate", "shor", "--bits", "1024", "--"],
+    ["estimate", "shor", "--", "--bits", "1024"],
+    ["estimate", "shor", "--bits", "1024", "--unknown", "-h"],
+    ["estimate", "shor", "--bits", "512,1024", "--machine-logical-qubits=100000"],
+    ["estimate", "shor", "--bits", "1024", "--machine-logical-qubits", "-5"],
+    ["estimate", "sim", "--part", "61", "--level", "x"],
+    ["pulse", "sweep", "--tau", "-1e-3"],
+    ["pulse", "sweep", "--tau", "-inf"],
+    ["pulse", "sweep", "--samples", "x"],
+    ["pulse", "sweep", "--sequences", "cp", "extra"],
+    ["frame", "exec", "CIRCUIT"],
+    ["frame", "exec", "CIRCUIT", "--profile", "x"],
+    ["frame", "exec", "CIRCUIT", "CIRCUIT"],
+    ["frame", "exec", "--num-qubits=4", "--", "CIRCUIT"],
+]
+
+
+def outcome(argv, capsys):
+    """``cli.main``'s exit code, stdout and stderr, whether it returns or exits."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", PARSE_CORPUS, ids=lambda argv: " ".join(argv) or "no-arguments")
+def test_the_leaf_parser_prints_what_the_full_tree_prints(argv, capsys, monkeypatch):
+    """``cli.main`` parses with one leaf's parser; the whole tree must give the same bytes."""
+    argv = [str(GOLDEN / "frame_readme.jsonl") if arg == "CIRCUIT" else arg for arg in argv]
+    leaf = outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_parse", lambda argv: cli.build_parser().parse_args(argv))
+    assert outcome(argv, capsys) == leaf
+
+
 def reject_constant(constant):
     raise AssertionError(f"non-finite {constant} on stdout")
 
@@ -1022,6 +1108,42 @@ assert "numpy" in sys.modules and callable(process_infidelity)
 """
         result = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
         assert result.returncode == 0, result.stderr
+
+    def test_a_leaf_command_builds_one_parser(self, monkeypatch, capsys):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counted_init(self, *args, **kwargs):
+            built.append(kwargs.get("prog"))
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted_init)
+        assert cli.main(["estimate", "shor", "--bits", "1024"]) == 0
+        assert built == ["qparch estimate shor"]
+
+    @pytest.mark.parametrize("argv, loaded", [
+        (["pulse", "sweep", "--sequences", "8h", "--samples", "8"], False),
+        (["frame", "exec", "COMPACT"], False),
+        (["estimate", "shor", "--bits", "512,1024"], False),
+        (["frame", "exec", "SPACED"], True),
+        (["estimate", "shor", "--bits", "1024"], True),
+        (["qec", "distance"], True),
+    ], ids=["pulse-sweep", "frame-exec", "shor-csv", "frame-exec-spaced-line", "shor-json", "qec-json"])
+    def test_json_is_loaded_only_where_json_is_read_or_written(self, argv, loaded, tmp_path):
+        lines = {"COMPACT": '{"op":"pauli","p":"X","q":0}', "SPACED": '{"op": "pauli", "p": "X", "q": 0}'}
+        for name, line in lines.items():
+            (tmp_path / name).write_text(line + '\n{"op":"measure","basis":"Z","q":0,"raw":1}\n')
+        argv = [str(tmp_path / arg) if arg in lines else arg for arg in argv]
+        script = """
+import contextlib, io, sys
+from qparch import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.main(sys.argv[1:]) == 0, sys.argv
+print("json" in sys.modules)
+"""
+        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True)
+        assert result.returncode == 0, result.stderr
+        assert result.stdout == f"{loaded}\n"
 
     @pytest.mark.parametrize("argv, absent", [
         (["qec", "distance"], {"pauli_frame", "pulses"}),
