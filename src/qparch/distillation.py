@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 
-from .errors import is_int, is_real, shown
+from .errors import check_count, is_real, shown
 
 LEVEL1_CROSS_SECTION = 12  # logical qubits occupied by one distillation circuit
 LEVEL1_DEPTH = 6           # logical cycles per distillation round
@@ -29,12 +29,7 @@ TOFFOLI_ANCILLAS = 7
 
 def distillation_volume(level: int) -> int:
     """Circuit volume (qubit*cycles) to distill one ancilla at the given level."""
-    if not is_int(level):
-        raise ValueError(f"distillation level must be an integer, got {shown(level)}")
-    if not 1 <= level <= MAX_DISTILLATION_LEVEL:
-        raise ValueError(
-            f"distillation level must be between 1 and {MAX_DISTILLATION_LEVEL}, got {shown(level)}"
-        )
+    check_count("distillation level", level, 1, MAX_DISTILLATION_LEVEL, str(MAX_DISTILLATION_LEVEL))
     return LEVEL1_VOLUME * CIRCUITS_PER_LEVEL ** (level - 1)
 
 

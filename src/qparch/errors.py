@@ -32,6 +32,16 @@ def is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_count(name: str, value, low: int = 0, high: int = MAX_EXACT_INT,
+                limit: str = "2**53 (the largest integer a float holds exactly)") -> None:
+    """Raise ``ValueError`` unless ``value`` is an int (``is_int``) in [``low``, ``high``];
+    ``limit`` names ``high`` in the message."""
+    if not is_int(value):
+        raise ValueError(f"{name} must be an integer, got {shown(value)}")
+    if not low <= value <= high:
+        raise ValueError(f"{name} must be between {low} and {limit}, got {shown(value)}")
+
+
 def is_real(value) -> bool:
     """A finite float, or an int (not a bool) within the float range; never raises."""
     if isinstance(value, float):

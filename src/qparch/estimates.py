@@ -12,7 +12,7 @@ import math
 from collections import namedtuple
 
 from . import distillation, qec
-from .errors import MAX_EXACT_INT, InfeasibleInputError, is_int, shown
+from .errors import InfeasibleInputError, check_count
 
 SECONDS_PER_DAY = 86400.0
 # Qubits sit on a 1 um pitch, so one virtual qubit occupies 1 um^2 = 1e-8 cm^2.
@@ -43,23 +43,6 @@ SWEEP_CSV_HEADER = (
 )
 
 
-def _check_counts(workload) -> None:
-    """Every count field of ``workload`` is None or an int in [0, ``MAX_EXACT_INT``]:
-    counts meet floats (4 N**2, 6.26e5 * B, cycles * qubits)."""
-    for name, value in workload._asdict().items():
-        if value is None:
-            continue
-        if not is_int(value):
-            raise ValueError(f"{name} must be an integer, got {shown(value)}")
-        if value < 0:
-            raise ValueError(f"{name} must be non-negative, got {shown(value)}")
-        if value > MAX_EXACT_INT:
-            raise ValueError(
-                f"{name} must be at most 2**53 (the largest integer a float holds "
-                f"exactly), got {shown(value)}"
-            )
-
-
 class ShorWorkload(namedtuple("ShorWorkload", "bits machine_logical_qubits", defaults=(None,))):
     """Factoring an N-bit integer, optionally on a fixed-size machine."""
 
@@ -67,19 +50,16 @@ class ShorWorkload(namedtuple("ShorWorkload", "bits machine_logical_qubits", def
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        _check_counts(self)
-        if self.bits < 4:
-            raise ValueError("bit size must be >= 4")
-        if (
-            self.machine_logical_qubits is not None
-            and self.machine_logical_qubits - self.app_qubits < distillation.LEVEL1_CROSS_SECTION
-        ):
-            raise InfeasibleInputError(
-                "no factory capacity: machine has "
-                f"{self.machine_logical_qubits} logical qubits but the algorithm "
-                f"needs {self.app_qubits} application qubits plus "
-                f"{distillation.LEVEL1_CROSS_SECTION} for one distillation circuit"
-            )
+        check_count("bits", self.bits, 4)
+        if self.machine_logical_qubits is not None:
+            check_count("machine_logical_qubits", self.machine_logical_qubits)
+            if self.machine_logical_qubits - self.app_qubits < distillation.LEVEL1_CROSS_SECTION:
+                raise InfeasibleInputError(
+                    "no factory capacity: machine has "
+                    f"{self.machine_logical_qubits} logical qubits but the algorithm "
+                    f"needs {self.app_qubits} application qubits plus "
+                    f"{distillation.LEVEL1_CROSS_SECTION} for one distillation circuit"
+                )
         return self
 
     @property
@@ -118,11 +98,8 @@ class SimWorkload(namedtuple(
 
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
-        _check_counts(self)
-        if self.particles < 1:
-            raise ValueError("particle count must be >= 1")
-        if self.bits_precision < 1 or self.timesteps < 1:
-            raise ValueError("bits_precision and timesteps must be >= 1")
+        for name, value in self._asdict().items():
+            check_count(name, value, 1)
         return self
 
     @property

@@ -30,7 +30,7 @@ import re
 from array import array
 from collections.abc import Iterable, Mapping, Sequence
 
-from .errors import is_int, shown
+from .errors import check_count, is_int, shown
 
 MEASUREMENT_BASES = ("X", "Y", "Z")
 
@@ -155,26 +155,20 @@ class PauliFrame:
     """
 
     def __init__(self, num_qubits: int = 0, letters: str | list[str] | tuple[str, ...] | None = None):
-        if not is_int(num_qubits):
-            raise ValueError(f"num_qubits must be an integer, got {shown(num_qubits)}")
-        if letters is not None:
-            # A dict would give its keys and a set an arbitrary order.
-            if not isinstance(letters, (str, list, tuple)):
-                raise ValueError(
-                    f"letters must be a str, list or tuple of Paulis, got a {type(letters).__name__}"
-                )
-            if num_qubits and num_qubits != len(letters):
-                raise ValueError("num_qubits does not match the letter array length")
-            num_qubits = len(letters)
-        if not 0 <= num_qubits <= MAX_FRAME_QUBITS:
-            raise ValueError(
-                f"num_qubits must be between 0 and {MAX_FRAME_QUBITS} (the frame-size limit), "
-                f"got {shown(num_qubits)}"
-            )
-        if letters is not None:
-            self.codes = [_pauli_code(letter) for letter in letters]
-        else:
+        limit = f"{MAX_FRAME_QUBITS} (the frame-size limit)"
+        check_count("num_qubits", num_qubits, 0, MAX_FRAME_QUBITS, limit)
+        if letters is None:
             self.codes = [0] * num_qubits
+            return
+        # A dict would give its keys and a set an arbitrary order.
+        if not isinstance(letters, (str, list, tuple)):
+            raise ValueError(
+                f"letters must be a str, list or tuple of Paulis, got a {type(letters).__name__}"
+            )
+        if num_qubits and num_qubits != len(letters):
+            raise ValueError("num_qubits does not match the letter array length")
+        check_count("num_qubits", len(letters), 0, MAX_FRAME_QUBITS, limit)
+        self.codes = [_pauli_code(letter) for letter in letters]
 
     @property
     def num_qubits(self) -> int:

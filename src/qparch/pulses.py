@@ -24,7 +24,7 @@ from collections.abc import Callable, Iterable, Sized
 
 import numpy as np
 
-from .errors import MAX_EXACT_INT, is_int, is_real, shown
+from .errors import check_count, is_int, is_real, shown
 
 DEFAULT_LARMOR_PERIOD = 40e-12
 # A run holds about 150 bytes per sample (160 MB at the limit).  A larger
@@ -107,7 +107,7 @@ def z_axis_pulse(angle: float, larmor_period: float = DEFAULT_LARMOR_PERIOD) -> 
     """
     _check_larmor_period(larmor_period)
     if not (is_real(angle) and 0 <= angle < 4 * math.pi):
-        raise ValueError("angle must lie in [0, 4*pi)")
+        raise ValueError(f"angle must lie in [0, 4*pi), got {shown(angle)}")
     return PulseSegment(larmor_period, (0.0, 0.0, 1.0), angle)
 
 
@@ -263,8 +263,9 @@ def sequence_unitary(
     Raises ``ValueError`` when a segment's rotation overflows a float or is
     too large to resolve.
     """
-    if not (is_real(detuning) and is_real(pulse_error)):
-        raise ValueError("detuning and pulse_error must be finite real numbers")
+    for name, value in (("detuning", detuning), ("pulse_error", pulse_error)):
+        if not is_real(value):
+            raise ValueError(f"{name} must be a finite real number, got {shown(value)}")
     (a,), (b,) = _compose(sequence.segments, sequence.larmor_period, np.array([detuning]), pulse_error)
     return np.array([[a, b], [-np.conj(b), np.conj(a)]])
 
@@ -275,7 +276,7 @@ def composite_x_gate(theta: float, larmor_period: float = DEFAULT_LARMOR_PERIOD)
     Under zero noise the net unitary equals R_X(theta) up to global phase.
     """
     if not (is_real(theta) and 0 <= theta < 4 * math.pi):
-        raise ValueError("theta must lie in [0, 4*pi)")
+        raise ValueError(f"theta must lie in [0, 4*pi), got {shown(theta)}")
     _check_larmor_period(larmor_period)
     return PulseSequence(tuple(_composite_x_segments(theta, larmor_period, 1)), larmor_period)
 
@@ -325,7 +326,7 @@ def build_sequence(
     if name not in ("8H", "CP", "UDD"):
         raise ValueError(f"unknown sequence kind: {kind!r} (choose from 8H, CP, UDD)")
     if not (is_real(tau) and tau > 0):
-        raise ValueError("tau must be positive and finite")
+        raise ValueError(f"tau must be positive and finite, got {shown(tau)}")
     _check_larmor_period(larmor_period)
 
     window = 8 * tau
@@ -404,7 +405,7 @@ def bb1_virtual_gate(
     angle-proportional error the compensation is designed to cancel.
     """
     if not (is_real(theta) and 0 <= theta < 2 * math.pi):
-        raise ValueError("theta must lie in [0, 2*pi)")
+        raise ValueError(f"theta must lie in [0, 2*pi), got {shown(theta)}")
     phi = math.acos(-theta / (4 * math.pi))
     block = build_sequence("8H", tau, larmor_period).segments
     segments: list[PulseSegment] = []
@@ -435,25 +436,14 @@ class NoiseModel(namedtuple(
     def __new__(cls, *args, **kwargs):
         self = super().__new__(cls, *args, **kwargs)
         if self.t2_star is not None and not (is_real(self.t2_star) and self.t2_star > 0):
-            raise ValueError("t2_star must be positive and finite (or None to disable dephasing)")
+            raise ValueError(
+                f"t2_star must be positive and finite (or None to disable dephasing), "
+                f"got {shown(self.t2_star)}"
+            )
         if not is_real(self.pulse_error):
-            raise ValueError("pulse_error must be finite")
-        for name in ("samples", "seed"):
-            value = getattr(self, name)
-            if not is_int(value):
-                raise ValueError(f"{name} must be an integer, got {shown(value)}")
-        if not 1 <= self.samples <= MAX_SAMPLES:
-            raise ValueError(
-                f"samples must be between 1 and {MAX_SAMPLES} (the sample limit), "
-                f"got {shown(self.samples)}"
-            )
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
-        if self.seed > MAX_EXACT_INT:  # so the seed a CSV row prints reads back as a float
-            raise ValueError(
-                f"seed must be at most 2**53 (the largest integer a float holds exactly), "
-                f"got {shown(self.seed)}"
-            )
+            raise ValueError(f"pulse_error must be finite, got {shown(self.pulse_error)}")
+        check_count("samples", self.samples, 1, MAX_SAMPLES, f"{MAX_SAMPLES} (the sample limit)")
+        check_count("seed", self.seed)  # at most 2**53, so a CSV row's seed reads back as a float
         return self
 
 

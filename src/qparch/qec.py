@@ -12,7 +12,7 @@ import math
 import os
 from collections import Counter, namedtuple
 
-from .errors import MAX_EXACT_INT, InfeasibleInputError, RateUnderflowError, is_int, is_real, shown
+from .errors import InfeasibleInputError, RateUnderflowError, check_count, is_real, shown
 
 # Virtual qubits per logical qubit, modeled as round(coeff * d^2).  The
 # coefficient is calibrated so that footprint(31) = 6240, the reference
@@ -100,14 +100,11 @@ class HardwareProfile(namedtuple(
 
 
 def _check_distance(distance) -> None:
-    """``distance`` is an odd positive int no larger than 2**53."""
-    if not is_int(distance) or distance < 1 or distance % 2 == 0:
-        raise ValueError(f"code distance must be an odd positive integer, got {shown(distance)}")
-    if distance > MAX_EXACT_INT:  # the gate-step and footprint formulas take it as a float
-        raise ValueError(
-            f"code distance must be at most 2**53 (the largest integer a float holds "
-            f"exactly), got {shown(distance)}"
-        )
+    """``distance`` is an odd count from 1 to 2**53 (the gate-step and footprint
+    formulas take it as a float)."""
+    check_count("code distance", distance, 1)
+    if distance % 2 == 0:
+        raise ValueError(f"code distance must be odd, got {distance}")
 
 
 class CodePoint(namedtuple(
@@ -134,8 +131,9 @@ def failure_probability(logical_error_rate: float, depth: float, qubits: float) 
     eps = logical_error_rate
     if not (is_real(eps) and 0.0 <= eps <= 1.0):
         raise ValueError(f"logical error rate must lie in [0, 1], got {shown(eps)}")
-    if not (is_real(depth) and is_real(qubits)) or depth < 1 or qubits < 1:
-        raise ValueError("depth and qubit count must be >= 1")
+    for name, value in (("depth", depth), ("qubit count", qubits)):
+        if not (is_real(value) and value >= 1):
+            raise ValueError(f"{name} must be a finite number >= 1, got {shown(value)}")
     if eps == 0.0 or eps == 1.0:  # exact, and no 0 * inf when depth * qubits overflows
         return 1.0 if eps else 0.0
     return -math.expm1(depth * qubits * math.log1p(-eps))
@@ -172,12 +170,7 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
 
 def footprint(distance: int) -> int:
     """Virtual qubits needed per logical qubit at code distance d (odd or even)."""
-    if not is_int(distance):
-        raise ValueError(f"distance must be an integer, got {shown(distance)}")
-    if distance < 1:
-        raise ValueError("distance must be >= 1")
-    if distance > MAX_EXACT_INT:
-        raise ValueError(f"distance must be at most 2**53, got {shown(distance)}")
+    check_count("code distance", distance, 1)
     return round(FOOTPRINT_COEFF * distance * distance)
 
 

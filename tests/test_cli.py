@@ -102,8 +102,8 @@ class TestQecDistance:
         assert code == 2
         assert payload == b""
         assert capsys.readouterr().err == (
-            "error: code distance must be at most 2**53 (the largest integer a float holds "
-            f"exactly), got {distance}\n"
+            "error: code distance must be between 1 and 2**53 (the largest integer a float "
+            f"holds exactly), got {distance}\n"
         )
 
     @pytest.mark.parametrize("command", [
@@ -363,7 +363,8 @@ class TestEstimate:
         assert code == 2
         assert payload == b""
         assert capsys.readouterr().err == (
-            "error: machine_logical_qubits must be non-negative, got -5\n"
+            "error: machine_logical_qubits must be between 0 and 2**53 (the largest integer a "
+            "float holds exactly), got -5\n"
         )
 
     def test_bit_list_emits_sweep_csv(self, tmp_path):
@@ -398,23 +399,24 @@ class TestEstimate:
         assert err.startswith("error: distillation level must be between 1 and 10")
         assert err.count("\n") == 1
 
-    @pytest.mark.parametrize("args, field", [
-        (["shor", "--bits", str(10 ** 400)], "bits"),
-        (["sim", "--particles", str(10 ** 34)], "particles"),
-        (["sim", "--particles", "61", "--timesteps", str(10 ** 400)], "timesteps"),
+    @pytest.mark.parametrize("args, field, low, value", [
+        (["shor", "--bits", str(10 ** 400)], "bits", 4, 10 ** 400),
+        (["sim", "--particles", str(10 ** 34)], "particles", 1, 10 ** 34),
+        (["sim", "--particles", "61", "--timesteps", str(10 ** 400)], "timesteps", 1, 10 ** 400),
         (["shor", "--bits", "1024", "--machine-logical-qubits", str(10 ** 400)],
-         "machine_logical_qubits"),
-        (["shor", "--bits", str(10 ** 153)], "bits"),
-        (["sim", "--particles", "61", "--timesteps", str(10 ** 303)], "timesteps"),
+         "machine_logical_qubits", 0, 10 ** 400),
+        (["shor", "--bits", str(10 ** 153)], "bits", 4, 10 ** 153),
+        (["sim", "--particles", "61", "--timesteps", str(10 ** 303)], "timesteps", 1, 10 ** 303),
     ], ids=["shor-bits-overflow", "sim-particles", "sim-timesteps-overflow", "shor-machine",
             "shor-bits-infinity", "sim-timesteps-infinity"])
-    def test_count_beyond_2_to_53_is_usage_error(self, args, field, tmp_path, capsys):
+    def test_count_beyond_2_to_53_is_usage_error(self, args, field, low, value, tmp_path, capsys):
         code, payload = run_cli(["estimate", *args], tmp_path)
         assert code == 2
         assert payload == b""
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {field} must be at most 2**53")
-        assert err.count("\n") == 1
+        assert capsys.readouterr().err == (
+            f"error: {field} must be between {low} and 2**53 (the largest integer a float holds "
+            f"exactly), got {value}\n"
+        )
 
     @pytest.mark.parametrize("args", [
         ["shor", "--bits", str(2 ** 53)],
@@ -549,6 +551,18 @@ class TestPulseSweep:
         assert code == 2
         assert payload == b""
         assert capsys.readouterr().err.startswith("error: ")
+
+    @pytest.mark.parametrize("flags, line", [
+        (["--tau", "nan"], "tau must be positive and finite, got nan"),
+        (["--t2-star", "-1"],
+         "t2_star must be positive and finite (or None to disable dephasing), got -1.0"),
+        (["--pulse-errors", "inf"], "pulse_error must be finite, got inf"),
+    ], ids=["tau", "t2-star", "pulse-errors"])
+    def test_a_bad_real_is_named_with_its_value(self, flags, line, tmp_path, capsys):
+        code, payload = run_cli(["pulse", "sweep", "--samples", "4", *flags], tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == f"error: {line}\n"
 
     @pytest.mark.parametrize("sequence", ["8h", "cp", "udd"])
     def test_tau_beyond_finite_larmor_periods_is_usage_error(self, sequence, tmp_path, capsys):

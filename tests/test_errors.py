@@ -3,7 +3,7 @@
 import pytest
 
 from qparch import distillation, estimates, pauli_frame, pulses, qec
-from qparch.errors import shown
+from qparch.errors import MAX_EXACT_INT, check_count, shown
 
 HUGE = 10 ** 5000  # more digits than the interpreter converts to a string
 
@@ -29,6 +29,20 @@ def test_a_huge_int_is_named_by_its_field(call, field):
     message = str(info.value)
     assert message.startswith(field)
     assert message.endswith(f"got an integer of {HUGE.bit_length()} bits")
+
+
+def test_a_count_takes_both_ends_of_its_range_and_nothing_else():
+    for value in (1, 10):
+        check_count("level", value, 1, 10, "10")
+    check_count("seed", 0)
+    check_count("seed", MAX_EXACT_INT)
+    with pytest.raises(ValueError, match=r"^level must be between 1 and 10, got 11$"):
+        check_count("level", 11, 1, 10, "10")
+    with pytest.raises(ValueError, match=(r"^seed must be between 0 and 2\*\*53 \(the largest "
+                                          r"integer a float holds exactly\), got -1$")):
+        check_count("seed", -1)
+    with pytest.raises(ValueError, match=r"^level must be an integer, got 1\.0$"):
+        check_count("level", 1.0, 1, 10, "10")
 
 
 def test_printable_values_keep_their_repr():

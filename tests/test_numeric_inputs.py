@@ -1,14 +1,16 @@
 """Every public numeric parameter follows the one rule in ``errors.py``: a bool,
 a non-finite or out-of-range number, a ``Decimal`` and a string are each a
-``ValueError``, never a ``TypeError``, an ``OverflowError`` or a result."""
+``ValueError``, never a ``TypeError``, an ``OverflowError`` or a result; and a
+count or real outside its range is refused by a message naming it and the value."""
 
 import math
+import re
 from decimal import Decimal
 
 import numpy as np
 import pytest
 
-from qparch import distillation, estimates, pauli_frame, pulses, qec
+from qparch import cli, distillation, estimates, pauli_frame, pulses, qec
 from qparch.errors import MAX_EXACT_INT, is_int, is_real
 
 PROFILE = qec.HardwareProfile()
@@ -87,3 +89,74 @@ def test_a_value_outside_the_rule_is_a_value_error(call, value):
 ])
 def test_the_rule(value, integer, real):
     assert (is_int(value), is_real(value)) == (integer, real)
+
+
+FLOAT_LIMIT = "2**53 (the largest integer a float holds exactly)"
+# PARAMETERS name of each count -> (the name its message gives, low, high, how the message names high)
+COUNTS = {
+    "code_point.distance": ("code distance", 1, MAX_EXACT_INT, FLOAT_LIMIT),
+    "footprint.distance": ("code distance", 1, MAX_EXACT_INT, FLOAT_LIMIT),
+    **{name: ("distillation level", 1, 10, "10")
+       for name in ("distillation_volume.level", "factory_rate.level", "required_factory_area.level")},
+    "ShorWorkload.bits": ("bits", 4, MAX_EXACT_INT, FLOAT_LIMIT),
+    "ShorWorkload.machine_logical_qubits": ("machine_logical_qubits", 0, MAX_EXACT_INT, FLOAT_LIMIT),
+    **{f"SimWorkload.{name}": (name, 1, MAX_EXACT_INT, FLOAT_LIMIT)
+       for name in ("particles", "bits_precision", "timesteps")},
+    "NoiseModel.samples": ("samples", 1, 2 ** 20, "1048576 (the sample limit)"),
+    "NoiseModel.seed": ("seed", 0, MAX_EXACT_INT, FLOAT_LIMIT),
+    "PauliFrame.num_qubits": ("num_qubits", 0, 2 ** 20, "1048576 (the frame-size limit)"),
+}
+
+
+def test_every_count_has_a_range_row():
+    """Every int parameter but ``polarity``, which is one of a set, not a range."""
+    integral = {name for name, (_, is_count) in PARAMETERS.items() if is_count}
+    assert set(COUNTS) == integral - {"hadamard_pulse.polarity"}
+
+
+@pytest.mark.parametrize("key, value", [
+    pytest.param(key, value, id=f"{key}-{value}")
+    for key, (_, low, high, _) in COUNTS.items() for value in (low - 1, high + 1)
+])
+def test_a_count_outside_its_range_names_itself_its_range_and_the_value(key, value):
+    name, low, _, limit = COUNTS[key]
+    message = f"{name} must be between {low} and {limit}, got {value}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        PARAMETERS[key][0](value)
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["estimate", "sim", "--particles", "0"], f"particles must be between 1 and {FLOAT_LIMIT}, got 0"),
+    (["estimate", "sim", "--particles", "61", "--timesteps", "0"],
+     f"timesteps must be between 1 and {FLOAT_LIMIT}, got 0"),
+    (["estimate", "sim", "--particles", "61", "--bits-precision", "0"],
+     f"bits_precision must be between 1 and {FLOAT_LIMIT}, got 0"),
+    (["estimate", "shor", "--bits", "3"], f"bits must be between 4 and {FLOAT_LIMIT}, got 3"),
+    (["pulse", "sweep", "--seed", "-1"], f"seed must be between 0 and {FLOAT_LIMIT}, got -1"),
+], ids=["particles", "timesteps", "bits-precision", "bits", "seed"])
+def test_a_count_outside_its_range_is_one_usage_error_line(argv, line, tmp_path, capsys):
+    output = tmp_path / "out"
+    assert cli.main([*argv, "--output", str(output)]) == 2
+    assert not output.exists()
+    assert capsys.readouterr() == ("", f"error: {line}\n")
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: qec.failure_probability(1e-9, 0.5, 10), "depth must be a finite number >= 1, got 0.5"),
+    (lambda: qec.failure_probability(1e-9, 10, math.nan),
+     "qubit count must be a finite number >= 1, got nan"),
+    (lambda: pulses.sequence_unitary(SEQUENCE, math.inf), "detuning must be a finite real number, got inf"),
+    (lambda: pulses.sequence_unitary(SEQUENCE, 0.0, "0"),
+     "pulse_error must be a finite real number, got '0'"),
+    (lambda: pulses.z_axis_pulse(-1.0), "angle must lie in [0, 4*pi), got -1.0"),
+    (lambda: pulses.composite_x_gate(13.0), "theta must lie in [0, 4*pi), got 13.0"),
+    (lambda: pulses.bb1_virtual_gate(7.0), "theta must lie in [0, 2*pi), got 7.0"),
+    (lambda: pulses.build_sequence("8H", 0), "tau must be positive and finite, got 0"),
+    (lambda: pulses.NoiseModel(t2_star=math.inf),
+     "t2_star must be positive and finite (or None to disable dephasing), got inf"),
+    (lambda: pulses.NoiseModel(pulse_error=math.nan), "pulse_error must be finite, got nan"),
+], ids=["depth", "qubits", "detuning", "pulse_error", "angle", "theta-4pi", "theta-2pi", "tau",
+        "t2_star", "noise-pulse_error"])
+def test_a_real_out_of_range_names_itself_and_the_value(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -132,6 +132,29 @@ def test_the_numeric_input_rule_has_one_home():
     assert copies == []
 
 
+def count_rules(tree):
+    """(line, source) of each read of ``MAX_EXACT_INT`` and each string constant
+    holding "must be an integer" in ``tree``."""
+    for name, line in reads(tree):
+        if name == "MAX_EXACT_INT":
+            yield line, name
+    for node in ast.walk(tree):
+        if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                and "must be an integer" in node.value):
+            yield node.lineno, repr(node.value)
+
+
+def test_the_count_rule_has_one_home():
+    """Only ``errors.py`` knows a count's largest value and words its type error:
+    every other module calls ``errors.check_count``."""
+    copies = [
+        f"{path.name}:{line}: {source}"
+        for path in sorted((ROOT / "src" / "qparch").glob("*.py")) if path.name != "errors.py"
+        for line, source in count_rules(parse(path))
+    ]
+    assert copies == []
+
+
 # Modules that cost start-up time on a host whose ``site`` does not preload them.
 SLOW_IMPORTS = {"dataclasses", "typing", "inspect", "pathlib"}
 
