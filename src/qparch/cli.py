@@ -142,24 +142,24 @@ def _cmd_pulse_sweep(args: argparse.Namespace) -> int:
 
     profile = _load_profile(args.profile)
     t2_star = None if args.t2_star == 0 else args.t2_star
-    # Every sequence is built, so every name and delay is checked, before any runs.
+    # Every sequence and noise model is built, so every input is checked, before any runs.
     runs = [
         (name, pulses.build_sequence(name, args.tau, profile.larmor_period), args.pulse_errors)
         for name in args.sequences
     ]
     if args.baseline:
         runs.append(("free", pulses.free_evolution(8 * args.tau, profile.larmor_period), [0.0]))
+    points = [
+        (name, sequence, pulses.NoiseModel(t2_star=t2_star, pulse_error=pulse_error,
+                                           samples=args.samples, seed=args.seed))
+        for name, sequence, pulse_errors in runs for pulse_error in pulse_errors
+    ]
+    results = pulses.process_infidelities((sequence, noise, None) for _, sequence, noise in points)
     rows = [PULSE_CSV_HEADER]
-    for name, sequence, pulse_errors in runs:
-        for pulse_error in pulse_errors:
-            noise = pulses.NoiseModel(
-                t2_star=t2_star, pulse_error=pulse_error, samples=args.samples, seed=args.seed
-            )
-            result = pulses.process_infidelity(sequence, noise)
-            rows.append(
-                f"{name},{pulse_error!r},{args.tau!r},{args.samples},{args.seed},"
-                f"{result.infidelity!r}"
-            )
+    for (name, _, noise), result in zip(points, results):
+        rows.append(
+            f"{name},{noise.pulse_error!r},{args.tau!r},{args.samples},{args.seed},{result.infidelity!r}"
+        )
     _write_output("\n".join(rows) + "\n", args.output)
     return EXIT_OK
 

@@ -166,7 +166,10 @@ class PauliFrame:
                 f"letters must be a str, list or tuple of Paulis, got a {type(letters).__name__}"
             )
         if num_qubits and num_qubits != len(letters):
-            raise ValueError("num_qubits does not match the letter array length")
+            raise ValueError(
+                f"num_qubits does not match the letter array length: num_qubits is {num_qubits}, "
+                f"letters has {len(letters)}"
+            )
         check_count("num_qubits", len(letters), 0, MAX_FRAME_QUBITS, limit)
         self.codes = [_pauli_code(letter) for letter in letters]
 

@@ -20,15 +20,16 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from collections.abc import Callable, Iterable, Sized
+from collections.abc import Callable, Iterable, Iterator, Sized
 
 import numpy as np
 
 from .errors import check_count, is_int, is_real, shown
 
 DEFAULT_LARMOR_PERIOD = 40e-12
-# A run holds about 150 bytes per sample (160 MB at the limit).  A larger
-# count is an input error, not a MemoryError or numpy's array-size error.
+# A run holds at most about 150 bytes per sample (160 MB at the limit; see
+# _GROUP).  A larger count is an input error, not a MemoryError or numpy's
+# array-size error.
 MAX_SAMPLES = 2 ** 20
 
 IDENTITY2 = np.eye(2, dtype=complex)
@@ -39,7 +40,9 @@ IDENTITY2 = np.eye(2, dtype=complex)
 # At the default Larmor period it admits tau up to about 7.17 ms.
 PHASE_RESOLUTION = 1e-6  # rad
 
-# Uhrig pulse-center fractions for 4 pulses: sin^2(j*pi/10), j = 1..4.
+# Pulse-center fractions of the 8*tau window for 4 pulses: Carr-Purcell at
+# (2j - 1)/8, so tau, 3 tau, 5 tau and 7 tau, and Uhrig at sin^2(j*pi/10), j = 1..4.
+CP_FRACTIONS = (0.125, 0.375, 0.625, 0.875)
 UDD_FRACTIONS = tuple(math.sin(j * math.pi / 10) ** 2 for j in range(1, 5))
 
 
@@ -125,7 +128,9 @@ class PulseSequence(namedtuple("PulseSequence", "segments larmor_period")):
                 raise ValueError(f"a sequence holds only PulseSegment records, got {shown(segment)}")
         _check_larmor_period(self.larmor_period)
         if self.segments and not self.duration > 0:
-            raise ValueError("non-empty sequences must have positive total duration")
+            raise ValueError(
+                f"non-empty sequences must have positive total duration, got {self.duration!r} s"
+            )
         return self
 
     @property
@@ -133,28 +138,34 @@ class PulseSequence(namedtuple("PulseSequence", "segments larmor_period")):
         return sum(seg.duration for seg in self.segments)
 
 
+def _chain(segments: tuple[PulseSegment, ...], pulse_error: float) -> list[tuple[PulseSegment, float]]:
+    """Each segment with the scale of its rotation: 1 for free precession and
+    ``1 + pulse_error`` for a pulse.  The systematic pulse error scales the
+    whole rotation a pulse enacts (drive plus the precession it rides on), a
+    relative deviation of the segment's net rotation angle."""
+    scale = 1 + pulse_error
+    return [(segment, 1.0 if segment.axis is None else scale) for segment in segments]
+
+
 def _segment_rotation(
-    segment: PulseSegment, larmor_period: float, pulse_error: float
+    segment: PulseSegment, larmor_period: float, scale: float
 ) -> Callable[[np.ndarray], tuple]:
     """The function from a block of detunings to the segment's Cayley-Klein pair
     (a, b) of exp(-i (v . sigma) / 2) = [[a, b], [-b*, a*]], where v = (vx, vy,
-    c0 + c1 * detuning).  Free precession is the case angle = 0, scale = 1,
-    and a segment of duration 0 is the identity.
+    c0 + c1 * detuning) is the segment's rotation times ``scale``.  Free
+    precession is the case angle = 0, and a segment of duration 0 is the
+    identity.
     """
     if segment.duration == 0:
         return lambda detunings: (1.0, None)
     ax, ay, az = segment.axis or (0.0, 0.0, 0.0)
     angle = segment.nominal_angle or 0.0
-    # The systematic pulse error scales the whole rotation the pulse enacts
-    # (drive plus the precession it rides on), a relative deviation of the
-    # segment's net rotation angle.
-    scale = 1.0 if segment.axis is None else 1 + pulse_error
     vx, vy = scale * angle * ax, scale * angle * ay
     c0 = scale * (angle * az + 2 * math.pi / larmor_period * segment.duration)
     c1 = scale * segment.duration
     # From 2**52 rad on a double holds no fractional radian, so a rotation
-    # that large is unresolved: NaN, like a non-finite one, which _compose
-    # reports.  The bound is on the half-angle at zero detuning.
+    # that large is unresolved: NaN, like a non-finite one, which
+    # _compose_blocks reports.  The bound is on the half-angle at zero detuning.
     resolved = 0.5 * math.hypot(vx, vy, c0) < 2 ** 52
     if vx == 0 and vy == 0:
         # The Larmor phase exp(-i c0 / 2), up to about 300 rad, is one scalar.
@@ -190,8 +201,9 @@ def _tilted_rotation(vx: float, vy: float, c0: float, c1: float, detunings: np.n
 
 
 # Samples composed at a time: each product makes fresh temporaries of this
-# length, small enough to stay in cache.
-_BLOCK = 8192
+# length, small enough to stay in cache, and a block's distinct pairs touch
+# few fresh pages.
+_BLOCK = 4096
 
 
 def _step(u, u2) -> tuple:
@@ -211,6 +223,48 @@ def _step(u, u2) -> tuple:
     return a2 * a - np.conj(b) * b2, a2 * b + np.conj(a) * b2
 
 
+def _compose_blocks(
+    chains: list[list[tuple[PulseSegment, float]]],
+    larmor_period: float,
+    detunings: np.ndarray,
+    consume: Callable[[int, int, tuple], np.ndarray],
+) -> None:
+    """Compose each chain of ``(segment, scale)`` steps (``_chain``) over every
+    block of samples, in time order.
+
+    Each distinct step's scalars are computed once per call and its pair once
+    per block, however often it repeats within a chain or across chains.
+    For chain i and the block from sample ``start``, ``consume(i, start,
+    (a, b))`` takes the product's pair, two arrays of the block's length, and
+    returns an array that holds every non-finite value of the pair.  Raises
+    ``ValueError`` when a segment's rotation overflows a float (a detuning,
+    pulse error or duration so large that the phase is not finite), or when a
+    segment's Larmor phase or tilted rotation angle reaches 2**52 rad, where
+    it holds no fractional radian.
+    """
+    index: dict[tuple[PulseSegment, float], int] = {}
+    orders = [[index.setdefault(step, len(index)) for step in chain] for chain in chains]
+    rotations = [_segment_rotation(segment, larmor_period, scale) for segment, scale in index]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, len(detunings), _BLOCK):
+            block = detunings[start:start + _BLOCK]
+            pairs = [rotation(block) for rotation in rotations]
+            for i, order in enumerate(orders):
+                u = functools.reduce(_step, map(pairs.__getitem__, order), (1.0, 0.0))
+                if np.ndim(u[0]) == 0:  # no step varies with the detuning (none, or only zero-length ones)
+                    u = tuple(np.full(len(block), x, dtype=complex) for x in u)
+                # A non-finite rotation or an unresolved Larmor phase turns its
+                # pair into NaN, which every later product carries.
+                if not np.isfinite(consume(i, start, u)).all():
+                    raise ValueError(
+                        "a segment's rotation overflows or is too large to resolve: the detuning "
+                        "(t2_star), the pulse error, a segment's duration (tau) or the Larmor rate "
+                        "(1 / larmor_period) is so large that the phase is not finite or holds no "
+                        "fractional radian"
+                    )
+            del pairs  # freed before the next block's pairs are made
+
+
 def _compose(
     segments: tuple[PulseSegment, ...],
     larmor_period: float,
@@ -218,38 +272,15 @@ def _compose(
     pulse_error: float,
 ) -> np.ndarray:
     """Cayley-Klein rows (a, b) of the time-ordered product of segment
-    unitaries, one column per detuning.
+    unitaries, one column per detuning: ``_compose_blocks`` on one chain."""
+    result = np.empty((2, len(detunings)), dtype=complex)
 
-    Each distinct segment's scalars are computed once per call and its pair
-    once per block of samples, however often the segment repeats.  Raises
-    ``ValueError`` when a segment's rotation overflows a float (a detuning,
-    pulse error or duration so large that the phase is not finite), or when
-    a segment's Larmor phase or tilted rotation angle reaches 2**52 rad,
-    where it holds no fractional radian.
-    """
-    samples = len(detunings)
-    result = np.empty((2, samples), dtype=complex)
-    index: dict[PulseSegment, int] = {}
-    order = [index.setdefault(segment, len(index)) for segment in segments]
-    rotations = [_segment_rotation(segment, larmor_period, pulse_error) for segment in index]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, samples, _BLOCK):
-            block = detunings[start:start + _BLOCK]
-            pairs = [rotation(block) for rotation in rotations]
-            u = functools.reduce(_step, map(pairs.__getitem__, order), (1.0, 0.0))
-            del pairs  # freed before the next block's pairs are made
-            # u stays scalar when no segment varies with the detuning (none,
-            # or only zero-length ones): written as (2, 1) columns then.
-            result[:, start:start + len(block)] = np.reshape(u, (2, -1))
-    # A non-finite rotation or an unresolved Larmor phase turns its pair into
-    # NaN, which every later product carries to the result.
-    if not np.isfinite(result).all():
-        raise ValueError(
-            "a segment's rotation overflows or is too large to resolve: the detuning "
-            "(t2_star), the pulse error, a segment's duration (tau) or the Larmor rate "
-            "(1 / larmor_period) is so large that the phase is not finite or holds no "
-            "fractional radian"
-        )
+    def write(_, start: int, u: tuple) -> np.ndarray:
+        columns = result[:, start:start + len(u[0])]
+        columns[0], columns[1] = u
+        return columns
+
+    _compose_blocks([_chain(segments, pulse_error)], larmor_period, detunings, write)
     return result
 
 
@@ -307,6 +338,17 @@ def _check_timing_resolution(window: float, larmor_period: float) -> None:
         )
 
 
+def _gate_delays(fractions: tuple[float, ...], tau: float, width: float) -> list[float]:
+    """The free delays around composite gates of ``width`` centered at ``fractions`` of the 8*tau window."""
+    window = 8 * tau
+    centers = [window * f for f in fractions]
+    delays = [centers[0] - width / 2]
+    for previous, current in zip(centers, centers[1:]):
+        delays.append(current - previous - width)
+    delays.append(window - centers[-1] - width / 2)
+    return delays
+
+
 def build_sequence(
     kind: str,
     tau: float,
@@ -329,21 +371,24 @@ def build_sequence(
         raise ValueError(f"tau must be positive and finite, got {shown(tau)}")
     _check_larmor_period(larmor_period)
 
-    window = 8 * tau
     # Every delay is at most the window, so this also keeps each delay a finite number of periods.
-    _check_timing_resolution(window, larmor_period)
+    _check_timing_resolution(8 * tau, larmor_period)
     width = sum(segment.duration for segment in _composite_x_segments(math.pi, larmor_period, 1))
-    if name == "UDD":
-        centers = [window * f for f in UDD_FRACTIONS]
-    else:
-        centers = [tau, 3 * tau, 5 * tau, 7 * tau]
-
-    delays = [centers[0] - width / 2]
-    for previous, current in zip(centers, centers[1:]):
-        delays.append(current - previous - width)
-    delays.append(window - centers[-1] - width / 2)
+    fractions = UDD_FRACTIONS if name == "UDD" else CP_FRACTIONS
+    delays = _gate_delays(fractions, tau, width)
     if min(delays) < 0:
-        raise ValueError("tau too small to fit pulses")
+        # Each delay is its share of the window less the pulse width (half of one at either end) it holds.
+        edges, needs = (0.0, *fractions, 1.0), (width / 2, width, width, width, width / 2)
+        smallest = max(need / (8 * (end - start)) for need, start, end in zip(needs, edges, edges[1:]))
+        # Rounding moves the boundary by a few floats: step to the first one that fits.
+        while min(_gate_delays(fractions, smallest, width)) < 0:
+            smallest = math.nextafter(smallest, math.inf)
+        while min(_gate_delays(fractions, math.nextafter(smallest, 0), width)) >= 0:
+            smallest = math.nextafter(smallest, 0)
+        raise ValueError(
+            f"tau too small to fit pulses: got {tau!r} s, but {name} at larmor_period "
+            f"{larmor_period!r} s needs tau of at least {smallest!r} s"
+        )
 
     if name == "8H":
         ticks = [round(d / larmor_period) for d in delays]
@@ -480,7 +525,8 @@ def process_infidelity(
     noise: NoiseModel,
     target: np.ndarray | None = None,
 ) -> ProcessResult:
-    """Monte-Carlo process infidelity of a sequence against a target unitary.
+    """Monte-Carlo process infidelity of a sequence against a target unitary:
+    the one point of ``process_infidelities``.
 
     Each sample composes the segment unitaries under one detuning draw; the
     per-sample fidelity is |tr(target^dag U)|^2 / 4 and the result is the
@@ -489,21 +535,83 @@ def process_infidelity(
     or pulse error so large that the phase is not finite) or its Larmor
     phase is too large to resolve.
     """
-    target = IDENTITY2 if target is None else np.asarray(target, dtype=complex)
-    if target.shape != (2, 2) or not _is_unitary(target):
-        raise ValueError("target must be a 2x2 unitary")
-    detunings = detuning_samples(noise)
-    a, b = _compose(sequence.segments, sequence.larmor_period, detunings, noise.pulse_error)
-    # tr(target^dag U) with U = [[a, b], [-b*, a*]].
-    t = target.conj()
-    overlap = t[0, 0] * a + t[0, 1] * b - t[1, 0] * np.conj(b) + t[1, 1] * np.conj(a)
-    fidelities = np.clip(np.abs(overlap) ** 2 / 4, 0.0, 1.0)
+    return next(process_infidelities([(sequence, noise, target)]))
+
+
+# Points whose fidelity rows, 8 bytes per sample each, a grid holds at once.
+# The detunings, their cached normals and the temporaries of the mean and
+# standard error take 32 bytes per sample, and a caller that reads one result
+# at a time still holds a row of the group before: at most 32 + 8 * (13 + 1)
+# = 144 bytes per sample, within MAX_SAMPLES' budget.
+_GROUP = 13
+
+
+def process_infidelities(points: Iterable[tuple]) -> Iterator[ProcessResult]:
+    """``process_infidelity`` of each ``(sequence, noise, target)`` point, in order.
+
+    Every point shares one draw of detunings, so each must have the first
+    point's ``t2_star``, ``samples``, ``seed`` and ``larmor_period``; a point
+    that differs is refused with a ``ValueError`` naming the field.  Only
+    ``pulse_error``, the segments and the target vary.  Every point is
+    checked before any runs.  The results are made ``_GROUP`` points at a
+    time as the iterator is read: per block of samples each distinct
+    ``(segment, scale)`` rotation of the group is computed once, and each
+    point's product is reduced to its fidelities as soon as it is composed.
+    Each result's bytes equal those of the point run alone.
+    """
+    points = [(sequence, noise, _checked_target(target)) for sequence, noise, target in points]
+
+    def shared(sequence: PulseSequence, noise: NoiseModel, _) -> dict:
+        return {"t2_star": noise.t2_star, "samples": noise.samples, "seed": noise.seed,
+                "larmor_period": sequence.larmor_period}
+
+    first = shared(*points[0]) if points else {}
+    for i, point in enumerate(points):
+        for name, value in shared(*point).items():
+            if value != first[name]:
+                raise ValueError(
+                    f"the points of a grid share one {name}: point {i} has {value!r}, "
+                    f"point 0 has {first[name]!r}"
+                )
+    return _grid_results(points)
+
+
+def _grid_results(points: list[tuple]) -> Iterator[ProcessResult]:
+    if not points:
+        return
+    detunings = detuning_samples(points[0][1])
+    for first in range(0, len(points), _GROUP):
+        group = points[first:first + _GROUP]
+        # tr(target^dag U) with U = [[a, b], [-b*, a*]].
+        targets = [target.conj() for _, _, target in group]
+        rows = [np.empty(len(detunings)) for _ in group]
+
+        def reduce_block(i: int, start: int, u: tuple) -> np.ndarray:
+            (a, b), t = u, targets[i]
+            overlap = t[0, 0] * a + t[0, 1] * b - t[1, 0] * np.conj(b) + t[1, 1] * np.conj(a)
+            np.clip(np.abs(overlap) ** 2 / 4, 0.0, 1.0, out=rows[i][start:start + len(a)])
+            return overlap
+
+        chains = [_chain(sequence.segments, noise.pulse_error) for sequence, noise, _ in group]
+        _compose_blocks(chains, group[0][0].larmor_period, detunings, reduce_block)
+        while rows:  # a row the caller drops is freed before the next group runs
+            yield _result(rows.pop(0))
+
+
+def _result(fidelities: np.ndarray) -> ProcessResult:
     errors = 1.0 - fidelities
     return ProcessResult(
         infidelity=float(np.mean(errors)),
         fidelities=fidelities,
-        std_error=float(np.std(errors) / math.sqrt(noise.samples)),
+        std_error=float(np.std(errors) / math.sqrt(len(fidelities))),
     )
+
+
+def _checked_target(target) -> np.ndarray:
+    target = IDENTITY2 if target is None else np.asarray(target, dtype=complex)
+    if target.shape != (2, 2) or not _is_unitary(target):
+        raise ValueError("target must be a 2x2 unitary")
+    return target
 
 
 def _is_unitary(matrix: np.ndarray) -> bool:

@@ -481,10 +481,10 @@ class TestPulseSweep:
     def test_unknown_sequence_is_usage_error(self, capsys, monkeypatch):
         from qparch import pulses
 
-        def process_infidelity(*args):
+        def process_infidelities(*args):
             raise AssertionError("a sequence ran before every name was checked")
 
-        monkeypatch.setattr(pulses, "process_infidelity", process_infidelity)
+        monkeypatch.setattr(pulses, "process_infidelities", process_infidelities)
         assert cli.main(["pulse", "sweep", "--sequences", "8h,xy8"]) == 2
         out, err = capsys.readouterr()
         assert out == ""
@@ -497,10 +497,10 @@ class TestPulseSweep:
     ):
         from qparch import pulses
 
-        def process_infidelity(*args):
+        def process_infidelities(*args):
             raise AssertionError("a sequence ran before every name was checked")
 
-        monkeypatch.setattr(pulses, "process_infidelity", process_infidelity)
+        monkeypatch.setattr(pulses, "process_infidelities", process_infidelities)
         code, payload = run_cli(["pulse", "sweep", "--sequences", sequences, "--baseline"], tmp_path)
         assert code == 2
         assert payload == b""
@@ -633,10 +633,10 @@ class TestPulseSweep:
     def test_samples_beyond_the_limit_is_usage_error(self, samples, tmp_path, capsys, monkeypatch):
         from qparch import pulses
 
-        def process_infidelity(*args):
+        def process_infidelities(*args):
             raise AssertionError("a run started: samples were allocated")
 
-        monkeypatch.setattr(pulses, "process_infidelity", process_infidelity)
+        monkeypatch.setattr(pulses, "process_infidelities", process_infidelities)
         code, payload = run_cli(["pulse", "sweep", "--samples", str(samples)], tmp_path)
         assert code == 2
         assert payload == b""

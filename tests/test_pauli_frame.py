@@ -535,6 +535,13 @@ class TestCircuitParsing:
     def test_letters_in_a_str_list_or_tuple_are_taken_in_order(self, letters):
         assert pf.PauliFrame(letters=letters).letters == ["X", "Z"]
 
+    @pytest.mark.parametrize("num_qubits, letters", [(3, "XY"), (1, ["X", "Z"]), (5, ("I",) * 6)])
+    def test_a_size_that_differs_from_the_letters_names_both(self, num_qubits, letters):
+        message = (f"num_qubits does not match the letter array length: num_qubits is {num_qubits}, "
+                   f"letters has {len(letters)}")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pf.PauliFrame(num_qubits, letters=letters)
+
     def test_letter_frame_size_is_bounded(self):
         with pytest.raises(ValueError, match="frame-size limit"):
             pf.PauliFrame(letters="I" * (pf.MAX_FRAME_QUBITS + 1))

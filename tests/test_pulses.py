@@ -1,3 +1,4 @@
+import functools
 import math
 import re
 import warnings
@@ -138,6 +139,14 @@ class TestSegmentUnitary:
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             P.PulseSequence(segments, larmor_period=LARMOR)
 
+    @pytest.mark.parametrize("segments", [
+        [P.PulseSegment(0.0)], [P.PulseSegment(0.0, (1.0, 0.0, 0.0), math.pi)] * 2,
+    ], ids=["free-precession", "pulses"])
+    def test_a_total_duration_of_zero_is_named(self, segments):
+        message = "non-empty sequences must have positive total duration, got 0.0 s"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            P.PulseSequence(segments, larmor_period=LARMOR)
+
     @pytest.mark.parametrize("field, build", [
         ("duration", P.PulseSegment),
         ("duration", lambda v: P.PulseSegment(v, (1.0, 0.0, 0.0), math.pi)),
@@ -236,6 +245,30 @@ class TestBuildSequence:
     def test_tau_too_small(self):
         with pytest.raises(ValueError, match="tau too small"):
             P.build_sequence("CP", 2e-11, LARMOR)
+
+    @pytest.mark.parametrize("kind", ["8H", "CP", "UDD"])
+    @pytest.mark.parametrize("larmor_period", [LARMOR, 1e-15, 3.3e-11, 7e-9])
+    def test_tau_too_small_names_tau_and_the_smallest_tau_that_fits(self, kind, larmor_period):
+        tau = larmor_period / 10
+        with pytest.raises(ValueError) as exc:
+            P.build_sequence(kind, tau, larmor_period)
+        message = str(exc.value)
+        prefix = (f"tau too small to fit pulses: got {tau!r} s, but {kind} at larmor_period "
+                  f"{larmor_period!r} s needs tau of at least ")
+        assert message.startswith(prefix) and message.endswith(" s")
+        smallest = float(message[len(prefix):-2])
+        # A composite X gate is two Hadamard pulses around half a Larmor period.  CP's
+        # tightest gaps hold a whole gate in 2 tau; UDD's are its first and last, which
+        # hold half a gate in 8 tau sin^2(pi/10).
+        width = larmor_period * (1 / math.sqrt(2) + 0.5)
+        share = 0.5 if kind != "UDD" else 1 / (16 * math.sin(math.pi / 10) ** 2)
+        assert smallest == pytest.approx(width * share, rel=1e-12)
+        P.build_sequence(kind, smallest, larmor_period)
+        below = smallest
+        for _ in range(8):  # no float a few steps below it fits
+            below = math.nextafter(below, 0)
+            with pytest.raises(ValueError, match="^tau too small to fit pulses"):
+                P.build_sequence(kind, below, larmor_period)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
@@ -756,6 +789,139 @@ class TestBlockedComposition:
         monkeypatch.setattr(P, "_BLOCK", 2**15)
         large = P._compose(sequence.segments, LARMOR, detunings, noise.pulse_error)
         assert large.tobytes() == default.tobytes()
+
+
+@st.composite
+def grids(draw):
+    """(sequence, noise, target) points sharing one draw of detunings: up to
+    twice a group's size plus one, each up to 8 segments from one pool of up
+    to 5, with pulse errors from a pool of 3 and mixed targets."""
+    samples = draw(st.sampled_from([1, 40, BLOCK - 1, BLOCK + 1, 2 * BLOCK + 3]))
+    seed = draw(st.integers(0, 2**31))
+    t2_star = draw(st.one_of(st.none(), st.floats(5e-10, 1e-7)))
+    positive = P.PulseSegment(draw(st.floats(1e-12, 5e-10)))
+    pool = [positive, *draw(st.lists(distinct_segments, max_size=4))]
+    errors = draw(st.lists(pulse_errors, min_size=1, max_size=3))
+    targets = st.one_of(st.none(), st.floats(0.0, 2 * math.pi).map(rot_x),
+                        st.tuples(*[st.floats(-4.0, 4.0)] * 3).map(
+                            lambda v: expm(-0.5j * (v[0] * SX + v[1] * SY + v[2] * SZ))))
+    points = []
+    for _ in range(draw(st.integers(1, 2 * P._GROUP + 1))):
+        segments = [pool[i] for i in draw(st.lists(st.integers(0, len(pool) - 1), max_size=8))]
+        if segments and not sum(segment.duration for segment in segments) > 0:
+            segments.append(positive)  # a non-empty sequence needs a positive duration
+        noise = P.NoiseModel(t2_star, draw(st.sampled_from(errors)), samples, seed)
+        points.append((P.PulseSequence(segments, LARMOR), noise, draw(targets)))
+    return points
+
+
+def sweep_points(samples, seed, target=None):
+    """The README sweep's ten points: 8H, CP and UDD at three pulse errors, and the free baseline."""
+    noise = functools.partial(P.NoiseModel, 2e-9, samples=samples, seed=seed)
+    points = [(P.build_sequence(kind, 1e-9, LARMOR), noise(pulse_error), target)
+              for kind in ("8H", "CP", "UDD") for pulse_error in (0.0, 0.005, 0.01)]
+    return points + [(P.free_evolution(8e-9, LARMOR), noise(0.0), target)]
+
+
+class TestGrid:
+    """process_infidelities: one draw of detunings and each distinct rotation
+    once per block for the whole grid, each point's bytes as if run alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(grids())
+    # More points than one group holds: 8H, CP and UDD twice over, then the baseline.
+    @example(sweep_points(BLOCK + 1, 7, rot_x(math.pi / 2)) * 2 + sweep_points(BLOCK + 1, 7)[-1:])
+    def test_each_point_matches_its_lone_run_and_the_oracle(self, points):
+        results = list(P.process_infidelities(points))
+        assert len(results) == len(points)
+        for (sequence, noise, target), result in zip(points, results):
+            lone = P.process_infidelity(sequence, noise, target)
+            fidelities = oracle_fidelities(sequence, noise, P.IDENTITY2 if target is None else target)
+            errors = 1.0 - fidelities
+            assert result.fidelities.tobytes() == lone.fidelities.tobytes() == fidelities.tobytes()
+            assert result.infidelity.hex() == lone.infidelity.hex() == float(np.mean(errors)).hex()
+            std_error = float(np.std(errors) / math.sqrt(noise.samples))
+            assert result.std_error.hex() == lone.std_error.hex() == std_error.hex()
+
+    def test_partition_independent_when_numpy_reuses_temporaries(self, monkeypatch):
+        # Blocks of 2**15 samples make the streamed reduction's complex
+        # temporaries 512 KiB, above the size from which numpy reuses one as
+        # a product's output: its fidelities keep their bytes.
+        target = expm(-0.5j * (0.3 * SX - 0.4 * SY + 0.5 * SZ))  # complex entries, none 0 or 1
+        points = sweep_points(2**15 + 3, 7, target)
+        default = [result.fidelities.tobytes() for result in P.process_infidelities(points)]
+        monkeypatch.setattr(P, "_BLOCK", 2**15)
+        large = [result.fidelities.tobytes() for result in P.process_infidelities(points)]
+        assert large == default
+        assert default == [oracle_fidelities(*point).tobytes() for point in points]
+
+    @pytest.mark.parametrize("field, other", [
+        ("t2_star", {"t2_star": 1e-9}),
+        ("t2_star", {"t2_star": None}),
+        ("samples", {"samples": 41}),
+        ("seed", {"seed": 8}),
+        ("larmor_period", {"larmor_period": 2 * LARMOR}),
+    ])
+    def test_a_point_that_does_not_share_the_draw_is_refused_by_name(self, field, other):
+        shared = {"t2_star": 2e-9, "samples": 40, "seed": 7, "larmor_period": LARMOR}
+        changed = {**shared, **other}
+
+        def point(t2_star, samples, seed, larmor_period):
+            sequence = P.build_sequence("CP", 1e-9, larmor_period)
+            return sequence, P.NoiseModel(t2_star, 0.01, samples, seed), None
+
+        points = [point(**shared), point(**shared), point(**changed)]
+        message = (f"the points of a grid share one {field}: point 2 has {changed[field]!r}, "
+                   f"point 0 has {shared[field]!r}")
+        # Refused when called, before any point runs.
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            P.process_infidelities(points)
+
+    def test_every_target_is_checked_when_called(self):
+        points = sweep_points(40, 7)
+        points[-1] = (*points[-1][:2], np.eye(2) * 1.5)
+        with pytest.raises(ValueError, match="^target must be a 2x2 unitary$"):
+            P.process_infidelities(points)
+
+    def test_a_grid_runs_group_by_group_as_it_is_read(self, monkeypatch):
+        runs = []
+        compose_blocks = P._compose_blocks
+
+        def counted(chains, *args):
+            runs.append(len(chains))
+            compose_blocks(chains, *args)
+
+        monkeypatch.setattr(P, "_compose_blocks", counted)
+        points = sweep_points(40, 7) * 3
+        results = P.process_infidelities(points)
+        assert runs == []
+        next(results)
+        assert runs == [P._GROUP]
+        assert len(list(results)) == len(points) - 1
+        assert runs == [P._GROUP, P._GROUP, len(points) - 2 * P._GROUP]
+        assert list(P.process_infidelities([])) == []
+
+    def test_the_sweep_computes_each_distinct_rotation_once_per_block(self, monkeypatch):
+        rotations = []
+        segment_rotation = P._segment_rotation
+
+        def counted(segment, larmor_period, scale):
+            def rotation(block):
+                rotations.append((segment, scale))
+                return segment_rotation(segment, larmor_period, scale)(block)
+            return rotation
+
+        monkeypatch.setattr(P, "_segment_rotation", counted)
+        points = sweep_points(2 * BLOCK + 3, 7)
+        list(P.process_infidelities(points))
+        # 8H, CP and UDD share the Hadamard pulses and the inner delay; free
+        # precession takes no pulse error.  Run one point at a time, the ten
+        # points hold 55 distinct rotations.
+        assert len(rotations) == 3 * 18 and len(set(rotations)) == 18
+        rotations.clear()
+        for point in points:
+            P.process_infidelity(*point)
+        assert len(rotations) == 3 * 55
 
 
 def mp_pair(segment, detuning, pulse_error):
