@@ -27,9 +27,8 @@ import numpy as np
 from .errors import check_count, is_int, is_real, shown
 
 DEFAULT_LARMOR_PERIOD = 40e-12
-# A run holds at most about 150 bytes per sample (160 MB at the limit; see
-# _GROUP).  A larger count is an input error, not a MemoryError or numpy's
-# array-size error.
+# A run's memory is bounded per sample (see _GROUP).  A larger count is an
+# input error, not a MemoryError or numpy's array-size error.
 MAX_SAMPLES = 2 ** 20
 
 IDENTITY2 = np.eye(2, dtype=complex)
@@ -349,6 +348,39 @@ def _gate_delays(fractions: tuple[float, ...], tau: float, width: float) -> list
     return delays
 
 
+# Floats the search for the smallest tau steps through on either side of its
+# analytic bound; rounding moves the boundary by a few (at most 4 over 3000
+# sampled Larmor periods for each kind).
+_TAU_STEPS = 64
+
+
+def _smallest_tau(fractions: tuple[float, ...], width: float) -> float | None:
+    """The smallest float tau whose delays around gates of ``width`` (``_gate_delays``)
+    are all non-negative, or None when no finite 8*tau window holds the gates."""
+    # Each delay is its share of the window less the pulse width (half of one at either end) it holds.
+    edges, needs = (0.0, *fractions, 1.0), (width / 2, width, width, width, width / 2)
+    tau = max(need / (8 * (end - start)) for need, start, end in zip(needs, edges, edges[1:]))
+
+    def fits(tau: float) -> bool:
+        return tau > 0 and math.isfinite(8 * tau) and min(_gate_delays(fractions, tau, width)) >= 0
+
+    # Rounding moves the boundary by a few floats: step up to the first one that
+    # fits, then down while the one below fits.  The steps are bounded, so a
+    # bound whose window overflows ends the search at once.
+    for _ in range(_TAU_STEPS):
+        if fits(tau):
+            break
+        tau = math.nextafter(tau, math.inf)
+    else:
+        return None
+    for _ in range(_TAU_STEPS):
+        below = math.nextafter(tau, 0)
+        if not fits(below):
+            break
+        tau = below
+    return tau
+
+
 def build_sequence(
     kind: str,
     tau: float,
@@ -377,17 +409,12 @@ def build_sequence(
     fractions = UDD_FRACTIONS if name == "UDD" else CP_FRACTIONS
     delays = _gate_delays(fractions, tau, width)
     if min(delays) < 0:
-        # Each delay is its share of the window less the pulse width (half of one at either end) it holds.
-        edges, needs = (0.0, *fractions, 1.0), (width / 2, width, width, width, width / 2)
-        smallest = max(need / (8 * (end - start)) for need, start, end in zip(needs, edges, edges[1:]))
-        # Rounding moves the boundary by a few floats: step to the first one that fits.
-        while min(_gate_delays(fractions, smallest, width)) < 0:
-            smallest = math.nextafter(smallest, math.inf)
-        while min(_gate_delays(fractions, math.nextafter(smallest, 0), width)) >= 0:
-            smallest = math.nextafter(smallest, 0)
+        smallest = _smallest_tau(fractions, width)
+        needs = (f"needs tau of at least {smallest!r} s" if smallest is not None
+                 else "fits no tau: its 8*tau window would overflow a float")
         raise ValueError(
             f"tau too small to fit pulses: got {tau!r} s, but {name} at larmor_period "
-            f"{larmor_period!r} s needs tau of at least {smallest!r} s"
+            f"{larmor_period!r} s {needs}"
         )
 
     if name == "8H":
@@ -499,25 +526,15 @@ class ProcessResult(namedtuple("ProcessResult", "infidelity fidelities std_error
     __slots__ = ()
 
 
-@functools.lru_cache(maxsize=8)
-def _standard_normals(seed: int, samples: int) -> np.ndarray:
-    """``np.random.default_rng(seed).standard_normal(samples)``: sample i is the
-    i-th value of one stream on the seed, so a run of n samples is the first n
-    values of any longer run on the same seed.
-
-    Cached (read-only) because a sweep redraws the same seed for every grid point.
-    """
-    z = np.random.default_rng(seed).standard_normal(samples)
-    z.flags.writeable = False
-    return z
-
-
 def detuning_samples(noise: NoiseModel) -> np.ndarray:
-    """Per-shot detunings: the seed's standard normals (``_standard_normals``)
-    scaled by sqrt(2)/T2*."""
+    """Per-shot detunings: ``np.random.default_rng(seed).standard_normal(samples)``
+    scaled by sqrt(2)/T2*.  Sample i is the i-th value of one stream on the
+    seed, so a run of n samples is the first n values of any longer run on the
+    same seed."""
     if noise.t2_star is None:
         return np.zeros(noise.samples)
-    return (math.sqrt(2) / noise.t2_star) * _standard_normals(noise.seed, noise.samples)
+    normals = np.random.default_rng(noise.seed).standard_normal(noise.samples)
+    return (math.sqrt(2) / noise.t2_star) * normals
 
 
 def process_infidelity(
@@ -539,10 +556,11 @@ def process_infidelity(
 
 
 # Points whose fidelity rows, 8 bytes per sample each, a grid holds at once.
-# The detunings, their cached normals and the temporaries of the mean and
-# standard error take 32 bytes per sample, and a caller that reads one result
-# at a time still holds a row of the group before: at most 32 + 8 * (13 + 1)
-# = 144 bytes per sample, within MAX_SAMPLES' budget.
+# The detunings and the temporaries of the mean and standard error take 24
+# bytes per sample, and a caller that reads one result at a time still holds
+# a row of the group before: at most 24 + 8 * (13 + 1) = 136 bytes per
+# sample, about 143 MB at MAX_SAMPLES.  tracemalloc at MAX_SAMPLES reads 33
+# for one point, 105 for the ten-point sweep and 137 for 13 points or more.
 _GROUP = 13
 
 

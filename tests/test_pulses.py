@@ -270,6 +270,22 @@ class TestBuildSequence:
             with pytest.raises(ValueError, match="^tau too small to fit pulses"):
                 P.build_sequence(kind, below, larmor_period)
 
+    @pytest.mark.parametrize("kind", ["8H", "CP", "UDD"])
+    @pytest.mark.parametrize("larmor_period", [4e307, 5.5e307])
+    def test_a_larmor_period_whose_window_overflows_fits_no_tau(self, kind, larmor_period, monkeypatch):
+        gate_delays, calls = P._gate_delays, []
+
+        def counted(*args):
+            calls.append(args)
+            assert len(calls) <= 2 * P._TAU_STEPS + 1, "the search for the smallest tau does not end"
+            return gate_delays(*args)
+
+        monkeypatch.setattr(P, "_gate_delays", counted)
+        message = (f"tau too small to fit pulses: got 1e-09 s, but {kind} at larmor_period "
+                   f"{larmor_period!r} s fits no tau: its 8*tau window would overflow a float")
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            P.build_sequence(kind, 1e-9, larmor_period)
+
     def test_unknown_kind(self):
         with pytest.raises(ValueError):
             P.build_sequence("XY8", 1e-9, LARMOR)
@@ -484,16 +500,6 @@ class TestDetuningDraws:
     def test_matches_per_sample_generator_draws(self, seed, samples, t2_star):
         got = P.detuning_samples(P.NoiseModel(t2_star=t2_star, samples=samples, seed=seed))
         assert np.array_equal(got, oracle_detunings(seed, samples, t2_star))
-
-    def test_cached_normals_are_read_only(self):
-        normals = P._standard_normals(3, 8)
-        assert not normals.flags.writeable
-        with pytest.raises(ValueError):
-            normals[0] = 0.0
-        noise = P.NoiseModel(t2_star=2e-9, samples=8, seed=3)
-        scratch = P.detuning_samples(noise)
-        scratch[:] = 0.0
-        assert np.array_equal(P.detuning_samples(noise), oracle_detunings(3, 8, 2e-9))
 
     @settings(max_examples=30, deadline=None)
     @given(
