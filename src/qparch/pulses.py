@@ -152,11 +152,9 @@ def _segment_rotation(
     """The function from a block of detunings to the segment's Cayley-Klein pair
     (a, b) of exp(-i (v . sigma) / 2) = [[a, b], [-b*, a*]], where v = (vx, vy,
     c0 + c1 * detuning) is the segment's rotation times ``scale``.  Free
-    precession is the case angle = 0, and a segment of duration 0 is the
-    identity.
+    precession is the case angle = 0.  (A segment of duration 0, the exact
+    identity, never gets here: ``_pair_runs`` drops it.)
     """
-    if segment.duration == 0:
-        return lambda detunings: (1.0, None)
     ax, ay, az = segment.axis or (0.0, 0.0, 0.0)
     angle = segment.nominal_angle or 0.0
     vx, vy = scale * angle * ax, scale * angle * ay
@@ -208,18 +206,68 @@ _BLOCK = 4096
 def _step(u, u2) -> tuple:
     """The SU(2) product U2 U1 of u2 = U2 and u = U1, each as its pair (a, b).
 
-    For a rotation about Z (b2 = 0) the terms with b2 are dropped; they are
-    exact zeros, so every rounding is that of the full product (only the
-    sign of a zero result can differ).  A complex product's rounding depends
-    on its operand order, and numpy swaps the operands of ``x * temporary``
-    when it reuses a large temporary as the output, so each temporary comes
-    first: a sample's result does not depend on the array length.
+    A rotation about Z has b = 0, given as None, and the terms with it are
+    dropped: for b2 = 0 the product is (a2 a, a2 b), for b = 0 it is (a2 a,
+    a* b2), and for both (a2 a, None).  The dropped terms are exact zeros, so
+    every rounding is that of the full product (only the sign of a zero
+    result can differ).  A complex product's rounding depends on its operand
+    order, and numpy swaps the operands of ``x * temporary`` when it reuses a
+    large temporary as the output, so each temporary comes first: a sample's
+    result does not depend on the array length.
     """
     a, b = u
     a2, b2 = u2
+    if b is None:
+        return a2 * a, None if b2 is None else np.conj(a) * b2
     if b2 is None:
         return a2 * a, a2 * b
     return a2 * a - np.conj(b) * b2, a2 * b + np.conj(a) * b2
+
+
+def _pair_runs(chains: list[list[tuple[PulseSegment, float]]]) -> tuple[list[tuple], list[int | None]]:
+    """The product tree of each chain of ``(segment, scale)`` steps, as nodes of one table.
+
+    A chain drops its zero-length steps, the exact identity, and is then
+    compressed by Re-Pair: while some adjacent pair of items occurs at least
+    twice without overlap, its occurrences, from left to right, become one
+    new item.  The most frequent pair goes first; of equal counts, the one
+    that occurs first.  The items left are folded from the left.  Returns the
+    nodes, each a ``(segment, scale)`` step or a ``(left, right)`` pair of
+    earlier nodes' indices (the product U_right U_left), and each chain's
+    root, or None for a chain with no step.  A chain's tree depends on its
+    steps alone, never on the chains beside it, and equal trees are one
+    node, composed once for every chain that holds it.
+    """
+    index: dict[tuple, int] = {}
+
+    def node(content: tuple) -> int:
+        return index.setdefault(content, len(index))
+
+    roots = []
+    for chain in chains:
+        items = [node(step) for step in chain if step[0].duration > 0]
+        while True:
+            counts: dict[tuple[int, int], int] = {}
+            ends: dict[tuple[int, int], int] = {}
+            for i, pair in enumerate(zip(items, items[1:])):
+                if ends.get(pair, 0) <= i:  # x x x holds one x x without overlap
+                    counts[pair] = counts.get(pair, 0) + 1
+                    ends[pair] = i + 2
+            # max keeps the first of equal counts, and counts is in order of first occurrence.
+            pair = max(counts, key=counts.__getitem__, default=None)
+            if pair is None or counts[pair] < 2:
+                break
+            run, paired, i = node(pair), [], 0
+            while i < len(items):
+                if items[i] == pair[0] and items[i + 1:i + 2] == [pair[1]]:
+                    paired.append(run)
+                    i += 2
+                else:
+                    paired.append(items[i])
+                    i += 1
+            items = paired
+        roots.append(functools.reduce(lambda u, v: node((u, v)), items) if items else None)
+    return list(index), roots
 
 
 def _compose_blocks(
@@ -229,29 +277,64 @@ def _compose_blocks(
     consume: Callable[[int, int, tuple], np.ndarray],
 ) -> None:
     """Compose each chain of ``(segment, scale)`` steps (``_chain``) over every
-    block of samples, in time order.
+    block of samples, as the tree ``_pair_runs`` gives it.
 
-    Each distinct step's scalars are computed once per call and its pair once
-    per block, however often it repeats within a chain or across chains.
-    For chain i and the block from sample ``start``, ``consume(i, start,
-    (a, b))`` takes the product's pair, two arrays of the block's length, and
-    returns an array that holds every non-finite value of the pair.  Raises
-    ``ValueError`` when a segment's rotation overflows a float (a detuning,
-    pulse error or duration so large that the phase is not finite), or when a
-    segment's Larmor phase or tilted rotation angle reaches 2**52 rad, where
-    it holds no fractional radian.
+    Each distinct step's scalars are computed once per call.  Per block, each
+    node of the chains' trees, a step's pair or a run's product, is made once
+    at its first use and freed after its last, however often it repeats
+    within a chain or across chains.  For chain i and the block from sample
+    ``start``, ``consume(i, start, (a, b))`` takes the product's pair, two
+    arrays of the block's length, and returns an array that holds every
+    non-finite value of the pair.  Raises ``ValueError`` when a segment's
+    rotation overflows a float (a detuning, pulse error or duration so large
+    that the phase is not finite), or when a segment's Larmor phase or tilted
+    rotation angle reaches 2**52 rad, where it holds no fractional radian.
     """
-    index: dict[tuple[PulseSegment, float], int] = {}
-    orders = [[index.setdefault(step, len(index)) for step in chain] for chain in chains]
-    rotations = [_segment_rotation(segment, larmor_period, scale) for segment, scale in index]
+    nodes, roots = _pair_runs(chains)
+    rotations = [_segment_rotation(content[0], larmor_period, content[1])
+                 if isinstance(content[0], PulseSegment) else None for content in nodes]
+    uses = [0] * len(nodes)  # the runs that take each node, and the chains whose root it is
+    for content, rotation in zip(nodes, rotations):
+        if rotation is None:
+            for child in content:
+                uses[child] += 1
+    for root in roots:
+        if root is not None:
+            uses[root] += 1
+    # Each chain's nodes not made before it, children first (depth first, so
+    # few pairs are held at once).
+    orders, made = [], set()
+    for root in roots:
+        order, stack = [], [] if root is None else [(root, False)]
+        while stack:
+            node, expanded = stack.pop()
+            if expanded:
+                order.append(node)
+            elif node not in made:
+                made.add(node)
+                stack.append((node, True))
+                if rotations[node] is None:
+                    stack.extend(reversed([(child, False) for child in nodes[node]]))
+        orders.append(order)
     with np.errstate(over="ignore", invalid="ignore"):
         for start in range(0, len(detunings), _BLOCK):
             block = detunings[start:start + _BLOCK]
-            pairs = [rotation(block) for rotation in rotations]
-            for i, order in enumerate(orders):
-                u = functools.reduce(_step, map(pairs.__getitem__, order), (1.0, 0.0))
-                if np.ndim(u[0]) == 0:  # no step varies with the detuning (none, or only zero-length ones)
-                    u = tuple(np.full(len(block), x, dtype=complex) for x in u)
+            held, left = {}, uses.copy()
+
+            def take(node: int) -> tuple:
+                left[node] -= 1
+                return held[node] if left[node] else held.pop(node)
+
+            for i, (root, order) in enumerate(zip(roots, orders)):
+                for node in order:
+                    rotation = rotations[node]
+                    held[node] = rotation(block) if rotation else _step(*map(take, nodes[node]))
+                if root is None:  # no step, or only zero-length ones
+                    u = (np.ones(len(block), dtype=complex), np.zeros(len(block), dtype=complex))
+                else:
+                    u = take(root)
+                    if u[1] is None:  # only rotations about Z
+                        u = (u[0], np.zeros(len(block), dtype=complex))
                 # A non-finite rotation or an unresolved Larmor phase turns its
                 # pair into NaN, which every later product carries.
                 if not np.isfinite(consume(i, start, u)).all():
@@ -261,7 +344,6 @@ def _compose_blocks(
                         "(1 / larmor_period) is so large that the phase is not finite or holds no "
                         "fractional radian"
                     )
-            del pairs  # freed before the next block's pairs are made
 
 
 def _compose(
@@ -545,9 +627,11 @@ def process_infidelity(
     """Monte-Carlo process infidelity of a sequence against a target unitary:
     the one point of ``process_infidelities``.
 
-    Each sample composes the segment unitaries under one detuning draw; the
-    per-sample fidelity is |tr(target^dag U)|^2 / 4 and the result is the
-    mean of 1 - F.  Deterministic for a fixed seed and sample count.  Raises
+    Each sample composes the segment unitaries under one detuning draw, as
+    the product tree of the sequence's pairing (``_pair_runs``: each
+    repeated run of segments is composed once); the per-sample fidelity is
+    |tr(target^dag U)|^2 / 4 and the result is the mean of 1 - F.
+    Deterministic for a fixed seed and sample count.  Raises
     ``ValueError`` when a segment's rotation overflows a float (a detuning
     or pulse error so large that the phase is not finite) or its Larmor
     phase is too large to resolve.
@@ -559,8 +643,10 @@ def process_infidelity(
 # The detunings and the temporaries of the mean and standard error take 24
 # bytes per sample, and a caller that reads one result at a time still holds
 # a row of the group before: at most 24 + 8 * (13 + 1) = 136 bytes per
-# sample, about 143 MB at MAX_SAMPLES.  tracemalloc at MAX_SAMPLES reads 33
-# for one point, 105 for the ten-point sweep and 137 for 13 points or more.
+# sample, about 143 MB at MAX_SAMPLES.  The pairs and run products of a
+# block take a fixed amount, not one per sample.  tracemalloc at MAX_SAMPLES,
+# results read one at a time, reads 33 for one BB1 point, 104 for the
+# ten-point sweep, 128 for 13 or 14 points and 136 for 30.
 _GROUP = 13
 
 
@@ -573,9 +659,10 @@ def process_infidelities(points: Iterable[tuple]) -> Iterator[ProcessResult]:
     ``pulse_error``, the segments and the target vary.  Every point is
     checked before any runs.  The results are made ``_GROUP`` points at a
     time as the iterator is read: per block of samples each distinct
-    ``(segment, scale)`` rotation of the group is computed once, and each
-    point's product is reduced to its fidelities as soon as it is composed.
-    Each result's bytes equal those of the point run alone.
+    ``(segment, scale)`` rotation and each distinct run product of the
+    group is computed once, and each point's product is reduced to its
+    fidelities as soon as it is composed.  Each result's bytes equal those
+    of the point run alone.
     """
     points = [(sequence, noise, _checked_target(target)) for sequence, noise, target in points]
 

@@ -2,6 +2,7 @@ import functools
 import math
 import re
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -593,9 +594,9 @@ class TestCompositionProperties:
         assert np.max(np.abs(result.fidelities - np.array(want))) < 1e-12
 
 
-def oracle_compose(segments, larmor_period, detunings, pulse_error):
-    """The plain per-segment loop: every segment's pair (a, b) over all samples,
-    however often it repeats, and the full product on fresh arrays each step.
+def oracle_pair(segment, larmor_period, detunings, pulse_error):
+    """A segment's pair (a, b) over all samples, b an array of zeros for a
+    rotation about Z alone.
 
     A segment's rotation vector is (vx, vy, c0 + c1 * detuning); a rotation
     about Z alone takes its Larmor phase exp(-i c0 / 2) as one scalar."""
@@ -604,30 +605,61 @@ def oracle_compose(segments, larmor_period, detunings, pulse_error):
         if vx == 0 and vy == 0:
             x = (-0.5 * c1) * detunings
             phase = complex(math.cos(0.5 * c0), -math.sin(0.5 * c0))
-            return (np.cos(x) + 1j * np.sin(x)) * phase, zero
+            return (np.cos(x) + 1j * np.sin(x)) * phase, np.zeros_like(detunings, dtype=complex)
         vz = c0 + c1 * detunings
         angle = np.sqrt((vx * vx + vy * vy) + vz * vz)
         k = np.divide(np.sin(angle / 2), angle, out=np.full_like(angle, 0.5), where=angle > 0)
         return np.cos(angle / 2) - 1j * (k * vz), -(k * vy) - 1j * (k * vx)
 
-    one, zero = np.ones_like(detunings, dtype=complex), np.zeros_like(detunings, dtype=complex)
     omega = 2 * math.pi / larmor_period
-    a, b = one, zero
+    if segment.axis is None:
+        return rotation(0.0, 0.0, omega * segment.duration, segment.duration)
+    if segment.duration == 0:
+        return np.ones_like(detunings, dtype=complex), np.zeros_like(detunings, dtype=complex)
+    (ax, ay, az), angle, scale = segment.axis, segment.nominal_angle, 1 + pulse_error
+    return rotation(
+        scale * angle * ax,
+        scale * angle * ay,
+        scale * (angle * az + omega * segment.duration),
+        scale * segment.duration,
+    )
+
+
+def oracle_product(u, u2):
+    """U2 U1 of the pairs u = U1 and u2 = U2, every term kept, on fresh arrays."""
+    (a, b), (a2, b2) = u, u2
+    return a2 * a - np.conj(b) * b2, a2 * b + np.conj(a) * b2
+
+
+def left_fold_compose(segments, larmor_period, detunings, pulse_error):
+    """The plain per-segment loop: each segment's pair over all samples,
+    however often it repeats, multiplied onto the product in time order."""
+    u = np.ones_like(detunings, dtype=complex), np.zeros_like(detunings, dtype=complex)
     for segment in segments:
-        if segment.axis is None:
-            a2, b2 = rotation(0.0, 0.0, omega * segment.duration, segment.duration)
-        elif segment.duration == 0:
-            a2, b2 = one, zero
+        u = oracle_product(u, oracle_pair(segment, larmor_period, detunings, pulse_error))
+    return np.array(u)
+
+
+def oracle_compose(segments, larmor_period, detunings, pulse_error):
+    """The library's product tree for the chain (``_pair_runs``), composed on
+    full arrays: each node's pair or product over all samples, with every
+    term of the pair formula kept."""
+    nodes, (root,) = P._pair_runs([P._chain(tuple(segments), pulse_error)])
+    pairs = []
+    for content in nodes:
+        if isinstance(content[0], P.PulseSegment):
+            pairs.append(oracle_pair(content[0], larmor_period, detunings, pulse_error))
         else:
-            (ax, ay, az), angle, scale = segment.axis, segment.nominal_angle, 1 + pulse_error
-            a2, b2 = rotation(
-                scale * angle * ax,
-                scale * angle * ay,
-                scale * (angle * az + omega * segment.duration),
-                scale * segment.duration,
-            )
-        a, b = a2 * a - np.conj(b) * b2, a2 * b + np.conj(a) * b2
-    return np.array([a, b])
+            pairs.append(oracle_product(pairs[content[0]], pairs[content[1]]))
+    if root is None:
+        return left_fold_compose((), larmor_period, detunings, pulse_error)
+    return np.array(pairs[root])
+
+
+# The library composes a chain as its pairing tree, not as the left fold
+# over segments; the two round differently.  Measured: at most 4.7e-15 on
+# BB1 over 20 000 samples at a pulse error of 0.01.
+LEFT_FOLD_BOUND = 1e-13
 
 
 def oracle_fidelities(sequence, noise, target):
@@ -684,8 +716,9 @@ def repeating_segment_lists(draw):
 
 
 class TestBlockedComposition:
-    """_compose (distinct segments once, sample blocks, Z steps without their
-    zero terms) against the plain per-segment loop, bit for bit."""
+    """_compose (distinct segments and runs once, sample blocks, Z steps
+    without their zero terms) against its pairing tree composed on full
+    arrays, bit for bit, and the plain per-segment loop within a bound."""
 
     @settings(max_examples=30, deadline=None)
     @given(
@@ -705,6 +738,8 @@ class TestBlockedComposition:
         got = P._compose(tuple(segments), LARMOR, detunings, pulse_error)
         # == treats 0.0 and -0.0 as equal: only the sign of a zero may differ
         assert np.array_equal(got, oracle_compose(segments, LARMOR, detunings, pulse_error))
+        left_fold = left_fold_compose(segments, LARMOR, detunings, pulse_error)
+        assert np.max(np.abs(got - left_fold), initial=0.0) <= LEFT_FOLD_BOUND
         # The pair is the first row of U = [[a, b], [-b*, a*]]: entries agree
         # with the dense product up to rounding.
         (a, b), want = got, dense_compose(segments, LARMOR, detunings, pulse_error)
@@ -756,6 +791,8 @@ class TestBlockedComposition:
         detunings = P.detuning_samples(noise)
         got = P._compose(sequence.segments, LARMOR, detunings, noise.pulse_error)
         assert np.array_equal(got, oracle_compose(sequence.segments, LARMOR, detunings, 0.01))
+        left_fold = left_fold_compose(sequence.segments, LARMOR, detunings, 0.01)
+        assert np.max(np.abs(got - left_fold)) <= LEFT_FOLD_BOUND
         target = rot_x(math.pi)
         fidelities = P.process_infidelity(sequence, noise, target).fidelities
         assert fidelities.tobytes() == oracle_fidelities(sequence, noise, target).tobytes()
@@ -928,6 +965,86 @@ class TestGrid:
         for point in points:
             P.process_infidelity(*point)
         assert len(rotations) == 3 * 55
+
+
+def pairing_tree(nodes, node):
+    """A node of ``_pair_runs`` as nested tuples: ("step", (segment, scale)) or ("run", left, right)."""
+    content = nodes[node]
+    if isinstance(content[0], P.PulseSegment):
+        return "step", content
+    return ("run", *(pairing_tree(nodes, child) for child in content))
+
+
+def expanded(tree):
+    """The steps under a pairing tree, in time order."""
+    return [tree[1]] if tree[0] == "step" else expanded(tree[1]) + expanded(tree[2])
+
+
+class TestPairing:
+    """_pair_runs: each chain's repeated runs become one node, composed once per block."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        repeating_segment_lists(),
+        pulse_errors,
+        st.lists(st.tuples(repeating_segment_lists(), pulse_errors), max_size=3),
+        st.integers(0, 3),
+    )
+    def test_a_chain_pairs_alone_as_in_a_grid_and_expands_to_its_steps(
+        self, segments, pulse_error, others, position
+    ):
+        chain = P._chain(tuple(segments), pulse_error)
+        kept = [step for step in chain if step[0].duration > 0]
+        nodes, (root,) = P._pair_runs([chain])
+        tree = None if root is None else pairing_tree(nodes, root)
+        assert (kept == []) if tree is None else expanded(tree) == kept
+        # One block of samples takes at most one product per step after the first.
+        with mock.patch.object(P, "_step", wraps=P._step) as step:
+            P._compose(tuple(segments), LARMOR, np.linspace(-1e9, 1e9, 3), pulse_error)
+        assert step.call_count <= max(len(kept) - 1, 0)
+        # Beside other chains, before or after them, the chain pairs the same way.
+        chains = [P._chain(tuple(other), error) for other, error in others]
+        chains.insert(min(position, len(chains)), chain)
+        nodes, roots = P._pair_runs(chains)
+        root = roots[min(position, len(others))]
+        assert (root is None) if tree is None else pairing_tree(nodes, root) == tree
+
+    def test_the_most_frequent_pair_without_overlap_and_the_first_of_a_tie_pair_first(self):
+        x, y, z = (("step", (P.PulseSegment(d), 1.0)) for d in (1e-12, 2e-12, 3e-12))
+
+        def tree(*leaves):
+            nodes, (root,) = P._pair_runs([[leaf[1] for leaf in leaves]])
+            return pairing_tree(nodes, root)
+
+        def fold(*items):
+            return functools.reduce(lambda u, v: ("run", u, v), items)
+
+        # x x x holds x x once without overlap, so no run forms.
+        assert tree(y, x, x, x) == fold(y, x, x, x)
+        # x y and y z both occur twice; x y occurs first.
+        xyz = fold(x, y, z)
+        assert tree(x, y, z, x, y, z) == fold(xyz, xyz)
+        # y z occurs three times, x y twice.
+        yz = fold(y, z)
+        assert tree(x, y, z, x, y, z, y, z) == fold(fold(x, yz), fold(x, yz), yz)
+
+    def test_bb1_and_the_readme_sweep_compose_each_run_once_per_block(self, monkeypatch):
+        steps = []
+        step = P._step
+
+        def counted(u, u2):
+            steps.append(1)
+            return step(u, u2)
+
+        monkeypatch.setattr(P, "_step", counted)
+        sequence = P.bb1_virtual_gate(math.pi, 1e-9, LARMOR)
+        P.process_infidelity(sequence, P.NoiseModel(2e-9, 0.01, 2 * BLOCK + 3, 7))
+        # Three blocks; the left fold over BB1's 91 segments took 91 per block.
+        assert len(steps) <= 3 * 25
+        steps.clear()
+        list(P.process_infidelities(sweep_points(2 * BLOCK + 3, 7)))
+        # The left fold over the sweep's ten chains took 9 * 17 + 1 = 154 per block.
+        assert len(steps) <= 3 * 90
 
 
 def mp_pair(segment, detuning, pulse_error):
