@@ -820,6 +820,11 @@ class TestFrameExec:
     ("sim_61", ["estimate", "sim", "--particles", "61"]),
     # The README's circuit, then each other gate kind and basis; one line has spaces.
     ("frame_readme", ["frame", "exec", str(GOLDEN / "frame_readme.jsonl")]),
+    # The README's sweep.  Its bytes also pin numpy's standard_normal stream,
+    # which NEP 19 lets a numpy release change: such a change shows up here.
+    ("pulse_sweep_readme", ["pulse", "sweep", "--sequences", "8h,cp,udd", "--pulse-errors",
+                            "0,0.005,0.01", "--tau", "1e-9", "--samples", "20000", "--seed", "7",
+                            "--baseline"]),
 ])
 def test_stdout_matches_golden_bytes(name, argv, capsys):
     """The README's deterministic commands print exactly the pinned bytes."""
