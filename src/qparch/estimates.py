@@ -125,10 +125,14 @@ class ResourceReport(namedtuple(
 
     A workload decides the arguments; the constructor derives every other
     field from them, the profile, the code point and the distillation level:
-    the factory's production rate and the runtime at the profile's logical
-    cycle time.  It raises ``InfeasibleInputError`` when the code's CNOT
-    outlasts the logical cycle, and ``ValueError`` when the runtime overflows
-    a float.  Fields are declared in the report's JSON key order.
+    the factory's production rate, the runtime at the profile's logical
+    cycle time, and the failure probability.  That counts the consumed
+    ancillas, ``consumption_rate`` (or, when None, ``production_rate``: an
+    upper bound) times the logical cycles, at the profile's error per virtual
+    gate distilled ``level`` times.  It raises ``InfeasibleInputError`` when
+    the code's CNOT outlasts the logical cycle or the injected error is too
+    high to distill, and ``ValueError`` when the runtime overflows a float.
+    Fields are declared in the report's JSON key order.
     """
 
     __slots__ = ()
@@ -163,6 +167,8 @@ class ResourceReport(namedtuple(
                 f"the runtime overflows a float: {logical_cycles!r} logical cycles of "
                 f"logical_cycle_time {logical_cycle_time!r} s, throttled by {throttle!r}"
             )
+        ancillas = (production_rate if consumption_rate is None else consumption_rate) * logical_cycles
+        ancilla_error = distillation.distilled_error(level, profile.error_per_virtual_gate)
         return super().__new__(
             cls,
             app_qubits=app_qubits,
@@ -179,7 +185,7 @@ class ResourceReport(namedtuple(
             consumption_rate=consumption_rate,
             throttle_factor=throttle,
             failure_probability=qec.failure_probability(
-                code.logical_error_rate, logical_cycles, total
+                code.logical_error_rate, logical_cycles, total, ancillas, ancilla_error
             ),
             details=details,
         )

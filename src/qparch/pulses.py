@@ -641,10 +641,10 @@ def process_infidelity(
     or pulse error so large that the phase is not finite) or its Larmor
     phase is too large to resolve.
     """
-    return next(process_infidelities([(sequence, noise, target)]))
+    return process_infidelities([(sequence, noise, target)])[0]
 
 
-def process_infidelities(points: Iterable[tuple]) -> Iterator[ProcessResult]:
+def process_infidelities(points: Iterable[tuple]) -> list[ProcessResult]:
     """``process_infidelity`` of each ``(sequence, noise, target)`` point, in order.
 
     Every point shares one draw of detunings, so each must have the first
@@ -681,7 +681,7 @@ def process_infidelities(points: Iterable[tuple]) -> Iterator[ProcessResult]:
     if points:
         chains = [_chain(sequence.segments, noise.pulse_error) for sequence, noise, _ in points]
         _compose_blocks(chains, points[0][0].larmor_period, detuning_samples(points[0][1]), reduce_block)
-    return iter([ProcessResult(mean, math.sqrt(m2 / n) / math.sqrt(n)) for n, mean, m2 in moments])
+    return [ProcessResult(mean, math.sqrt(m2 / n) / math.sqrt(n)) for n, mean, m2 in moments]
 
 
 def _fidelities(target: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

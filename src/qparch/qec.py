@@ -122,21 +122,29 @@ class CodePoint(namedtuple(
         return self
 
 
-def failure_probability(logical_error_rate: float, depth: float, qubits: float) -> float:
-    """Worst-case algorithm failure probability 1 - (1 - eps)^(K*Q).
+def failure_probability(logical_error_rate: float, depth: float, qubits: float,
+                        ancillas: float = 0, ancilla_error: float = 0.0) -> float:
+    """Worst-case algorithm failure probability 1 - (1 - eps)^(K*Q) (1 - p_A)^n_A:
+    K*Q logical gates of error eps and n_A consumed ancillas of error p_A.
 
     Evaluated through log1p/expm1 so that tiny per-gate rates do not
     underflow: for K*Q*eps << 1 the result is K*Q*eps to first order.
     """
-    eps = logical_error_rate
-    if not (is_real(eps) and 0.0 <= eps <= 1.0):
-        raise ValueError(f"logical error rate must lie in [0, 1], got {shown(eps)}")
-    for name, value in (("depth", depth), ("qubit count", qubits)):
-        if not (is_real(value) and value >= 1):
-            raise ValueError(f"{name} must be a finite number >= 1, got {shown(value)}")
-    if eps == 0.0 or eps == 1.0:  # exact, and no 0 * inf when depth * qubits overflows
-        return 1.0 if eps else 0.0
-    return -math.expm1(depth * qubits * math.log1p(-eps))
+    for name, value in (("logical error rate", logical_error_rate), ("ancilla error", ancilla_error)):
+        if not (is_real(value) and 0.0 <= value <= 1.0):
+            raise ValueError(f"{name} must lie in [0, 1], got {shown(value)}")
+    for name, value, low in (("depth", depth, 1), ("qubit count", qubits, 1), ("ancilla count", ancillas, 0)):
+        if not (is_real(value) and value >= low):
+            raise ValueError(f"{name} must be a finite number >= {low}, got {shown(value)}")
+    if logical_error_rate == 1.0 or (ancillas and ancilla_error == 1.0):
+        return 1.0
+    # Exact zeros are skipped: no 0 * inf when depth * qubits overflows, and no -0.0.
+    log_survival = 0.0
+    if logical_error_rate:
+        log_survival += depth * qubits * math.log1p(-logical_error_rate)
+    if ancillas and ancilla_error:
+        log_survival += ancillas * math.log1p(-ancilla_error)
+    return -math.expm1(log_survival) if log_survival else 0.0
 
 
 def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
@@ -219,13 +227,12 @@ def min_code_distance(profile: HardwareProfile, target_logical_error: float) -> 
             "unreachable target: c2 * error_per_virtual_gate / threshold = "
             f"{base:.4g} >= 1, so no finite distance reaches the target"
         )
-    # Closed-form starting exponent, then a local walk to absorb rounding.
-    if target_logical_error >= profile.c1 * base:
-        exponent = 1
-    else:
-        exponent = max(1, math.ceil(math.log(target_logical_error / profile.c1) / math.log(base)))
-        while exponent > 1 and profile.c1 * base ** (exponent - 1) <= target_logical_error:
-            exponent -= 1
+    # Closed-form starting exponent, in the log domain so that target / c1 cannot
+    # underflow, then a local walk to absorb rounding.
+    log_ratio = math.log(target_logical_error) - math.log(profile.c1)
+    exponent = max(1, math.ceil(log_ratio / math.log(base)))
+    while exponent > 1 and profile.c1 * base ** (exponent - 1) <= target_logical_error:
+        exponent -= 1
     while profile.c1 * base ** exponent > target_logical_error:
         exponent += 1
     return code_point(profile, 2 * exponent - 1)

@@ -123,6 +123,17 @@ class TestQecDistance:
         assert code == 0
         assert json.loads(payload)["code_distance"] == 35
 
+    @pytest.mark.parametrize("c1", [2.0, 1e10])
+    def test_a_target_whose_ratio_to_c1_underflows_names_the_distance(self, c1, tmp_path, capsys):
+        profile = write_profile(tmp_path, c1=c1)
+        argv = ["qec", "distance", "--profile", profile, "--target-logical-error", "5e-324"]
+        code, payload = run_cli(argv, tmp_path)
+        assert code == 2
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            "error: the logical error rate at code distance 553 underflows to 0.0\n"
+        )
+
     @pytest.mark.parametrize("value", ["1e-30", "1e-300"])
     def test_report_rate_that_underflows_is_null(self, value, tmp_path, capsys):
         code, payload = run_cli(["qec", "distance", "--error-per-gate", value], tmp_path)
@@ -355,6 +366,25 @@ class TestEstimate:
             err = capsys.readouterr().err
             assert err.startswith(f"error: no factory capacity: machine has {machine} logical qubits")
             assert err.count("\n") == 1
+
+    def test_one_distillation_level_fails_the_reference_run(self, tmp_path):
+        code, payload = run_cli(["estimate", "shor", "--bits", "1024", "--level", "1"], tmp_path)
+        assert code == 0
+        assert json.loads(payload)["failure_probability"] == 1.0
+
+    @pytest.mark.parametrize("command", [
+        ["estimate", "shor", "--bits", "1024"],
+        ["estimate", "sim", "--particles", "61"],
+    ], ids=["estimate-shor", "estimate-sim"])
+    def test_an_injected_error_distillation_cannot_lower_exits_3(self, command, tmp_path, capsys):
+        profile = write_profile(tmp_path, error_per_virtual_gate=0.2, threshold=0.5)
+        code, payload = run_cli([*command, "--distance", "3", "--profile", profile], tmp_path)
+        assert code == 3
+        assert payload == b""
+        assert capsys.readouterr().err == (
+            "error: unreachable target: the injected ancilla error 0.2 is at or above "
+            "1/sqrt(35) = 0.169, where distillation does not lower it\n"
+        )
 
     def test_negative_machine_size_is_usage_error(self, tmp_path, capsys):
         code, payload = run_cli(

@@ -1,7 +1,13 @@
+import math
+import re
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qparch import distillation as dist
+from qparch.errors import InfeasibleInputError
 from qparch.qec import HardwareProfile
 
 
@@ -41,6 +47,39 @@ class TestDistillationVolume:
         for level in (dist.MAX_DISTILLATION_LEVEL + 1, 100000):
             with pytest.raises(ValueError, match="between 1 and 10"):
                 dist.distillation_volume(level)
+
+
+class TestDistilledError:
+    def test_one_level_is_35_p_cubed(self):
+        assert dist.distilled_error(1, 1e-3) == 35 * 1e-3 ** 3
+        assert dist.distilled_error(1, 1e-3) == pytest.approx(3.5e-8, rel=1e-12)
+
+    def test_each_level_applies_the_map_once_more(self):
+        p = 1e-3
+        for level in range(1, dist.MAX_DISTILLATION_LEVEL + 1):
+            p = 35 * p ** 3
+            assert dist.distilled_error(level, 1e-3) == p
+
+    def test_deep_levels_underflow_to_an_exact_zero(self):
+        assert dist.distilled_error(dist.MAX_DISTILLATION_LEVEL, 1e-3) == 0.0
+        assert dist.distilled_error(1, 0.0) == 0.0
+
+    @pytest.mark.parametrize("injected", [35 ** -0.5, math.nextafter(35 ** -0.5, 1), 0.2, 1.0])
+    def test_an_error_distillation_cannot_lower_is_infeasible(self, injected):
+        message = f"the injected ancilla error {injected!r} is at or above 1/sqrt(35) = 0.169"
+        with pytest.raises(InfeasibleInputError, match=re.escape(message)):
+            dist.distilled_error(1, injected)
+
+    def test_the_largest_feasible_error_is_not_raised(self):
+        injected = math.nextafter(35 ** -0.5, 0)
+        assert dist.distilled_error(1, injected) <= injected
+        assert dist.distilled_error(1, 0.16) == pytest.approx(0.14336, rel=1e-12)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.floats(0.0, 0.169), st.integers(1, dist.MAX_DISTILLATION_LEVEL - 1))
+    def test_non_increasing_in_level(self, injected, level):
+        assert dist.distilled_error(level + 1, injected) <= dist.distilled_error(level, injected)
+        assert dist.distilled_error(1, injected) <= injected
 
 
 class TestFactoryRate:

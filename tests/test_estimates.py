@@ -4,6 +4,7 @@ import io
 import math
 import pickle
 
+import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -146,7 +147,9 @@ class TestShorEstimate:
     def test_failure_probability_uses_report_depth_and_width(self):
         report = est.shor_estimate(est.ShorWorkload(bits=1024), PROFILE, CODE)
         expected = qec.failure_probability(
-            CODE.logical_error_rate, report.logical_cycles, report.total_logical_qubits
+            CODE.logical_error_rate, report.logical_cycles, report.total_logical_qubits,
+            report.consumption_rate * report.logical_cycles,
+            dist.distilled_error(dist.DEFAULT_DISTILLATION_LEVEL, PROFILE.error_per_virtual_gate),
         )
         assert report.failure_probability == expected
         assert report.details["depth_units"] == "logical_cycles"
@@ -310,7 +313,7 @@ def test_sweep_csv_matches_the_csv_module(bit_sizes, machine, level):
     assert est.sweep_to_csv(reports) == csv_module_sweep(reports)
 
 
-def assert_follows_the_chain(report, profile, distance):
+def assert_follows_the_chain(report, profile, distance, level=dist.DEFAULT_DISTILLATION_LEVEL):
     """Every derived field equals the chain recomputed from public functions."""
     total = report.app_qubits + report.distillation_qubits
     virtual = total * qec.footprint(distance)
@@ -325,8 +328,10 @@ def assert_follows_the_chain(report, profile, distance):
     assert report.throttle_factor == throttle
     assert report.runtime_seconds == runtime
     assert report.runtime_days == runtime / 86400
+    ancilla_rate = report.production_rate if report.consumption_rate is None else report.consumption_rate
     assert report.failure_probability == qec.failure_probability(
-        qec.logical_error_rate(profile, distance), report.logical_cycles, total
+        qec.logical_error_rate(profile, distance), report.logical_cycles, total,
+        ancilla_rate * report.logical_cycles, dist.distilled_error(level, profile.error_per_virtual_gate)
     )
 
 
@@ -370,7 +375,7 @@ def test_shor_report_fields_follow_the_chain(bits, spare, level, distance, cycle
     report = est.shor_estimate(workload, profile, code, level)
     assert report.consumption_rate == workload.consumption_rate
     assert report.production_rate == dist.factory_rate(report.distillation_qubits, level)
-    assert_follows_the_chain(report, profile, distance)
+    assert_follows_the_chain(report, profile, distance, level)
 
 
 @settings(max_examples=60, deadline=None)
@@ -394,3 +399,55 @@ def test_sim_report_fields_follow_the_chain(particles, bits_precision, timesteps
     assert report.consumption_rate is None
     assert report.throttle_factor == 1.0
     assert_follows_the_chain(report, profile, distance)
+
+
+def two_term_failure(report, profile, distance, level, ancillas):
+    """1 - (1 - p_L)^(K*Q) (1 - p_A)^n_A at 60 digits, in the log domain, with
+    p_A iterated from the profile's error per virtual gate."""
+    ancilla_error = profile.error_per_virtual_gate
+    for _ in range(level):
+        ancilla_error = 35 * ancilla_error ** 3
+    p_l = profile.c1 * (profile.c2 * profile.error_per_virtual_gate / profile.threshold) ** ((distance + 1) // 2)
+    with mpmath.workdps(60):
+        gates = mpmath.mpf(report.logical_cycles) * report.total_logical_qubits
+        log_survival = gates * mpmath.log1p(-p_l) + mpmath.mpf(ancillas) * mpmath.log1p(-ancilla_error)
+        return float(-mpmath.expm1(log_survival))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    workload=st.one_of(
+        st.builds(est.ShorWorkload, st.integers(4, 20000),
+                  st.one_of(st.none(), st.integers(200000, 10 ** 7))),
+        st.builds(est.SimWorkload, st.integers(1, 10000), st.integers(1, 64), st.integers(1, 2 ** 20)),
+    ),
+    distance=st.integers(0, 17).map(lambda k: 2 * k + 1),
+    level=st.integers(1, dist.MAX_DISTILLATION_LEVEL),
+    error_per_gate=st.floats(1e-6, 8e-3),
+)
+@example(workload=est.ShorWorkload(1024), distance=31, level=1, error_per_gate=1e-3)
+@example(workload=est.ShorWorkload(1024), distance=31, level=2, error_per_gate=1e-3)
+@example(workload=est.SimWorkload(61), distance=31, level=2, error_per_gate=1e-3)
+def test_failure_probability_counts_logical_gates_and_consumed_ancillas(
+    workload, distance, level, error_per_gate
+):
+    """Factoring consumes the 7 ancillas of every Toffoli; simulation states no
+    consumption, so every ancilla its factory makes counts (an upper bound)."""
+    profile = qec.HardwareProfile(error_per_virtual_gate=error_per_gate)
+    code = qec.code_point(profile, distance)
+    if isinstance(workload, est.ShorWorkload):
+        report = est.shor_estimate(workload, profile, code, level)
+        ancillas = dist.TOFFOLI_ANCILLAS * workload.adders_sequential * workload.toffolis_per_adder
+    else:
+        report = est.sim_estimate(workload, profile, code, level)
+        ancillas = report.production_rate * report.logical_cycles
+    expected = two_term_failure(report, profile, distance, level, ancillas)
+    assert report.failure_probability == pytest.approx(expected, rel=1e-12, abs=0)
+    if (workload, distance, error_per_gate) == (est.ShorWorkload(1024), 31, 1e-3):
+        assert report.failure_probability == {1: 1.0, 2: 9.754420553131885e-06}[level]
+
+
+def test_an_injected_error_distillation_cannot_lower_is_infeasible():
+    profile = qec.HardwareProfile(error_per_virtual_gate=0.2, threshold=0.5)
+    with pytest.raises(InfeasibleInputError, match="the injected ancilla error 0.2 is at or above"):
+        est.sim_estimate(est.SimWorkload(61), profile, qec.code_point(profile, 3))

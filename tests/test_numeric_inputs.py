@@ -27,6 +27,11 @@ PARAMETERS = {
     "failure_probability.rate": (lambda v: qec.failure_probability(v, 10, 10), False),
     "failure_probability.depth": (lambda v: qec.failure_probability(1e-9, v, 10), False),
     "failure_probability.qubits": (lambda v: qec.failure_probability(1e-9, 10, v), False),
+    "failure_probability.ancillas": (lambda v: qec.failure_probability(1e-9, 10, 10, v, 1e-9), False),
+    "failure_probability.ancilla_error":
+        (lambda v: qec.failure_probability(1e-9, 10, 10, 10, v), False),
+    "distilled_error.level": (lambda v: distillation.distilled_error(v, 1e-3), True),
+    "distilled_error.injected": (lambda v: distillation.distilled_error(2, v), False),
     "distillation_volume.level": (distillation.distillation_volume, True),
     "factory_rate.area": (lambda v: distillation.factory_rate(v, 2), False),
     "factory_rate.level": (lambda v: distillation.factory_rate(100, v), True),
@@ -97,7 +102,8 @@ COUNTS = {
     "code_point.distance": ("code distance", 1, MAX_EXACT_INT, FLOAT_LIMIT),
     "footprint.distance": ("code distance", 1, MAX_EXACT_INT, FLOAT_LIMIT),
     **{name: ("distillation level", 1, 10, "10")
-       for name in ("distillation_volume.level", "factory_rate.level", "required_factory_area.level")},
+       for name in ("distillation_volume.level", "factory_rate.level", "required_factory_area.level",
+                    "distilled_error.level")},
     "ShorWorkload.bits": ("bits", 4, MAX_EXACT_INT, FLOAT_LIMIT),
     "ShorWorkload.machine_logical_qubits": ("machine_logical_qubits", 0, MAX_EXACT_INT, FLOAT_LIMIT),
     **{f"SimWorkload.{name}": (name, 1, MAX_EXACT_INT, FLOAT_LIMIT)
@@ -145,6 +151,10 @@ def test_a_count_outside_its_range_is_one_usage_error_line(argv, line, tmp_path,
     (lambda: qec.failure_probability(1e-9, 0.5, 10), "depth must be a finite number >= 1, got 0.5"),
     (lambda: qec.failure_probability(1e-9, 10, math.nan),
      "qubit count must be a finite number >= 1, got nan"),
+    (lambda: qec.failure_probability(1e-9, 10, 10, -1.0, 1e-9),
+     "ancilla count must be a finite number >= 0, got -1.0"),
+    (lambda: qec.failure_probability(1e-9, 10, 10, 10, 1.5), "ancilla error must lie in [0, 1], got 1.5"),
+    (lambda: distillation.distilled_error(1, -0.1), "injected ancilla error must lie in [0, 1], got -0.1"),
     (lambda: pulses.sequence_unitary(SEQUENCE, math.inf), "detuning must be a finite real number, got inf"),
     (lambda: pulses.sequence_unitary(SEQUENCE, 0.0, "0"),
      "pulse_error must be a finite real number, got '0'"),
@@ -155,7 +165,7 @@ def test_a_count_outside_its_range_is_one_usage_error_line(argv, line, tmp_path,
     (lambda: pulses.NoiseModel(t2_star=math.inf),
      "t2_star must be positive and finite (or None to disable dephasing), got inf"),
     (lambda: pulses.NoiseModel(pulse_error=math.nan), "pulse_error must be finite, got nan"),
-], ids=["depth", "qubits", "detuning", "pulse_error", "angle", "theta-4pi", "theta-2pi", "tau",
+], ids=["depth", "qubits", "ancillas", "ancilla_error", "injected", "detuning", "pulse_error", "angle", "theta-4pi", "theta-2pi", "tau",
         "t2_star", "noise-pulse_error"])
 def test_a_real_out_of_range_names_itself_and_the_value(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):

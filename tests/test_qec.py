@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from qparch import pulses, qec
-from qparch.errors import InfeasibleInputError
+from qparch.errors import InfeasibleInputError, RateUnderflowError
 
 DEFAULTS = qec.HardwareProfile()
 
@@ -68,6 +68,25 @@ class TestFailureProbability:
                 if union < 1e-3:
                     # gap union - p ~ union^2/2 stays below 1e-6 on this range
                     assert union - p < 1e-6
+
+    def test_ancillas_of_zero_error_or_count_add_nothing(self):
+        p = qec.failure_probability(2.6e-20, 1.6e11, 72708)
+        assert qec.failure_probability(2.6e-20, 1.6e11, 72708, 3e11, 0.0) == p
+        assert qec.failure_probability(2.6e-20, 1.6e11, 72708, 0, 0.5) == p
+        assert qec.failure_probability(0.0, 1e308, 1e308, 0, 1.0) == 0.0
+
+    def test_a_certain_ancilla_failure_fails_the_run(self):
+        assert qec.failure_probability(0.0, 1, 1, 1, 1.0) == 1.0
+
+    def test_ancilla_term_matches_high_precision_oracle(self):
+        # The reference factoring run: 3.0e11 ancillas distilled twice from 1e-3.
+        eps, depth, qubits, ancillas, ancilla_error = 2.6e-20, 1.6e11, 72708, 3.0e11, 1.5e-21
+        got = qec.failure_probability(eps, depth, qubits, ancillas, ancilla_error)
+        with mpmath.workdps(60):
+            survival = ((1 - mpmath.mpf(eps)) ** (mpmath.mpf(depth) * qubits)
+                        * (1 - mpmath.mpf(ancilla_error)) ** mpmath.mpf(ancillas))
+            exact = float(1 - survival)
+        assert got == pytest.approx(exact, rel=1e-12)
 
     @pytest.mark.parametrize("bad", [-0.1, 1.1])
     def test_rejects_out_of_range_rate(self, bad):
@@ -196,6 +215,14 @@ class TestMinCodeDistance:
         message = re.escape(f"target_logical_error must be a finite number in (0, 1], got {target!r}")
         with pytest.raises(ValueError, match=message):
             qec.min_code_distance(DEFAULTS, target)
+
+    @pytest.mark.parametrize("c1", [2.0, 1e10])
+    def test_a_target_below_c1_times_the_smallest_float_names_the_distance(self, c1):
+        """target / c1 underflows to 0.0, but the exponent is taken in the log domain."""
+        profile = qec.HardwareProfile(c1=c1)
+        message = "the logical error rate at code distance 553 underflows to 0.0"
+        with pytest.raises(RateUnderflowError, match=f"^{message}$"):
+            qec.min_code_distance(profile, 5e-324)
 
     def test_unreachable_when_base_at_least_one(self):
         profile = qec.HardwareProfile(error_per_virtual_gate=6e-3, threshold=9e-3, c2=2.0)

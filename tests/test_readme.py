@@ -1,11 +1,16 @@
-"""The README's library sketch runs, the package re-exports nothing, and every
-name the package defines has a reader."""
+"""The README's library sketch runs and its exit-code table holds, the package
+re-exports nothing, and every name the package defines has a reader."""
 
 import ast
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
+
+from qparch import cli
 
 ROOT = Path(__file__).resolve().parents[1]
 README = ROOT / "README.md"
@@ -20,6 +25,46 @@ def test_library_sketch_runs(capsys):
     exec(compile(library_sketch(), str(README), "exec"), {})
     printed = capsys.readouterr().out.split("\n")
     assert len(printed) == 3 and printed[-1] == ""
+
+
+def exit_code_rows():
+    """(input, exit code) of each row of the README's exit-code table."""
+    section = README.read_text(encoding="utf-8").split("### Exit codes", 1)[1].split("\n#", 1)[0]
+    rows = [[cell.strip() for cell in line.strip().strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("|")]
+    assert rows[0] == ["Input", "Exit", "Reason"] and set(rows[1][0]) == {"-"}
+    return [(given, int(code)) for given, code, _ in rows[2:]]
+
+
+# The rows whose input is one complete command: the rest need a file.
+COMMANDS = [(shlex.split(match.group(1)), code) for given, code in exit_code_rows()
+            if (match := re.fullmatch(r"`qparch ([^`]+)`", given))]
+
+
+def test_the_exit_code_table_runs_a_command_for_most_rows():
+    rows = exit_code_rows()
+    assert len(COMMANDS) >= 20 and len(rows) - len(COMMANDS) <= 10
+    assert {code for _, code in rows} == {0, 2, 3}
+
+
+@pytest.mark.parametrize("argv, code", COMMANDS, ids=[" ".join(argv) for argv, _ in COMMANDS])
+def test_each_command_of_the_exit_code_table_exits_as_stated(argv, code, capsys, monkeypatch):
+    """Exit 0 with output and an empty stderr, or the row's exit code with one
+    ``error:`` line and an empty stdout."""
+    monkeypatch.delenv(cli.PROFILE_ENV_VAR, raising=False)
+    capsys.readouterr()
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:  # argparse usage errors
+        got = exc.code
+    out, err = capsys.readouterr()
+    assert got == code, err
+    if code == 0:
+        assert out and err == ""
+    else:
+        assert out == ""
+        assert sum("error:" in line for line in err.splitlines()) == 1, err
+        assert "Traceback" not in err
 
 
 def definitions(tree):
