@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import os
+import sys
 from collections import Counter, namedtuple
 
 from .errors import InfeasibleInputError, RateUnderflowError, check_count, is_real, shown
@@ -147,6 +148,20 @@ def failure_probability(logical_error_rate: float, depth: float, qubits: float,
     return -math.expm1(log_survival) if log_survival else 0.0
 
 
+def _rate(c1: float, base: float, exponent: int) -> float:
+    """``c1 * base ** exponent``.  A power below the smallest normal float has
+    lost bits, or all of them, before the product, so then the product is
+    taken in 34 digits and rounded once: within one ulp, subnormal ulps
+    included, and 0.0 only when the exact rate rounds to it."""
+    power = base ** exponent
+    if power >= sys.float_info.min:
+        return c1 * power
+    from decimal import MAX_EMAX, MIN_EMIN, Context, Decimal  # loaded only for a subnormal power
+
+    context = Context(prec=34, Emin=MIN_EMIN, Emax=MAX_EMAX)
+    return float(context.multiply(Decimal(c1), context.power(Decimal(base), exponent)))
+
+
 def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
     """Error per logical gate at code distance d.
 
@@ -156,9 +171,8 @@ def logical_error_rate(profile: HardwareProfile, distance: int) -> float:
     when it overflows a float or is above 1, which no error rate can be.
     """
     _check_distance(distance)
-    exponent = (distance + 1) // 2
     try:
-        rate = profile.c1 * profile.suppression_base ** exponent
+        rate = _rate(profile.c1, profile.suppression_base, (distance + 1) // 2)
     except OverflowError:  # a base above 1 raised to a huge power
         rate = math.inf
     if rate == 0.0:
@@ -231,9 +245,9 @@ def min_code_distance(profile: HardwareProfile, target_logical_error: float) -> 
     # underflow, then a local walk to absorb rounding.
     log_ratio = math.log(target_logical_error) - math.log(profile.c1)
     exponent = max(1, math.ceil(log_ratio / math.log(base)))
-    while exponent > 1 and profile.c1 * base ** (exponent - 1) <= target_logical_error:
+    while exponent > 1 and _rate(profile.c1, base, exponent - 1) <= target_logical_error:
         exponent -= 1
-    while profile.c1 * base ** exponent > target_logical_error:
+    while _rate(profile.c1, base, exponent) > target_logical_error:
         exponent += 1
     return code_point(profile, 2 * exponent - 1)
 

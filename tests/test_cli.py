@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from qparch import cli, qec
+from qparch import cli, pauli_frame, qec
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -123,15 +123,15 @@ class TestQecDistance:
         assert code == 0
         assert json.loads(payload)["code_distance"] == 35
 
-    @pytest.mark.parametrize("c1", [2.0, 1e10])
-    def test_a_target_whose_ratio_to_c1_underflows_names_the_distance(self, c1, tmp_path, capsys):
-        profile = write_profile(tmp_path, c1=c1)
+    @pytest.mark.parametrize("c1, distance", [(2.0, 299), (1e10, 307)])
+    def test_a_target_whose_ratio_to_c1_underflows_names_the_distance(self, c1, distance, tmp_path, capsys):
+        profile = write_profile(tmp_path, c1=c1, error_per_virtual_gate=1e-4)
         argv = ["qec", "distance", "--profile", profile, "--target-logical-error", "5e-324"]
         code, payload = run_cli(argv, tmp_path)
         assert code == 2
         assert payload == b""
         assert capsys.readouterr().err == (
-            "error: the logical error rate at code distance 553 underflows to 0.0\n"
+            f"error: the logical error rate at code distance {distance} underflows to 0.0\n"
         )
 
     @pytest.mark.parametrize("value", ["1e-30", "1e-300"])
@@ -807,6 +807,22 @@ class TestFrameExec:
         # 14.9 bytes with an action byte and a CNOT-only target column; 19.9 with 1+4+4-byte
         # op/qubit/arg columns; 38.7 with 8-byte ones and the circuit held to the end.
         assert (peak - before) / len(lines) < 28
+
+    def test_a_large_report_is_the_json_encoders_text(self, tmp_path, capsys):
+        """30 000 measurements of both signs, each after a Pauli that sets some qubit's frame."""
+        rng = random.Random(7)
+        lines = []
+        for _ in range(30_000):
+            pauli, basis, raw = rng.choice("IXYZ"), rng.choice("XYZ"), rng.choice((1, -1))
+            lines.append(f'{{"op":"pauli","p":"{pauli}","q":{rng.randrange(1000)}}}')
+            lines.append(f'{{"op":"measure","basis":"{basis}","q":{rng.randrange(1000)},"raw":{raw}}}')
+        circuit = self.write_circuit(tmp_path, lines)
+        final, outcomes = pauli_frame.run_circuit(pauli_frame.PauliFrame(1000), pauli_frame.load_circuit(circuit))
+        assert len(outcomes) == 30_000 and {1, -1} <= set(outcomes)
+        assert cli.main(["frame", "exec", circuit]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert captured.out == json.dumps({"outcomes": outcomes, "frame": final.letters}, indent=2) + "\n"
 
     def test_measure_without_raw_names_its_line(self, tmp_path, capsys):
         circuit = self.write_circuit(tmp_path, ['{"op":"measure","basis":"Z","q":0}'])

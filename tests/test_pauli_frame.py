@@ -4,8 +4,10 @@ import importlib.util
 import io
 import itertools
 import json
+import random
 import re
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -886,6 +888,28 @@ def test_frame_exec_exits_0_with_json_or_2_with_one_error_line(before, line, aft
 def test_the_report_is_the_json_encoders_text(outcomes, letters):
     report = pf.format_report(pf.PauliFrame(letters=letters), outcomes)
     assert report == json.dumps({"outcomes": outcomes, "frame": letters}, indent=2) + "\n"
+
+
+@pytest.mark.parametrize("outcome", [0, 2])
+def test_an_outcome_other_than_plus_or_minus_one_is_named(outcome):
+    with pytest.raises(ValueError, match=rf"^an outcome must be \+1 or -1, got {outcome}$"):
+        pf.format_report(pf.PauliFrame(1), [outcome])
+
+
+def test_the_report_takes_at_most_4_bytes_per_report_byte():
+    rng = random.Random(7)
+    frame = pf.PauliFrame(letters=rng.choices("IXYZ", k=1000))
+    outcomes = rng.choices((1, -1), k=30_000)
+    report = pf.format_report(frame, outcomes)
+    tracemalloc.start()
+    try:
+        pf.format_report(frame, outcomes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # Measured: 2.2 bytes with shared item strings and one join; 8.5 when each
+    # outcome went through ``str`` and the text was copied three times.
+    assert peak <= 4 * len(report)
 
 
 def assert_load_matches_oracle(path):

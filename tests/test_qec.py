@@ -187,6 +187,23 @@ class TestLogicalErrorRate:
         ):
             qec.logical_error_rate(profile, 31)
 
+    @pytest.mark.parametrize("distance", range(545, 559, 2))
+    def test_a_subnormal_power_is_rounded_once(self, distance):
+        """At c1 = 1e10 the power underflows before the product: d = 551 read 2.4703e-313
+        (3% off) and 553 to 557 raised, though the exact rates are floats."""
+        profile = qec.HardwareProfile(c1=1e10)
+        with mpmath.workdps(60):
+            exact = mpmath.mpf(profile.c1) * mpmath.mpf(profile.suppression_base) ** ((distance + 1) // 2)
+        rate = qec.logical_error_rate(profile, distance)
+        assert abs(mpmath.mpf(rate) - exact) <= math.ulp(float(exact))
+
+    def test_the_default_profiles_rates_are_unchanged(self):
+        """Every nonzero default rate is still ``c1 * base ** exponent``, also from d = 525 on,
+        where the power is subnormal and the rate is rounded once."""
+        base = DEFAULTS.suppression_base
+        for distance in range(1, 552, 2):
+            assert qec.logical_error_rate(DEFAULTS, distance) == DEFAULTS.c1 * base ** ((distance + 1) // 2)
+
     def test_strictly_decreasing_and_exact_step_ratio(self):
         base = DEFAULTS.suppression_base
         previous = qec.logical_error_rate(DEFAULTS, 1)
@@ -216,11 +233,17 @@ class TestMinCodeDistance:
         with pytest.raises(ValueError, match=message):
             qec.min_code_distance(DEFAULTS, target)
 
-    @pytest.mark.parametrize("c1", [2.0, 1e10])
-    def test_a_target_below_c1_times_the_smallest_float_names_the_distance(self, c1):
-        """target / c1 underflows to 0.0, but the exponent is taken in the log domain."""
-        profile = qec.HardwareProfile(c1=c1)
-        message = "the logical error rate at code distance 553 underflows to 0.0"
+    @pytest.mark.parametrize("c1, distance", [(2.0, 553), (1e10, 569)])
+    def test_a_target_below_c1_times_the_smallest_float_is_met(self, c1, distance):
+        """target / c1 underflows to 0.0, but the exponent is taken in the log domain,
+        and the walk reads the same subnormal rates as ``logical_error_rate``."""
+        point = qec.min_code_distance(qec.HardwareProfile(c1=c1), 5e-324)
+        assert (point.distance, point.logical_error_rate) == (distance, 5e-324)
+
+    @pytest.mark.parametrize("c1, distance", [(2.0, 299), (1e10, 307)])
+    def test_a_minimal_distance_whose_rate_rounds_to_0_is_named(self, c1, distance):
+        profile = qec.HardwareProfile(c1=c1, error_per_virtual_gate=1e-4)
+        message = f"the logical error rate at code distance {distance} underflows to 0.0"
         with pytest.raises(RateUnderflowError, match=f"^{message}$"):
             qec.min_code_distance(profile, 5e-324)
 
